@@ -16,6 +16,15 @@ def linear(v):
     return 2 * v[0] - v[1]
 
 
+def camel(v):
+    # Six-hump camel: global minimum -1.0316 at (+-0.0898, -+0.7126).
+    x, y = v
+    return (4 - 2.1 * x**2 + x**4 / 3) * x**2 + x * y + (-4 + 4 * y**2) * y**2
+
+
+CAMEL_BOX = SearchBox((Interval(-3, 3), Interval(-2, 2)), budget=3000, tol=1e-7)
+
+
 def test_quadratic_minimum():
     result = optimize_box(quadratic, SearchBox(UNIT2, budget=2000, tol=1e-6), MIN)
     assert result.value == pytest.approx(0.0, abs=1e-4)
@@ -33,14 +42,34 @@ def test_linear_extrema():
 
 
 def test_multimodal_global_minimum():
-    # Six-hump camel: global minimum -1.0316 at (+-0.0898, -+0.7126).
-    def camel(v):
-        x, y = v
-        return (4 - 2.1 * x**2 + x**4 / 3) * x**2 + x * y + (-4 + 4 * y**2) * y**2
-
-    box = SearchBox((Interval(-3, 3), Interval(-2, 2)), budget=3000, tol=1e-7)
-    result = optimize_box(camel, box, MIN)
+    result = optimize_box(camel, CAMEL_BOX, MIN)
     assert result.value == pytest.approx(-1.031628, abs=1e-3)
+
+
+def _hex(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize(
+    "objective, box, sense, evaluations, converged, value, point",
+    [
+        (camel, CAMEL_BOX, MIN, 867, True, "-0x1.0818cd655ca51p+0",
+         ("-0x1.6ffe463fc8080p-4", "0x1.6ce14bc32fef4p-1")),
+        (camel, CAMEL_BOX, MAX, 193, True, "0x1.45ccc2e22967dp+7",
+         ("-0x1.7ffffe3f03b76p+1", "-0x1.fffffda95a49dp+0")),
+        (quadratic, SearchBox(UNIT2, budget=500, tol=1e-6), MIN, 499, False,
+         "0x1.2382eb5db9adep-36", ("0x1.33324fe6ae6e2p-2", "0x1.66661aa23a24bp-1")),
+    ],
+    ids=["camel-min", "camel-max", "quadratic-budget"],
+)
+def test_search_trajectory_pinned(objective, box, sense, evaluations, converged, value, point):
+    # Exact results of the reference DIRECT search: any change to the points
+    # sampled, their order or the tie-breaks moves at least one of them.
+    result = optimize_box(objective, box, sense)
+    assert result.evaluations == evaluations
+    assert result.converged is converged
+    assert _hex(result.value) == (value,)
+    assert _hex(*result.point) == point
 
 
 def test_determinism():
