@@ -39,7 +39,7 @@ from .models import (
 )
 from .optimize import SearchBox, optimize_box, vertex_extrema
 from .oracle import oracle_cdf_bounds
-from .pbox import PBox, build_pbox, eval_bound, intersect_pboxes, quasi_inverse
+from .pbox import PBox, build_pbox, intersect_pboxes, quasi_inverse
 from .propagate import (
     EmpiricalPBox,
     OptimizerSettings,
@@ -77,7 +77,6 @@ __all__ = [
     "cohort_trace",
     "discounted_outcomes",
     "discretize_outer",
-    "eval_bound",
     "expected_interval",
     "focal_product",
     "inmb",

@@ -24,7 +24,7 @@ from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
 from .models import REGISTRY, CohortCeaSpec, RegisteredModel, build_transition_matrix, discounted_outcomes, cohort_trace
 from .pbox import PBox, build_pbox
-from .propagate import EmpiricalPBox, OptimizerSettings, ParameterSet, propagate_mixed, propagate_pboxes, psa_propagate
+from .propagate import EmpiricalPBox, OptimizerSettings, ParameterSet, propagate_mixed, psa_propagate
 
 CONFIG_SCHEMA = "pba-analysis/1"
 SUMMARY_SCHEMA = "pba-summary/1"
@@ -155,7 +155,6 @@ class AnalysisConfig:
     samples: int = 50
     seed: int = 0
     optimizer: OptimizerSettings = OptimizerSettings()
-    threads: int = 1
     actions: tuple[ActionSpec, ...] = ()
     rule_name: str = "dominance"
     alpha: float | None = None
@@ -220,7 +219,6 @@ class AnalysisConfig:
             optimizer=OptimizerSettings(
                 budget=int(opt_cfg.get("budget", 2000)), tol=float(opt_cfg.get("tol", 1e-6))
             ),
-            threads=int(cfg.get("threads", 1)),
             actions=actions,
             rule_name=rule_name,
             alpha=None if decision_cfg.get("alpha") is None else float(decision_cfg["alpha"]),
@@ -308,8 +306,11 @@ def export_curve(p: PBox | EmpiricalPBox, gridsize: int, path: str | Path) -> Pa
 # ---------------------------------------------------------------------------
 
 
-def _baseline_psa(config: AnalysisConfig, out_dir: Path, outputs: dict) -> None:
-    """Optional PSA companion run with each boxed parameter made precise."""
+def _baseline_psa(config: AnalysisConfig, out_dir: Path, outputs: dict) -> int:
+    """Optional PSA companion run with each boxed parameter made precise.
+
+    Returns the number of model evaluations it made.
+    """
     cfg = config.psa_baseline
     families = cfg.get("families", {})
     samples = int(cfg.get("samples", 500))
@@ -322,20 +323,15 @@ def _baseline_psa(config: AnalysisConfig, out_dir: Path, outputs: dict) -> None:
     target = out_dir / cfg.get("file", "baseline.csv")
     export_curve(ecdf, config.curve_grid, target)
     outputs["baseline"] = str(target)
+    return ecdf.model_evaluations
 
 
 def _propagate_for(config: AnalysisConfig, params: ParameterSet) -> EmpiricalPBox:
-    if params.boxed and params.precise:
+    if params.boxed or params.precise:
         return propagate_mixed(
             config.model.fn, params, n=config.n, N=config.samples, seed=config.seed,
-            opt=config.optimizer, threads=config.threads,
+            opt=config.optimizer,
         )
-    if params.boxed:
-        return propagate_pboxes(
-            config.model.fn, params, n=config.n, opt=config.optimizer, threads=config.threads
-        )
-    if params.precise:
-        return psa_propagate(config.model.fn, params, N=config.samples, seed=config.seed)
     y = float(config.model.fn(dict(params.fixed)))
     return EmpiricalPBox([(y, y, 1.0)], model_evaluations=1)
 
@@ -386,7 +382,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
         summary["model_evaluations"] = result.model_evaluations
         summary["unconverged_boxes"] = result.unconverged_boxes
         if config.psa_baseline:
-            _baseline_psa(config, out_dir, outputs)
+            summary["model_evaluations"] += _baseline_psa(config, out_dir, outputs)
     elif config.pipeline == "decide":
         if len(config.actions) < 2:
             raise ConfigParseError("decide needs at least two actions", location="actions")
@@ -442,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an analysis config")
     run.add_argument("config", help="path to a JSON analysis config")
     run.add_argument("--seed", type=int, default=None, help="override the random seed")
-    run.add_argument("--threads", type=int, default=None, help="worker threads (0 = all cores)")
     run.add_argument("--out", default=".", help="output directory")
 
     pbox = sub.add_parser("pbox", help="render one p-box curve from statistics")
@@ -471,8 +466,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             config = config.replace(seed=_resolve_seed(args.seed, config.seed))
-            if args.threads is not None:
-                config = config.replace(threads=args.threads)
             run_analysis(config, args.out)
             return 0
         if args.command == "pbox":

@@ -11,6 +11,7 @@ objectives exactly.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,48 +50,68 @@ class OptResult:
 
 
 class _Rect:
-    __slots__ = ("center", "levels", "f")
+    __slots__ = ("center", "f", "index", "levels", "key", "diameter")
 
-    def __init__(self, center: tuple[float, ...], levels: tuple[int, ...], f: float):
+    def __init__(self, center: tuple[float, ...], levels: tuple[int, ...], f: float, index: int):
         self.center = center
-        self.levels = levels
         self.f = f
+        self.index = index  # creation order, the last tie-break
+        self.set_levels(levels)
 
-    def diameter(self) -> float:
-        return 0.5 * math.sqrt(sum(9.0 ** (-l) for l in self.levels))
+    def set_levels(self, levels: tuple[int, ...]) -> None:
+        self.levels = levels
+        self.key = tuple(sorted(levels))  # size class
+        self.diameter = 0.5 * math.sqrt(sum(9.0 ** (-l) for l in levels))
 
 
-def _potentially_optimal(rects: list[_Rect]) -> list[_Rect]:
-    """Rectangles on the lower-right convex hull of (diameter, value)."""
-    classes: dict[tuple[int, ...], _Rect] = {}
-    for r in rects:
-        key = tuple(sorted(r.levels))
-        cur = classes.get(key)
-        if cur is None or r.f < cur.f:
-            classes[key] = r
-    reps = sorted(classes.values(), key=lambda r: r.diameter())
-    f_min = min(r.f for r in reps)
+def _representatives(classes: dict[tuple[int, ...], list]) -> list[_Rect]:
+    """Lowest-f rect of each size class, the earliest created among equals.
+
+    Each class is a heap of (f, index, rect).  A divided rect leaves its
+    entry behind in the class it left; such entries are dropped here.
+    """
+    reps = []
+    for key in list(classes):
+        heap = classes[key]
+        while heap and heap[0][2].key != key:
+            heapq.heappop(heap)
+        if heap:
+            reps.append(heap[0][2])
+        else:
+            del classes[key]
+    return reps
+
+
+def _potentially_optimal(reps: list[_Rect]) -> list[_Rect]:
+    """Size-class representatives on the lower-right convex hull of (diameter, value).
+
+    Levels within a rect differ by at most one, so distinct size classes have
+    diameters at least a factor 1 + 8/(9 dim) apart: no two representatives
+    tie on diameter, and the sort fixes their order completely.
+    """
+    reps = sorted(reps, key=lambda r: r.diameter)
+    points = [(r.diameter, r.f) for r in reps]
+    f_min = min(f for _, f in points)
     out = []
-    for j, rj in enumerate(reps):
-        dj, fj = rj.diameter(), rj.f
+    for rj, (dj, fj) in zip(reps, points):
         k_lo, k_hi = 0.0, math.inf
-        ok = True
-        for i, ri in enumerate(reps):
-            if i == j:
-                continue
-            di, fi = ri.diameter(), ri.f
+        for di, fi in points:
             if di > dj:
-                k_hi = min(k_hi, (fi - fj) / (di - dj))
+                slope = (fi - fj) / (di - dj)
+                if slope < k_hi:
+                    k_hi = slope
             elif di < dj:
-                k_lo = max(k_lo, (fj - fi) / (dj - di))
+                slope = (fj - fi) / (dj - di)
+                if slope > k_lo:
+                    k_lo = slope
             elif fi < fj:
-                ok = False
-                break
-        if not ok or k_lo > k_hi:
-            continue
-        # With the most favorable slope the rect must still undercut f_min.
-        if math.isinf(k_hi) or fj - k_hi * dj <= f_min + 1e-13 * max(1.0, abs(f_min)):
-            out.append(rj)
+                break  # an equally large rect with a lower value dominates
+        else:
+            if k_lo > k_hi:
+                continue
+            # With the most favorable slope the rect must still undercut f_min.
+            if math.isinf(k_hi) or fj - k_hi * dj <= f_min + 1e-13 * max(1.0, abs(f_min)):
+                out.append(rj)
     return out
 
 
@@ -98,25 +119,44 @@ def _direct_minimize(
     f: Callable[[tuple[float, ...]], float], dim: int, budget: int, tol: float
 ) -> tuple[tuple[float, ...], float, bool, int]:
     evals = 0
+    order = itertools.count()
+    classes: dict[tuple[int, ...], list] = {}
+    # Rects holding the lowest f, as a heap of (diameter, index, rect).  A
+    # division always shrinks the diameter, so an entry whose diameter is no
+    # longer its rect's is stale.
+    f_low = math.inf
+    lowest: list = []
 
     def evaluate(point: tuple[float, ...]) -> float:
         nonlocal evals
         evals += 1
         return f(point)
 
+    def track(rect: _Rect) -> None:
+        """File a new or just-divided rect under its size class and the best f."""
+        nonlocal f_low, lowest
+        heapq.heappush(classes.setdefault(rect.key, []), (rect.f, rect.index, rect))
+        if rect.f < f_low:
+            f_low, lowest = rect.f, []
+        if rect.f == f_low:
+            heapq.heappush(lowest, (rect.diameter, rect.index, rect))
+
     center = tuple(0.5 for _ in range(dim))
-    root = _Rect(center, tuple(0 for _ in range(dim)), evaluate(center))
-    rects = [root]
-    best = root
-    d0 = root.diameter()
+    root = _Rect(center, tuple(0 for _ in range(dim)), evaluate(center), next(order))
+    track(root)
+    d0 = root.diameter
 
     while True:
-        if best.diameter() < tol * d0:
+        # The best rect: lowest f, then smallest diameter, then earliest.
+        while lowest[0][0] != lowest[0][2].diameter:
+            heapq.heappop(lowest)
+        best = lowest[0][2]
+        if best.diameter < tol * d0:
             return best.center, best.f, True, evals
         if evals + 2 > budget:
             return best.center, best.f, False, evals
 
-        selected = _potentially_optimal(rects)
+        selected = _potentially_optimal(_representatives(classes))
         progressed = False
         for rect in selected:
             lmin = min(rect.levels)
@@ -141,16 +181,11 @@ def _direct_minimize(
             for _, i, p_plus, f_plus, p_minus, f_minus in sampled:
                 levels[i] += 1
                 for point, value in ((p_plus, f_plus), (p_minus, f_minus)):
-                    child = _Rect(point, tuple(levels), value)
-                    rects.append(child)
-                    if value < best.f:
-                        best = child
-            rect.levels = tuple(levels)  # center keeps the shrunken rect
+                    track(_Rect(point, tuple(levels), value, next(order)))
+            rect.set_levels(tuple(levels))  # center keeps the shrunken rect
+            track(rect)
         if not progressed:
             return best.center, best.f, False, evals
-        # Rect shapes changed; re-resolve which rect holds the best value so
-        # the convergence test sees its current diameter.
-        best = min(rects, key=lambda r: (r.f, r.diameter()))
 
 
 def optimize_box(

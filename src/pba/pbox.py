@@ -247,11 +247,6 @@ class PBox:
         return sorted(pts)
 
 
-def eval_bound(p: PBox, side: str, theta: float) -> float:
-    """Evaluate one bound at ``theta`` by exact closed-form arithmetic."""
-    return p.value(side, theta)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------

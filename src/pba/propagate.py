@@ -19,9 +19,8 @@ and maxima the lower bound, which keeps lower <= upper everywhere.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -140,31 +139,37 @@ def _call_model(model: Model, args: Mapping[str, float]) -> float:
         raise ModelEvaluationError(f"model raised {exc!r}", params=args) from exc
 
 
-def _objective(model: Model, fixed: Mapping[str, float], names: list[str]) -> Callable:
+def _box_objective(model: Model, fixed: Mapping[str, float], names: list[str]):
+    """The model over one box's parameters, and its cache of evaluated points.
+
+    The MIN and MAX searches of a box both start from the same centres, so the
+    cache, keyed on the parameter tuple, saves the second search every point
+    the first one already evaluated.
+    """
+    cache: dict[tuple[float, ...], float] = {}
+
     def fn(vector) -> float:
-        args = dict(fixed)
-        for name, value in zip(names, vector):
-            args[name] = value
-        return _call_model(model, args)
+        key = tuple(vector)
+        if key not in cache:
+            args = dict(fixed)
+            for name, value in zip(names, key):
+                args[name] = value
+            cache[key] = _call_model(model, args)
+        return cache[key]
 
-    return fn
+    return fn, cache
 
 
-def _optimize_rect(objective, rect, opt: OptimizerSettings):
+def _optimize_rect(
+    model: Model, fixed: Mapping[str, float], names: list[str], rect, opt: OptimizerSettings
+):
+    """(y_min, y_max, mass), distinct model calls and unconverged searches of one box."""
+    objective, cache = _box_objective(model, fixed, names)
     box = SearchBox(rect.intervals, budget=opt.budget, tol=opt.tol)
     lo = optimize_box(objective, box, MIN)
     hi = optimize_box(objective, box, MAX)
     bad = (0 if lo.converged else 1) + (0 if hi.converged else 1)
-    return (lo.value, hi.value, rect.mass), lo.evaluations + hi.evaluations, bad
-
-
-def _run_rects(objective, rects: Iterable, opt: OptimizerSettings, threads: int):
-    if threads == 1:
-        results = (_optimize_rect(objective, r, opt) for r in rects)
-        return list(results)
-    workers = threads if threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: _optimize_rect(objective, r, opt), rects))
+    return (lo.value, hi.value, rect.mass), len(cache), bad
 
 
 def _discretize_all(params: ParameterSet, n: int) -> tuple[list[str], list[DiscretizedPBox]]:
@@ -178,7 +183,6 @@ def propagate_pboxes(
     params: ParameterSet,
     n: int = 50,
     opt: OptimizerSettings = OptimizerSettings(),
-    threads: int = 1,
     max_hyperrectangles: int = DEFAULT_HYPERRECT_CAP,
     allow_large: bool = False,
 ) -> EmpiricalPBox:
@@ -200,8 +204,7 @@ def propagate_pboxes(
             f"{total} hyperrectangles exceed the cap of {max_hyperrectangles}; "
             "pass allow_large=True to override"
         )
-    objective = _objective(model, params.fixed, names)
-    outcomes = _run_rects(objective, focal_product(sliced), opt, threads)
+    outcomes = [_optimize_rect(model, params.fixed, names, r, opt) for r in focal_product(sliced)]
     triples = [t for t, _, _ in outcomes]
     evals = sum(e for _, e, _ in outcomes)
     bad = sum(b for _, _, b in outcomes)
@@ -249,7 +252,6 @@ def propagate_mixed(
     N: int = 50,
     seed: int = 0,
     opt: OptimizerSettings = OptimizerSettings(),
-    threads: int = 1,
     max_hyperrectangles: int = DEFAULT_HYPERRECT_CAP,
     allow_large: bool = False,
 ) -> EmpiricalPBox:
@@ -261,9 +263,7 @@ def propagate_mixed(
     group is empty and to ``psa_propagate`` when the boxed group is empty.
     """
     if not params.precise:
-        return propagate_pboxes(
-            model, params, n, opt, threads, max_hyperrectangles, allow_large
-        )
+        return propagate_pboxes(model, params, n, opt, max_hyperrectangles, allow_large)
     if not params.boxed:
         return psa_propagate(model, params, N, seed)
     if N < 1:
@@ -281,8 +281,7 @@ def propagate_mixed(
     for stream in _sample_streams(seed, N):
         fixed = dict(params.fixed)
         fixed.update(_draw_precise(params, stream))
-        objective = _objective(model, fixed, names)
-        outcomes = _run_rects(objective, focal_product(sliced), opt, threads)
+        outcomes = [_optimize_rect(model, fixed, names, r, opt) for r in focal_product(sliced)]
         triples.extend((lo, hi, mass / N) for (lo, hi, mass), _, _ in outcomes)
         evals += sum(e for _, e, _ in outcomes)
         bad += sum(b for _, _, b in outcomes)

@@ -7,6 +7,7 @@ import pytest
 from pba.cli import AnalysisConfig, export_curve, load_config, main, run_analysis
 from pba.errors import ConfigParseError
 from pba.minimal_data import min_max
+from pba.models import RegisteredModel
 from pba.pbox import build_pbox
 from pba.propagate import EmpiricalPBox
 
@@ -112,6 +113,29 @@ def test_seed_precedence(tmp_path, monkeypatch):
     main(["run", str(config_path), "--seed", "123", "--out", str(tmp_path / "flag")])
     flag_summary = json.loads((tmp_path / "flag" / "summary.json").read_text())
     assert flag_summary["seed"] == 123
+
+
+def test_summary_counts_every_model_call(tmp_path):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["pipeline"] = "propagate"
+    precise = config["parameters"].pop("precise")
+    config["parameters"]["boxed"] = {
+        "c1": {"min": 0.0, "max": 10.0, "mean": 0.05, "std": 0.00033},
+        "c6": {"min": 0.5, "max": 2.0, "mean": 1.0, "std": 0.0167},
+    }
+    config.update(n=2, optimizer={"budget": 100, "tol": 1e-4})
+    config["psa_baseline"] = {"samples": 30, "families": {k: v["family"] for k, v in precise.items()}}
+    analysis = AnalysisConfig.from_dict(config)
+    model = analysis.model
+    calls = []
+
+    def counted(params):
+        calls.append(1)
+        return model.fn(params)
+
+    summary = run_analysis(analysis.replace(model=RegisteredModel(counted, model.param_names)), tmp_path)
+    assert "baseline" in summary["outputs"]
+    assert summary["model_evaluations"] == len(calls)
 
 
 def test_error_record_on_bad_config(tmp_path, capsys):

@@ -46,10 +46,6 @@ def test_multimodal_global_minimum():
     assert result.value == pytest.approx(-1.031628, abs=1e-3)
 
 
-def _hex(*values):
-    return tuple(float(v).hex() for v in values)
-
-
 @pytest.mark.parametrize(
     "objective, box, sense, evaluations, converged, value, point",
     [
@@ -68,8 +64,8 @@ def test_search_trajectory_pinned(objective, box, sense, evaluations, converged,
     result = optimize_box(objective, box, sense)
     assert result.evaluations == evaluations
     assert result.converged is converged
-    assert _hex(result.value) == (value,)
-    assert _hex(*result.point) == point
+    assert result.value.hex() == value
+    assert tuple(x.hex() for x in result.point) == point
 
 
 def test_determinism():

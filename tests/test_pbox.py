@@ -11,7 +11,7 @@ from pba.minimal_data import (
     min_max_median,
     min_max_median_mean,
 )
-from pba.pbox import LOWER, UPPER, build_pbox, eval_bound, intersect_pboxes
+from pba.pbox import LOWER, UPPER, build_pbox, intersect_pboxes
 
 ALL_KINDS = [
     min_max(0.0, 1.0),
@@ -61,10 +61,10 @@ def test_mean_std_breakpoints_and_segments():
 
 def test_eval_bound_outside_support():
     p = build_pbox(min_max(0, 1))
-    assert eval_bound(p, LOWER, 2.0) == 1.0
-    assert eval_bound(p, UPPER, -0.001) == 0.0
+    assert p.value(LOWER, 2.0) == 1.0
+    assert p.value(UPPER, -0.001) == 0.0
     pm = build_pbox(min_max_mean(0, 1, 0.5))
-    assert eval_bound(pm, LOWER, 0.75) == pytest.approx(1 / 3)
+    assert pm.value(LOWER, 0.75) == pytest.approx(1 / 3)
 
 
 @pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)

@@ -16,7 +16,8 @@ from pba.propagate import (
     propagate_pboxes,
     psa_propagate,
 )
-from pba.slicing import discretize_outer
+from pba.optimize import MAX, MIN, SearchBox, optimize_box
+from pba.slicing import discretize_outer, focal_product
 
 FAST_OPT = OptimizerSettings(budget=300, tol=1e-6)
 
@@ -203,12 +204,35 @@ def test_hyperrectangle_cap():
         propagate_pboxes(model, params, n=101, max_hyperrectangles=10**6)
 
 
-def test_threads_do_not_change_results():
-    params = ParameterSet(boxed={"x": min_max_mean(0, 1, 0.4), "y": min_max(0, 1)})
-    model = lambda p: p["x"] * 2 - p["y"]
-    serial = propagate_pboxes(model, params, n=4, opt=FAST_OPT, threads=1)
-    threaded = propagate_pboxes(model, params, n=4, opt=FAST_OPT, threads=4)
-    assert serial.extrema == threaded.extrema
+def test_min_and_max_searches_share_model_calls():
+    params = ParameterSet(
+        fixed={"z": 0.5}, boxed={"x": min_max_mean(0, 1, 0.4), "y": min_max(-1, 2)}
+    )
+    f = lambda x, y, z: math.sin(3 * x) * math.cos(2 * y) + z * x * y
+    calls = []
+
+    def model(p):
+        calls.append((p["x"], p["y"]))
+        return f(p["x"], p["y"], p["z"])
+
+    out = propagate_pboxes(model, params, n=3, opt=FAST_OPT)
+
+    # The same searches run apart, each box's MIN and MAX on their own.
+    separate, distinct, evaluations = [], 0, 0
+    sliced = [discretize_outer(build_pbox(params.boxed[k]), 3) for k in ("x", "y")]
+    for rect in focal_product(sliced):
+        points = []
+        objective = lambda v: points.append(tuple(v)) or f(v[0], v[1], 0.5)
+        box = SearchBox(rect.intervals, budget=FAST_OPT.budget, tol=FAST_OPT.tol)
+        lo = optimize_box(objective, box, MIN).value
+        hi = optimize_box(objective, box, MAX).value
+        separate.append((lo, hi, rect.mass))
+        distinct += len(set(points))
+        evaluations += len(points)
+    # One model call per distinct point of each box, and all of them counted.
+    assert len(calls) == distinct < evaluations
+    assert out.model_evaluations == len(calls)
+    assert out.extrema == tuple(separate)
 
 
 def test_triple_validation():
