@@ -388,6 +388,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             raise ConfigParseError("decide needs at least two actions", location="actions")
         intervals: list[UtilityInterval] = []
         evals = 0
+        unconverged = 0
         action_rows = []
         for action in config.actions:
             # An override pins the parameter for this action, displacing any
@@ -405,10 +406,15 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             ui = expected_interval(result, action=action.id)
             intervals.append(ui)
             evals += result.model_evaluations
+            unconverged += result.unconverged_boxes
             target = out_dir / f"curve-{action.id}.csv"
             export_curve(result, config.curve_grid, target)
             outputs[f"curve:{action.id}"] = str(target)
-            action_rows.append({"id": action.id, "expected_interval": [ui.lo, ui.hi]})
+            action_rows.append({
+                "id": action.id,
+                "expected_interval": [ui.lo, ui.hi],
+                "unconverged_boxes": result.unconverged_boxes,
+            })
         rule = _RULES[config.rule_name](config.alpha)
         chosen = choose(intervals, rule)
         summary["actions"] = action_rows
@@ -417,6 +423,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             summary["alpha"] = config.alpha
         summary["chosen"] = "indeterminate" if chosen is INDETERMINATE else sorted(chosen)
         summary["model_evaluations"] = evals
+        summary["unconverged_boxes"] = unconverged
 
     summary["runtime_seconds"] = time.perf_counter() - started
     summary["outputs"] = outputs

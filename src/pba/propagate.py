@@ -161,15 +161,43 @@ def _box_objective(model: Model, fixed: Mapping[str, float], names: list[str]):
 
 
 def _optimize_rect(
-    model: Model, fixed: Mapping[str, float], names: list[str], rect, opt: OptimizerSettings
+    model: Model, fixed: Mapping[str, float], names: list[str], intervals, opt: OptimizerSettings
 ):
-    """(y_min, y_max, mass), distinct model calls and unconverged searches of one box."""
+    """(y_min, y_max), distinct model calls and unconverged searches of one box."""
     objective, cache = _box_objective(model, fixed, names)
-    box = SearchBox(rect.intervals, budget=opt.budget, tol=opt.tol)
+    box = SearchBox(intervals, budget=opt.budget, tol=opt.tol)
     lo = optimize_box(objective, box, MIN)
     hi = optimize_box(objective, box, MAX)
     bad = (0 if lo.converged else 1) + (0 if hi.converged else 1)
-    return (lo.value, hi.value, rect.mass), len(cache), bad
+    return (lo.value, hi.value), len(cache), bad
+
+
+def _optimize_rects(
+    model: Model,
+    fixed: Mapping[str, float],
+    names: list[str],
+    sliced: list[DiscretizedPBox],
+    opt: OptimizerSettings,
+):
+    """(y_min, y_max, mass) per box, distinct model calls and unconverged searches.
+
+    Equal focal intervals (a min/max-only p-box slices into n of them) give
+    identical boxes; each distinct box is searched once, and every box still
+    contributes its own triple and unconverged count.
+    """
+    searched: dict[tuple[Interval, ...], tuple] = {}
+    triples = []
+    evals = 0
+    bad = 0
+    for rect in focal_product(sliced):
+        found = searched.get(rect.intervals)
+        if found is None:
+            found = searched[rect.intervals] = _optimize_rect(model, fixed, names, rect.intervals, opt)
+            evals += found[1]
+        (lo, hi), _, unconverged = found
+        triples.append((lo, hi, rect.mass))
+        bad += unconverged
+    return triples, evals, bad
 
 
 def _discretize_all(params: ParameterSet, n: int) -> tuple[list[str], list[DiscretizedPBox]]:
@@ -204,10 +232,7 @@ def propagate_pboxes(
             f"{total} hyperrectangles exceed the cap of {max_hyperrectangles}; "
             "pass allow_large=True to override"
         )
-    outcomes = [_optimize_rect(model, params.fixed, names, r, opt) for r in focal_product(sliced)]
-    triples = [t for t, _, _ in outcomes]
-    evals = sum(e for _, e, _ in outcomes)
-    bad = sum(b for _, _, b in outcomes)
+    triples, evals, bad = _optimize_rects(model, params.fixed, names, sliced, opt)
     return EmpiricalPBox(triples, model_evaluations=evals, unconverged_boxes=bad)
 
 
@@ -281,8 +306,8 @@ def propagate_mixed(
     for stream in _sample_streams(seed, N):
         fixed = dict(params.fixed)
         fixed.update(_draw_precise(params, stream))
-        outcomes = [_optimize_rect(model, fixed, names, r, opt) for r in focal_product(sliced)]
-        triples.extend((lo, hi, mass / N) for (lo, hi, mass), _, _ in outcomes)
-        evals += sum(e for _, e, _ in outcomes)
-        bad += sum(b for _, _, b in outcomes)
+        draw, draw_evals, draw_bad = _optimize_rects(model, fixed, names, sliced, opt)
+        triples.extend((lo, hi, mass / N) for lo, hi, mass in draw)
+        evals += draw_evals
+        bad += draw_bad
     return EmpiricalPBox(triples, model_evaluations=evals, unconverged_boxes=bad)

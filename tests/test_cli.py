@@ -217,6 +217,14 @@ def test_decide_pipeline(tmp_path):
     assert rows["conventional"][0] == pytest.approx(rows["conventional"][1])
     assert rows["device"][0] < rows["device"][1]
     assert summary["chosen"] == ["conventional"] or summary["chosen"] == ["device"]
+    # Unconverged searches are reported per action and in total, as for propagate.
+    counts = {row["id"]: row["unconverged_boxes"] for row in summary["actions"]}
+    assert counts["conventional"] == 0  # every parameter fixed: one evaluation, no search
+    assert all(isinstance(c, int) and c >= 0 for c in counts.values())
+    assert summary["unconverged_boxes"] == sum(counts.values())
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["unconverged_boxes"] == summary["unconverged_boxes"]
+    assert [row["unconverged_boxes"] for row in written["actions"]] == list(counts.values())
     assert (tmp_path / "curve-device.csv").exists()
     assert (tmp_path / "curve-conventional.csv").exists()
 

@@ -7,6 +7,7 @@ from conftest import assert_within_envelope
 from pba.distributions import DistributionSpec
 from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError
 from pba.minimal_data import min_max, min_max_mean, min_max_mean_std, min_max_median
+from pba.models import REGISTRY
 from pba.pbox import build_pbox
 from pba.propagate import (
     EmpiricalPBox,
@@ -220,6 +221,7 @@ def test_min_and_max_searches_share_model_calls():
     # The same searches run apart, each box's MIN and MAX on their own.
     separate, distinct, evaluations = [], 0, 0
     sliced = [discretize_outer(build_pbox(params.boxed[k]), 3) for k in ("x", "y")]
+    seen = set()
     for rect in focal_product(sliced):
         points = []
         objective = lambda v: points.append(tuple(v)) or f(v[0], v[1], 0.5)
@@ -227,12 +229,67 @@ def test_min_and_max_searches_share_model_calls():
         lo = optimize_box(objective, box, MIN).value
         hi = optimize_box(objective, box, MAX).value
         separate.append((lo, hi, rect.mass))
-        distinct += len(set(points))
+        if rect.intervals not in seen:  # y's min/max slices repeat each box three times
+            seen.add(rect.intervals)
+            distinct += len(set(points))
         evaluations += len(points)
-    # One model call per distinct point of each box, and all of them counted.
+    # One model call per distinct point of each distinct box, and all of them counted.
     assert len(calls) == distinct < evaluations
     assert out.model_evaluations == len(calls)
     assert out.extrema == tuple(separate)
+
+
+def test_identical_boxes_searched_once():
+    """A min/max-only p-box slices into n equal intervals: one distinct box."""
+    params = ParameterSet(
+        fixed={"c2": 0.01, "c3": 0.001, "c4": 0.1, "c5": 0.05},
+        boxed={"c1": min_max(0.0, 10.0), "c6": min_max(0.0, 10.0)},
+    )
+    opt = OptimizerSettings(budget=600, tol=1e-6)
+    four_state = REGISTRY["four_state_life_expectancy"].fn
+    calls = []
+
+    def model(p):
+        calls.append((p["c1"], p["c6"]))
+        return four_state(p)
+
+    out = propagate_pboxes(model, params, n=5, opt=opt)
+
+    sliced = [discretize_outer(build_pbox(params.boxed[k]), 5) for k in ("c1", "c6")]
+    rects = list(focal_product(sliced))
+    assert len(rects) == 25 and len({r.intervals for r in rects}) == 1
+    # Reference: every box searched on its own.
+    separate, bad = [], 0
+    for rect in rects:
+        objective = lambda v: four_state({**params.fixed, "c1": v[0], "c6": v[1]})
+        box = SearchBox(rect.intervals, budget=opt.budget, tol=opt.tol)
+        lo, hi = optimize_box(objective, box, MIN), optimize_box(objective, box, MAX)
+        separate.append((lo.value, hi.value, rect.mass))
+        bad += (not lo.converged) + (not hi.converged)
+    assert out.extrema == tuple(separate)
+    assert out.unconverged_boxes == bad
+    # The model ran for one box only, once per distinct point.
+    assert len(calls) == len(set(calls)) == out.model_evaluations
+    one_box = propagate_pboxes(model, params, n=1, opt=opt)
+    assert one_box.model_evaluations == out.model_evaluations
+    assert one_box.extrema[0][:2] == out.extrema[0][:2]
+
+
+def test_mixed_searches_identical_boxes_once_per_draw():
+    params = ParameterSet(
+        precise={"z": DistributionSpec.uniform(0.0, 1.0)}, boxed={"x": min_max(0.0, 1.0)}
+    )
+    calls = []
+
+    def model(p):
+        calls.append((p["x"], p["z"]))
+        return (p["x"] - p["z"]) ** 2
+
+    once = propagate_mixed(model, params, n=1, N=3, seed=4, opt=FAST_OPT)
+    calls.clear()
+    out = propagate_mixed(model, params, n=4, N=3, seed=4, opt=FAST_OPT)
+    assert len(calls) == len(set(calls)) == out.model_evaluations == once.model_evaluations
+    assert [t[:2] for t in out.extrema] == [t[:2] for t in once.extrema for _ in range(4)]
 
 
 def test_triple_validation():
