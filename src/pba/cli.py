@@ -208,6 +208,12 @@ class AnalysisConfig:
             raise ConfigParseError(f"unknown decision rule {rule_name!r}", location="decision.rule")
 
         opt_cfg = cfg.get("optimizer", {})
+        try:
+            optimizer = OptimizerSettings(
+                budget=int(opt_cfg.get("budget", 2000)), tol=float(opt_cfg.get("tol", 1e-6))
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc
         config = cls(
             pipeline=pipeline,
             model_name=model_name,
@@ -216,9 +222,7 @@ class AnalysisConfig:
             n=int(cfg.get("n", 50)),
             samples=int(cfg.get("samples", 50)),
             seed=int(cfg.get("seed", 0)),
-            optimizer=OptimizerSettings(
-                budget=int(opt_cfg.get("budget", 2000)), tol=float(opt_cfg.get("tol", 1e-6))
-            ),
+            optimizer=optimizer,
             actions=actions,
             rule_name=rule_name,
             alpha=None if decision_cfg.get("alpha") is None else float(decision_cfg["alpha"]),
@@ -283,20 +287,14 @@ def export_curve(p: PBox | EmpiricalPBox, gridsize: int, path: str | Path) -> Pa
     """
     if gridsize < 2:
         raise ValueError(f"gridsize must be at least 2, got {gridsize}")
-    if isinstance(p, PBox):
-        lo, hi = p.support.lo, p.support.hi
-        lower, upper = p.lower, p.upper
-    else:
-        support = p.support()
-        lo, hi = support.lo, support.hi
-        lower, upper = p.lower, p.upper
-    pad = 0.05 * (hi - lo)
-    start, stop = lo - pad, hi + pad
+    support = p.support if isinstance(p, PBox) else p.support()
+    pad = 0.05 * (support.hi - support.lo)
+    start, stop = support.lo - pad, support.hi + pad
     path = Path(path)
     lines = ["theta,lbf,ubf"]
     for k in range(gridsize):
-        theta = start + (stop - start) * k / (gridsize - 1) if gridsize > 1 else start
-        lines.append(f"{theta!r},{lower(theta)!r},{upper(theta)!r}")
+        theta = start + (stop - start) * k / (gridsize - 1)
+        lines.append(f"{theta!r},{p.lower(theta)!r},{p.upper(theta)!r}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -324,16 +322,6 @@ def _baseline_psa(config: AnalysisConfig, out_dir: Path, outputs: dict) -> int:
     export_curve(ecdf, config.curve_grid, target)
     outputs["baseline"] = str(target)
     return ecdf.model_evaluations
-
-
-def _propagate_for(config: AnalysisConfig, params: ParameterSet) -> EmpiricalPBox:
-    if params.boxed or params.precise:
-        return propagate_mixed(
-            config.model.fn, params, n=config.n, N=config.samples, seed=config.seed,
-            opt=config.optimizer,
-        )
-    y = float(config.model.fn(dict(params.fixed)))
-    return EmpiricalPBox([(y, y, 1.0)], model_evaluations=1)
 
 
 def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
@@ -372,7 +360,9 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             raise ConfigParseError(
                 "pipeline 'psa' forbids boxed parameters", location="parameters.boxed"
             )
-        result = _propagate_for(config, params)
+        result = propagate_mixed(
+            config.model.fn, params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
+        )
         target = out_dir / curve_name
         export_curve(result, config.curve_grid, target)
         outputs["curve"] = str(target)
@@ -402,7 +392,9 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
                 k: v for k, v in config.parameters.boxed.items() if k not in action.overrides
             }
             params = ParameterSet(fixed=fixed, precise=precise, boxed=boxed)
-            result = _propagate_for(config, params)
+            result = propagate_mixed(
+                config.model.fn, params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
+            )
             ui = expected_interval(result, action=action.id)
             intervals.append(ui)
             evals += result.model_evaluations

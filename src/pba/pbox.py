@@ -173,14 +173,6 @@ class BoundSegment:
     def value(self, theta: float) -> float:
         return self.expr.value(theta)
 
-    @property
-    def flat(self) -> bool:
-        if isinstance(self.expr, Constant):
-            return True
-        # Degenerate-feasibility builds are emitted as Constant, so a
-        # non-constant expression is strictly increasing on its segment.
-        return False
-
     def value_range(self) -> tuple[float, float]:
         """Values spanned on [start, end): attained start value, end limit."""
         if isinstance(self.expr, Constant):
@@ -404,13 +396,13 @@ def build_pbox(d: MinimalData) -> PBox:
 
 
 def _inf_at_least(segs: Sequence[BoundSegment], p: float) -> float:
-    """inf{theta : G(theta) >= p} for a right-continuous non-decreasing G."""
+    """inf{theta : G(theta) >= p} for a right-continuous non-decreasing G.
+
+    A constant segment (v_lo == v_hi) is returned or passed over before
+    ``inverse`` could be called on it.
+    """
     for seg in segs:
         v_lo, v_hi = seg.value_range()
-        if seg.flat or v_lo == v_hi:
-            if v_lo >= p:
-                return seg.start
-            continue
         if v_lo >= p:
             return seg.start
         if p < v_hi:
@@ -419,13 +411,13 @@ def _inf_at_least(segs: Sequence[BoundSegment], p: float) -> float:
 
 
 def _sup_at_most(segs: Sequence[BoundSegment], p: float) -> float:
-    """sup{theta : G(theta) <= p}; equals inf{theta : G(theta) > p}."""
+    """sup{theta : G(theta) <= p}; equals inf{theta : G(theta) > p}.
+
+    A constant segment (v_lo == v_hi) is returned or passed over before
+    ``inverse`` could be called on it.
+    """
     for seg in reversed(segs):
         v_lo, v_hi = seg.value_range()
-        if seg.flat or v_lo == v_hi:
-            if v_lo <= p:
-                return seg.end
-            continue
         if v_hi <= p:
             return seg.end
         if v_lo <= p:

@@ -1,15 +1,15 @@
 """Uncertainty propagation pipelines.
 
-Three pipelines share one outcome representation:
+``propagate_mixed`` is the one propagation loop.  Parameters split into
+p-boxes and precise CDFs; for each Monte Carlo draw of the precise block,
+each sliced hyperrectangle of the p-boxes is minimized and maximized through
+the model, and the per-box extrema accumulate into a pair of weighted step
+functions averaged over the draws.  Its two special forms:
 
-* ``propagate_pboxes``: every uncertain parameter is a p-box; each sliced
-  hyperrectangle is minimized and maximized through the model, and the
-  per-box extrema accumulate into a pair of weighted step functions.
-* ``propagate_mixed``: parameters split into p-boxes and precise CDFs; the
-  pure pipeline runs once per Monte Carlo draw of the precise block and the
-  step functions average with weight 1/N.
-* ``psa_propagate``: the probabilistic-sensitivity-analysis baseline; all
-  uncertain parameters precise, plain seeded inverse-transform sampling.
+* ``propagate_pboxes``: no precise group, so one empty draw.
+* ``psa_propagate``: the probabilistic-sensitivity-analysis baseline; no
+  boxed group, so each draw is one model call (plain seeded
+  inverse-transform sampling).
 
 Cumulating per-box minima yields the stochastically smaller outcome
 distribution, i.e. the pointwise larger step: minima feed the upper bound
@@ -43,6 +43,12 @@ class OptimizerSettings:
 
     budget: int = 2000
     tol: float = 1e-6
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if not 0 < self.tol < 1:
+            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -181,10 +187,15 @@ def _optimize_rects(
 ):
     """(y_min, y_max, mass) per box, distinct model calls and unconverged searches.
 
-    Equal focal intervals (a min/max-only p-box slices into n of them) give
-    identical boxes; each distinct box is searched once, and every box still
-    contributes its own triple and unconverged count.
+    With no boxed names the only box is the point ``fixed``: one model call,
+    returned as the degenerate triple (y, y, 1.0).  Equal focal intervals (a
+    min/max-only p-box slices into n of them) give identical boxes; each
+    distinct box is searched once, and every box still contributes its own
+    triple and unconverged count.
     """
+    if not names:
+        y = _call_model(model, fixed)
+        return [(y, y, 1.0)], 1, 0
     searched: dict[tuple[Interval, ...], tuple] = {}
     triples = []
     evals = 0
@@ -200,40 +211,24 @@ def _optimize_rects(
     return triples, evals, bad
 
 
-def _discretize_all(params: ParameterSet, n: int) -> tuple[list[str], list[DiscretizedPBox]]:
-    names = sorted(params.boxed)
-    sliced = [discretize_outer(build_pbox(params.boxed[name]), n) for name in names]
-    return names, sliced
-
-
 def propagate_pboxes(
     model: Model,
     params: ParameterSet,
     n: int = 50,
     opt: OptimizerSettings = OptimizerSettings(),
     max_hyperrectangles: int = DEFAULT_HYPERRECT_CAP,
-    allow_large: bool = False,
 ) -> EmpiricalPBox:
-    """Propagate pure p-box uncertainty through a black-box model.
+    """Propagate pure p-box uncertainty: ``propagate_mixed`` with no precise group.
 
     Every boxed parameter is sliced into ``n`` equal-mass focal elements;
     each hyperrectangle in their Cartesian product is minimized and
-    maximized over, with fixed parameters held at their values.  Requires an
-    empty precise group.
+    maximized over, with fixed parameters held at their values.
     """
     if params.precise:
         raise ValueError("propagate_pboxes needs an empty precise group; use propagate_mixed")
     if not params.boxed:
         raise ValueError("no boxed parameters to propagate")
-    names, sliced = _discretize_all(params, n)
-    total = count_hyperrectangles(sliced)
-    if total > max_hyperrectangles and not allow_large:
-        raise HyperrectangleCapExceeded(
-            f"{total} hyperrectangles exceed the cap of {max_hyperrectangles}; "
-            "pass allow_large=True to override"
-        )
-    triples, evals, bad = _optimize_rects(model, params.fixed, names, sliced, opt)
-    return EmpiricalPBox(triples, model_evaluations=evals, unconverged_boxes=bad)
+    return propagate_mixed(model, params, n=n, opt=opt, max_hyperrectangles=max_hyperrectangles)
 
 
 def _sample_streams(seed: int, count: int):
@@ -248,7 +243,7 @@ def _draw_precise(params: ParameterSet, stream) -> dict[str, float]:
 
 
 def psa_propagate(model: Model, params: ParameterSet, N: int = 50, seed: int = 0) -> EmpiricalPBox:
-    """Probabilistic sensitivity analysis: seeded Monte Carlo, precise CDFs.
+    """Probabilistic sensitivity analysis: ``propagate_mixed`` with no boxed group.
 
     Returns an empirical CDF as a degenerate box (both steps coincide).
     Each sample index draws from its own seeded generator stream, so the
@@ -259,15 +254,7 @@ def psa_propagate(model: Model, params: ParameterSet, N: int = 50, seed: int = 0
         raise ValueError("psa_propagate needs an empty boxed group")
     if not params.precise:
         raise ValueError("no precise parameters to sample")
-    if N < 1:
-        raise ValueError(f"need N >= 1 samples, got {N}")
-    triples = []
-    for stream in _sample_streams(seed, N):
-        args = dict(params.fixed)
-        args.update(_draw_precise(params, stream))
-        y = _call_model(model, args)
-        triples.append((y, y, 1.0 / N))
-    return EmpiricalPBox(triples, model_evaluations=N)
+    return propagate_mixed(model, params, N=N, seed=seed)
 
 
 def propagate_mixed(
@@ -278,36 +265,39 @@ def propagate_mixed(
     seed: int = 0,
     opt: OptimizerSettings = OptimizerSettings(),
     max_hyperrectangles: int = DEFAULT_HYPERRECT_CAP,
-    allow_large: bool = False,
 ) -> EmpiricalPBox:
     """Propagate mixed p-box and precise-CDF uncertainty.
 
-    Draws ``N`` samples of the precise block by inverse transform, runs the
-    pure p-box pipeline for each, and averages the per-sample step functions
-    with weight 1/N.  Degenerates to ``propagate_pboxes`` when the precise
-    group is empty and to ``psa_propagate`` when the boxed group is empty.
+    Draws ``N`` samples of the precise block by inverse transform, or one
+    empty draw when that group is empty, runs the sliced boxes through the
+    model for each draw, and weights each (y_min, y_max, mass) triple by
+    ``mass / N``.  With no boxed group a draw is one model call; with
+    neither group the result is the model's value at ``fixed``.
+    ``max_hyperrectangles`` caps the box searches (boxes times draws); PSA
+    samples are not capped.
     """
-    if not params.precise:
-        return propagate_pboxes(model, params, n, opt, max_hyperrectangles, allow_large)
-    if not params.boxed:
-        return psa_propagate(model, params, N, seed)
-    if N < 1:
-        raise ValueError(f"need N >= 1 samples, got {N}")
-    names, sliced = _discretize_all(params, n)
+    if params.precise:
+        if N < 1:
+            raise ValueError(f"need N >= 1 samples, got {N}")
+        draws = (_draw_precise(params, stream) for stream in _sample_streams(seed, N))
+    else:
+        N, draws = 1, [{}]
+    names = sorted(params.boxed)
+    sliced = [discretize_outer(build_pbox(params.boxed[name]), n) for name in names]
     total = count_hyperrectangles(sliced) * N
-    if total > max_hyperrectangles and not allow_large:
+    if sliced and total > max_hyperrectangles:
         raise HyperrectangleCapExceeded(
-            f"{total} optimizations exceed the cap of {max_hyperrectangles}; "
-            "pass allow_large=True to override"
+            f"{total} box searches exceed the cap of {max_hyperrectangles}; "
+            "pass a larger max_hyperrectangles to allow them"
         )
     triples = []
     evals = 0
     bad = 0
-    for stream in _sample_streams(seed, N):
+    for draw in draws:
         fixed = dict(params.fixed)
-        fixed.update(_draw_precise(params, stream))
-        draw, draw_evals, draw_bad = _optimize_rects(model, fixed, names, sliced, opt)
-        triples.extend((lo, hi, mass / N) for lo, hi, mass in draw)
+        fixed.update(draw)
+        found, draw_evals, draw_bad = _optimize_rects(model, fixed, names, sliced, opt)
+        triples.extend((lo, hi, mass / N) for lo, hi, mass in found)
         evals += draw_evals
         bad += draw_bad
     return EmpiricalPBox(triples, model_evaluations=evals, unconverged_boxes=bad)

@@ -88,6 +88,26 @@ def test_pipeline_parameter_consistency():
         run_analysis(config, "/tmp/should-not-matter")
 
 
+
+@pytest.mark.parametrize("pipeline", ["propagate", "psa"])
+@pytest.mark.parametrize("optimizer", [{"budget": 0}, {"tol": 0.0}, {"tol": 1.5}, {"budget": "many"}])
+def test_bad_optimizer_rejected_at_load(pipeline, optimizer, tmp_path, capsys):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config.update(pipeline=pipeline, optimizer=optimizer)
+    if pipeline == "propagate":
+        config["parameters"]["boxed"] = {
+            name: {"min": 0.5, "max": 2.0} for name in config["parameters"].pop("precise")
+        }
+    with pytest.raises(ConfigParseError) as err:
+        AnalysisConfig.from_dict(config)
+    assert err.value.location == "optimizer"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", "optimizer")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
 def test_run_twice_identical_outputs(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
@@ -228,6 +248,58 @@ def test_decide_pipeline(tmp_path):
     assert (tmp_path / "curve-device.csv").exists()
     assert (tmp_path / "curve-conventional.csv").exists()
 
+
+
+def _all_fixed_decide_config(slow_c6: float) -> dict:
+    """A decide config whose actions pin every boxed parameter."""
+    return {
+        "schema": "pba-analysis/1",
+        "pipeline": "decide",
+        "model": "four_state_life_expectancy",
+        "parameters": {
+            "fixed": {"c2": 0.01, "c3": 0.001, "c4": 0.1, "c5": 0.05},
+            "boxed": {
+                "c1": {"min": 0.0, "max": 10.0, "mean": 0.05},
+                "c6": {"min": 0.5, "max": 2.0, "mean": 1.0},
+            },
+        },
+        "n": 3,
+        "curve_grid": 11,
+        "actions": [
+            {"id": "usual", "overrides": {"c1": 0.05, "c6": 1.0}},
+            {"id": "slow", "overrides": {"c1": 0.04, "c6": slow_c6}},
+        ],
+        "decision": {"rule": "pessimist"},
+    }
+
+
+def test_decide_all_fixed_actions(tmp_path):
+    analysis = AnalysisConfig.from_dict(_all_fixed_decide_config(slow_c6=0.8))
+    model = analysis.model
+    calls = []
+
+    def counted(params):
+        calls.append(dict(params))
+        return model.fn(params)
+
+    summary = run_analysis(analysis.replace(model=RegisteredModel(counted, model.param_names)), tmp_path)
+    # One model call per action, at the fixed parameters and its overrides.
+    assert summary["model_evaluations"] == len(calls) == 2
+    assert [c["c6"] for c in calls] == [1.0, 0.8]
+    assert summary["unconverged_boxes"] == 0
+    for row, args in zip(summary["actions"], calls):
+        assert row["expected_interval"] == [model.fn(args)] * 2
+        curve = (tmp_path / f"curve-{row['id']}.csv").read_text().strip().splitlines()[1:]
+        assert all(line.split(",")[1] == line.split(",")[2] for line in curve)  # degenerate
+
+
+def test_decide_all_fixed_model_error_recorded(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_all_fixed_decide_config(slow_c6=0.0)))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "ModelEvaluationError"
+    assert "SingularSystem" in record["message"]
 
 def test_inline_cea_model(tmp_path):
     config = {

@@ -205,6 +205,33 @@ def test_hyperrectangle_cap():
         propagate_pboxes(model, params, n=101, max_hyperrectangles=10**6)
 
 
+
+def test_cap_counts_box_searches_not_samples():
+    params = ParameterSet(
+        precise={"c": DistributionSpec.uniform(0, 1)}, boxed={"x": min_max(0, 1)}
+    )
+    model = lambda p: p["x"] + p["c"]
+    with pytest.raises(HyperrectangleCapExceeded, match="6 box searches"):
+        propagate_mixed(model, params, n=2, N=3, opt=FAST_OPT, max_hyperrectangles=5)
+    assert len(propagate_mixed(model, params, n=2, N=3, opt=FAST_OPT, max_hyperrectangles=6).extrema) == 6
+    psa = ParameterSet(precise={"c": DistributionSpec.uniform(0, 1)})
+    out = propagate_mixed(lambda p: p["c"], psa, N=5, max_hyperrectangles=1)
+    assert out.model_evaluations == len(out.extrema) == 5
+
+
+def test_no_uncertain_parameters_is_one_model_call():
+    calls = []
+
+    def model(p):
+        calls.append(dict(p))
+        return 2.0 * p["x"]
+
+    out = propagate_mixed(model, ParameterSet(fixed={"x": 1.5}), n=4, N=7, max_hyperrectangles=0)
+    assert calls == [{"x": 1.5}]
+    assert out.extrema == ((3.0, 3.0, 1.0),)
+    assert (out.model_evaluations, out.unconverged_boxes) == (1, 0)
+    assert out.is_degenerate
+
 def test_min_and_max_searches_share_model_calls():
     params = ParameterSet(
         fixed={"z": 0.5}, boxed={"x": min_max_mean(0, 1, 0.4), "y": min_max(-1, 2)}
