@@ -50,6 +50,17 @@ def _need(mapping: Mapping, key: str, location: str):
     return mapping[key]
 
 
+def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) -> int:
+    """An integer run size of at least ``minimum``, checked when the config loads."""
+    try:
+        value = int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"{key} must be an integer: {exc}", location=location) from exc
+    if value < minimum:
+        raise ConfigParseError(f"{key} must be at least {minimum}, got {value}", location=location)
+    return value
+
+
 def _minimal_data_from(cfg: Mapping, location: str) -> MinimalData:
     try:
         d = MinimalData(
@@ -214,20 +225,26 @@ class AnalysisConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc
+        psa_baseline = cfg.get("psa_baseline")
+        if psa_baseline:
+            if not isinstance(psa_baseline, Mapping):
+                raise ConfigParseError("psa_baseline must be an object", location="psa_baseline")
+            samples = _count(psa_baseline, "samples", 500, 1, "psa_baseline.samples")
+            psa_baseline = {**psa_baseline, "samples": samples}
         config = cls(
             pipeline=pipeline,
             model_name=model_name,
             model=model,
             parameters=parameters,
-            n=int(cfg.get("n", 50)),
-            samples=int(cfg.get("samples", 50)),
+            n=_count(cfg, "n", 50, 1, "n"),
+            samples=_count(cfg, "samples", 50, 1, "samples"),
             seed=int(cfg.get("seed", 0)),
             optimizer=optimizer,
             actions=actions,
             rule_name=rule_name,
             alpha=None if decision_cfg.get("alpha") is None else float(decision_cfg["alpha"]),
-            curve_grid=int(cfg.get("curve_grid", 201)),
-            psa_baseline=cfg.get("psa_baseline"),
+            curve_grid=_count(cfg, "curve_grid", 201, 2, "curve_grid"),
+            psa_baseline=psa_baseline,
             outputs=dict(cfg.get("output", {})),
         )
         config._validate_names()
@@ -311,13 +328,12 @@ def _baseline_psa(config: AnalysisConfig, out_dir: Path, outputs: dict) -> int:
     """
     cfg = config.psa_baseline
     families = cfg.get("families", {})
-    samples = int(cfg.get("samples", 500))
     precise = dict(config.parameters.precise)
     for name, data in config.parameters.boxed.items():
         family = families.get(name, "uniform")
         precise[name] = DistributionSpec.from_moments(family, data)
     params = ParameterSet(fixed=config.parameters.fixed, precise=precise)
-    ecdf = psa_propagate(config.model.fn, params, N=samples, seed=config.seed)
+    ecdf = psa_propagate(config.model.fn, params, N=cfg["samples"], seed=config.seed)
     target = out_dir / cfg.get("file", "baseline.csv")
     export_curve(ecdf, config.curve_grid, target)
     outputs["baseline"] = str(target)

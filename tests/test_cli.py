@@ -108,6 +108,30 @@ def test_bad_optimizer_rejected_at_load(pipeline, optimizer, tmp_path, capsys):
     assert (record["type"], record["location"]) == ("ConfigParseError", "optimizer")
     assert not (tmp_path / "out" / "summary.json").exists()
 
+
+@pytest.mark.parametrize(
+    "location, update",
+    [
+        ("n", {"n": 0}),
+        ("samples", {"samples": 0}),
+        ("curve_grid", {"curve_grid": 1}),
+        ("psa_baseline.samples", {"psa_baseline": {"samples": 0}}),
+    ],
+)
+def test_bad_run_size_rejected_at_load(location, update, tmp_path, capsys):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config.update(update)
+    with pytest.raises(ConfigParseError) as err:
+        AnalysisConfig.from_dict(config)
+    assert err.value.location == location
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", location)
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_run_twice_identical_outputs(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
@@ -326,6 +350,55 @@ def test_inline_cea_model(tmp_path):
     summary = run_analysis(AnalysisConfig.from_dict(config), tmp_path)
     lo, hi = summary["expected_interval"]
     assert 0 < lo <= hi < 20 * 0.9
+
+
+def test_inline_cea_matches_hand_loop(tmp_path):
+    """An inline CEA outcome equals a plain cycle-by-cycle cohort loop."""
+    p_sick, p_die, cycle, horizon, rate, wtp = 0.03, 0.004, 1.0 / 12.0, 120, 0.035, 20_000.0
+    costs, utilities = (200.0, 5_000.0, 0.0), (0.9, 0.6, 0.0)
+    config = {
+        "schema": "pba-analysis/1",
+        "pipeline": "propagate",
+        "model": {
+            "cea": {
+                "states": [
+                    {"name": "well", "cost": costs[0], "utility": utilities[0]},
+                    {"name": "sick", "cost": costs[1], "utility": utilities[1]},
+                    {"name": "dead", "absorbing": True},
+                ],
+                "transitions": [
+                    {"from": "well", "to": "sick", "param": "p_sick"},
+                    {"from": "well", "to": "dead", "param": "p_die"},
+                    {"from": "sick", "to": "well", "value": 0.1},
+                    {"from": "sick", "to": "dead", "product": ["p_die", 3.0]},
+                ],
+                "initial": [1.0, 0.0, 0.0],
+                "cycle_length_years": cycle,
+                "horizon_cycles": horizon,
+                "discount_rate_annual": rate,
+                "wtp": wtp,
+            }
+        },
+        "parameters": {"fixed": {"p_sick": p_sick, "p_die": p_die}},
+    }
+    summary = run_analysis(AnalysisConfig.from_dict(config), tmp_path)
+
+    matrix = [
+        [1.0 - p_sick - p_die, p_sick, p_die],
+        [0.1, 1.0 - 0.1 - 3.0 * p_die, 3.0 * p_die],
+        [0.0, 0.0, 1.0],
+    ]
+    occupancy, cost, qaly = [1.0, 0.0, 0.0], 0.0, 0.0
+    for t in range(horizon):
+        weight = (1.0 + rate) ** (-t * cycle) * cycle
+        cost += weight * sum(o * c for o, c in zip(occupancy, costs))
+        qaly += weight * sum(o * u for o, u in zip(occupancy, utilities))
+        occupancy = [sum(occupancy[i] * matrix[i][j] for i in range(3)) for j in range(3)]
+    expected = wtp * qaly - cost
+
+    assert summary["model_evaluations"] == 1
+    for value in summary["expected_interval"]:
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,68 @@ def test_absorbing_row_must_be_identity():
         cohort_trace(bad, {})
 
 
+def test_drift_caught_at_first_offending_cycle():
+    # Each row sums to 1 + 5e-11: the matrix passes its own check, but the
+    # occupancy mass drifts past the 1e-10 tolerance at cycle 2.
+    spec = two_state_spec(stay=0.8)
+    drifting = CohortCeaSpec(
+        states=spec.states,
+        absorbing=(False, False),
+        transition_builder=lambda params: np.array([[0.5 + 5e-11, 0.5], [0.25, 0.75 + 5e-11]]),
+        costs=spec.costs,
+        utilities=spec.utilities,
+        cycle_length_years=spec.cycle_length_years,
+        horizon_cycles=spec.horizon_cycles,
+        discount_rate_annual=spec.discount_rate_annual,
+        initial=spec.initial,
+    )
+    with pytest.raises(RowSumViolation) as err:
+        cohort_trace(drifting, {})
+    assert err.value.cycle == 2
+
+
+def _sequential_outcomes(spec, matrix):
+    """Reference: one vector-matrix product per cycle, discounted at cycle starts."""
+    trace = [np.asarray(spec.initial, dtype=float)]
+    for _ in range(spec.horizon_cycles):
+        trace.append(trace[-1] @ matrix)
+    cost = qaly = 0.0
+    for t in range(spec.horizon_cycles):
+        weight = (1.0 + spec.discount_rate_annual) ** (-t * spec.cycle_length_years)
+        weight *= spec.cycle_length_years
+        cost += weight * float(trace[t] @ np.asarray(spec.costs))
+        qaly += weight * float(trace[t] @ np.asarray(spec.utilities))
+    return np.array(trace), cost, qaly
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.035])
+@pytest.mark.parametrize("states", [2, 3, 4, 5])
+def test_trace_matches_sequential_recurrence(states, discount):
+    # Every horizon from 1 to 130 covers each power of two up to 128 and
+    # both its neighbours, where the doubling rounds start and stop.
+    rng = np.random.default_rng(1000 * states + int(discount * 1000))
+    for horizon in range(1, 131):
+        matrix = rng.dirichlet(np.ones(states), size=states)
+        initial = rng.dirichlet(np.ones(states))
+        spec = CohortCeaSpec(
+            states=tuple(f"s{i}" for i in range(states)),
+            absorbing=(False,) * states,
+            transition_builder=lambda params, m=matrix: m,
+            costs=tuple(rng.uniform(10.0, 1000.0, states)),
+            utilities=tuple(rng.uniform(0.1, 1.0, states)),
+            cycle_length_years=1.0 / 12.0,
+            horizon_cycles=horizon,
+            discount_rate_annual=discount,
+            initial=tuple(initial / math.fsum(initial)),
+        )
+        trace = cohort_trace(spec, {})
+        ref_trace, ref_cost, ref_qaly = _sequential_outcomes(spec, matrix)
+        np.testing.assert_allclose(trace, ref_trace, rtol=0, atol=1e-13)
+        cost, qaly = discounted_outcomes(trace, spec)
+        assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+        assert qaly == pytest.approx(ref_qaly, rel=1e-12, abs=0)
+
+
 def test_zero_discount_plain_sums():
     spec = two_state_spec(stay=1.0, horizon=5)
     trace = cohort_trace(spec, {})
