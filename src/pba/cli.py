@@ -50,12 +50,17 @@ def _need(mapping: Mapping, key: str, location: str):
     return mapping[key]
 
 
+def _number(kind: type, value, location: str):
+    """``kind(value)`` for a config value, or a ``ConfigParseError`` at ``location``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"{location} must be {kind.__name__}: {exc}", location=location) from exc
+
+
 def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) -> int:
     """An integer run size of at least ``minimum``, checked when the config loads."""
-    try:
-        value = int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"{key} must be an integer: {exc}", location=location) from exc
+    value = _number(int, cfg.get(key, default), location)
     if value < minimum:
         raise ConfigParseError(f"{key} must be at least {minimum}, got {value}", location=location)
     return value
@@ -157,6 +162,33 @@ class ActionSpec:
 
 
 @dataclass(frozen=True)
+class PsaBaseline:
+    """Companion Monte Carlo run with each boxed parameter made precise."""
+
+    parameters: ParameterSet
+    samples: int
+    file: str
+
+
+def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
+    if not isinstance(cfg, Mapping):
+        raise ConfigParseError("psa_baseline must be an object", location="psa_baseline")
+    samples = _count(cfg, "samples", 500, 1, "psa_baseline.samples")
+    families = cfg.get("families", {})
+    precise = dict(parameters.precise)
+    for name, data in parameters.boxed.items():
+        try:
+            precise[name] = DistributionSpec.from_moments(families.get(name, "uniform"), data)
+        except PbaError as exc:
+            raise ConfigParseError(str(exc), location=f"psa_baseline.families.{name}") from exc
+    return PsaBaseline(
+        ParameterSet(fixed=parameters.fixed, precise=precise),
+        samples,
+        str(cfg.get("file", "baseline.csv")),
+    )
+
+
+@dataclass(frozen=True)
 class AnalysisConfig:
     pipeline: str
     model_name: str
@@ -170,7 +202,7 @@ class AnalysisConfig:
     rule_name: str = "dominance"
     alpha: float | None = None
     curve_grid: int = 201
-    psa_baseline: Mapping | None = None
+    psa_baseline: PsaBaseline | None = None
     outputs: Mapping[str, str] = field(default_factory=dict)
 
     @classmethod
@@ -195,7 +227,9 @@ class AnalysisConfig:
             raise ConfigParseError("model must be a registry name or {'cea': ...}", location="model")
 
         pcfg = _need(cfg, "parameters", "parameters")
-        fixed = {str(k): float(v) for k, v in pcfg.get("fixed", {}).items()}
+        fixed = {
+            str(k): _number(float, v, f"parameters.fixed.{k}") for k, v in pcfg.get("fixed", {}).items()
+        }
         precise = {
             str(k): _distribution_from(v, f"parameters.precise.{k}")
             for k, v in pcfg.get("precise", {}).items()
@@ -210,13 +244,25 @@ class AnalysisConfig:
             raise ConfigParseError(str(exc), location="parameters") from exc
 
         actions = tuple(
-            ActionSpec(str(_need(a, "id", f"actions[{i}]")), dict(a.get("overrides", {})))
+            ActionSpec(
+                str(_need(a, "id", f"actions[{i}]")),
+                {
+                    str(k): _number(float, v, f"actions[{i}].overrides.{k}")
+                    for k, v in a.get("overrides", {}).items()
+                },
+            )
             for i, a in enumerate(cfg.get("actions", ()))
         )
         decision_cfg = cfg.get("decision", {})
         rule_name = decision_cfg.get("rule", "dominance")
         if rule_name not in _RULES:
             raise ConfigParseError(f"unknown decision rule {rule_name!r}", location="decision.rule")
+        alpha = decision_cfg.get("alpha")
+        alpha = None if alpha is None else _number(float, alpha, "decision.alpha")
+        try:
+            _RULES[rule_name](alpha)
+        except ValueError as exc:
+            raise ConfigParseError(str(exc), location="decision.alpha") from exc
 
         opt_cfg = cfg.get("optimizer", {})
         try:
@@ -227,10 +273,7 @@ class AnalysisConfig:
             raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc
         psa_baseline = cfg.get("psa_baseline")
         if psa_baseline:
-            if not isinstance(psa_baseline, Mapping):
-                raise ConfigParseError("psa_baseline must be an object", location="psa_baseline")
-            samples = _count(psa_baseline, "samples", 500, 1, "psa_baseline.samples")
-            psa_baseline = {**psa_baseline, "samples": samples}
+            psa_baseline = _psa_baseline_from(psa_baseline, parameters)
         config = cls(
             pipeline=pipeline,
             model_name=model_name,
@@ -238,11 +281,11 @@ class AnalysisConfig:
             parameters=parameters,
             n=_count(cfg, "n", 50, 1, "n"),
             samples=_count(cfg, "samples", 50, 1, "samples"),
-            seed=int(cfg.get("seed", 0)),
+            seed=_number(int, cfg.get("seed", 0), "seed"),
             optimizer=optimizer,
             actions=actions,
             rule_name=rule_name,
-            alpha=None if decision_cfg.get("alpha") is None else float(decision_cfg["alpha"]),
+            alpha=alpha,
             curve_grid=_count(cfg, "curve_grid", 201, 2, "curve_grid"),
             psa_baseline=psa_baseline,
             outputs=dict(cfg.get("output", {})),
@@ -321,23 +364,14 @@ def export_curve(p: PBox | EmpiricalPBox, gridsize: int, path: str | Path) -> Pa
 # ---------------------------------------------------------------------------
 
 
-def _baseline_psa(config: AnalysisConfig, out_dir: Path, outputs: dict) -> int:
-    """Optional PSA companion run with each boxed parameter made precise.
-
-    Returns the number of model evaluations it made.
-    """
-    cfg = config.psa_baseline
-    families = cfg.get("families", {})
-    precise = dict(config.parameters.precise)
-    for name, data in config.parameters.boxed.items():
-        family = families.get(name, "uniform")
-        precise[name] = DistributionSpec.from_moments(family, data)
-    params = ParameterSet(fixed=config.parameters.fixed, precise=precise)
-    ecdf = psa_propagate(config.model.fn, params, N=cfg["samples"], seed=config.seed)
-    target = out_dir / cfg.get("file", "baseline.csv")
-    export_curve(ecdf, config.curve_grid, target)
-    outputs["baseline"] = str(target)
-    return ecdf.model_evaluations
+def _pinned(params: ParameterSet, overrides: Mapping[str, float]) -> ParameterSet:
+    """``params`` with each override fixed, displacing any boxed or precise
+    uncertainty it carried."""
+    return ParameterSet(
+        fixed={**params.fixed, **overrides},
+        precise={k: v for k, v in params.precise.items() if k not in overrides},
+        boxed={k: v for k, v in params.boxed.items() if k not in overrides},
+    )
 
 
 def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
@@ -365,7 +399,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             target = out_dir / (f"curve-{name}.csv" if multiple else curve_name)
             export_curve(box, config.curve_grid, target)
             outputs[f"curve:{name}"] = str(target)
-    elif config.pipeline in ("propagate", "propagate-mixed", "psa"):
+    else:
         params = config.parameters
         if config.pipeline == "propagate" and params.precise:
             raise ConfigParseError(
@@ -376,60 +410,49 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             raise ConfigParseError(
                 "pipeline 'psa' forbids boxed parameters", location="parameters.boxed"
             )
-        result = propagate_mixed(
-            config.model.fn, params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
-        )
-        target = out_dir / curve_name
-        export_curve(result, config.curve_grid, target)
-        outputs["curve"] = str(target)
-        interval = expected_interval(result).interval
-        summary["expected_interval"] = [interval.lo, interval.hi]
-        summary["outcome_support"] = list(result.support())
-        summary["model_evaluations"] = result.model_evaluations
-        summary["unconverged_boxes"] = result.unconverged_boxes
-        if config.psa_baseline:
-            summary["model_evaluations"] += _baseline_psa(config, out_dir, outputs)
-    elif config.pipeline == "decide":
-        if len(config.actions) < 2:
-            raise ConfigParseError("decide needs at least two actions", location="actions")
+        if config.pipeline == "decide":
+            if len(config.actions) < 2:
+                raise ConfigParseError("decide needs at least two actions", location="actions")
+            runs = [(a.id, f"curve-{a.id}.csv", _pinned(params, a.overrides)) for a in config.actions]
+        else:
+            runs = [("", curve_name, params)]
         intervals: list[UtilityInterval] = []
+        action_rows = []
         evals = 0
         unconverged = 0
-        action_rows = []
-        for action in config.actions:
-            # An override pins the parameter for this action, displacing any
-            # boxed or precise uncertainty it carried.
-            fixed = dict(config.parameters.fixed)
-            fixed.update(action.overrides)
-            precise = {
-                k: v for k, v in config.parameters.precise.items() if k not in action.overrides
-            }
-            boxed = {
-                k: v for k, v in config.parameters.boxed.items() if k not in action.overrides
-            }
-            params = ParameterSet(fixed=fixed, precise=precise, boxed=boxed)
+        for action_id, file_name, run_params in runs:
             result = propagate_mixed(
-                config.model.fn, params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
+                config.model.fn, run_params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
             )
-            ui = expected_interval(result, action=action.id)
+            target = out_dir / file_name
+            export_curve(result, config.curve_grid, target)
+            outputs[f"curve:{action_id}" if action_id else "curve"] = str(target)
+            ui = expected_interval(result, action=action_id)
             intervals.append(ui)
             evals += result.model_evaluations
             unconverged += result.unconverged_boxes
-            target = out_dir / f"curve-{action.id}.csv"
-            export_curve(result, config.curve_grid, target)
-            outputs[f"curve:{action.id}"] = str(target)
             action_rows.append({
-                "id": action.id,
+                "id": action_id,
                 "expected_interval": [ui.lo, ui.hi],
                 "unconverged_boxes": result.unconverged_boxes,
             })
-        rule = _RULES[config.rule_name](config.alpha)
-        chosen = choose(intervals, rule)
-        summary["actions"] = action_rows
-        summary["rule"] = config.rule_name
-        if config.alpha is not None:
-            summary["alpha"] = config.alpha
-        summary["chosen"] = "indeterminate" if chosen is INDETERMINATE else sorted(chosen)
+        if config.pipeline == "decide":
+            chosen = choose(intervals, _RULES[config.rule_name](config.alpha))
+            summary["actions"] = action_rows
+            summary["rule"] = config.rule_name
+            if config.alpha is not None:
+                summary["alpha"] = config.alpha
+            summary["chosen"] = "indeterminate" if chosen is INDETERMINATE else sorted(chosen)
+        else:
+            summary["expected_interval"] = [ui.lo, ui.hi]
+            summary["outcome_support"] = list(result.support())
+            if config.psa_baseline:
+                baseline = config.psa_baseline
+                ecdf = psa_propagate(config.model.fn, baseline.parameters, N=baseline.samples, seed=config.seed)
+                target = out_dir / baseline.file
+                export_curve(ecdf, config.curve_grid, target)
+                outputs["baseline"] = str(target)
+                evals += ecdf.model_evaluations
         summary["model_evaluations"] = evals
         summary["unconverged_boxes"] = unconverged
 

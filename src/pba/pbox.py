@@ -175,8 +175,6 @@ class BoundSegment:
 
     def value_range(self) -> tuple[float, float]:
         """Values spanned on [start, end): attained start value, end limit."""
-        if isinstance(self.expr, Constant):
-            return self.expr.v, self.expr.v
         return self.expr.value(self.start), self.expr.value(self.end)
 
 
@@ -313,65 +311,25 @@ def _build_mean_std(d: MinimalData) -> PBox:
 
 
 def _build_median_mean(d: MinimalData) -> PBox:
-    """Dispatch on (median vs mean, mean vs midpoint, mean vs feasible ends).
+    """Pointwise max of the median and mean lower bounds, min of the uppers.
 
-    The eleven printed piecewise forms reduce, case by case, to the
-    pointwise intersection of the median-only and mean-only boxes; the
-    dispatch below emits them directly with half-open, right-continuous
-    segments.  Two misprints in the source material (a probability symbol
-    used as a theta threshold, and a reflected threshold in the
-    median-above-mean cases) are resolved by the primary case conditions:
-    the thresholds are gamma = 2*mean - a on the lower bound and
-    psi = 2*mean - b on the upper bound.
+    The median+mean box is the intersection of the median-only and
+    mean-only boxes, built here from one list of pieces per bound.
+    MeanLower reaches 1/2 at gamma = 2*mean - a and MeanUpper at
+    psi = 2*mean - b; clamping gamma into [median, b] and psi into
+    [a, median] makes the pieces a case does not have empty, and
+    ``_assemble`` drops them.
     """
     a, b, m, mu = d.minimum, d.maximum, d.median, d.mean
     if mu == a or mu == b:
         return _step_box(a, b, mu, d)
-    c = 0.5 * (a + b)
-    gamma = 2.0 * mu - a
-    psi = 2.0 * mu - b
-    mu_max = 0.5 * (m + b)
+    gamma = min(max(2.0 * mu - a, m), b)
+    psi = min(max(2.0 * mu - b, a), m)
     half = Constant(0.5)
     low = MeanLower(a, mu)
     up = MeanUpper(b, mu)
-
-    if m < mu:
-        if mu < c:
-            lbf_in = [(m, gamma, half), (gamma, b, low)]
-            ubf_in = [(a, m, half), (m, mu, up)]
-        elif mu == c:
-            lbf_in = [(m, b, half)]
-            ubf_in = [(a, m, half), (m, mu, up)]
-        elif mu < mu_max:
-            lbf_in = [(m, b, half)]
-            ubf_in = [(a, psi, up), (psi, m, half), (m, mu, up)]
-        else:  # mu == mu_max, i.e. m == psi
-            lbf_in = [(m, b, half)]
-            ubf_in = [(a, mu, up)]
-    elif m == mu:
-        if mu < c:
-            lbf_in = [(m, gamma, half), (gamma, b, low)]
-            ubf_in = [(a, m, half)]
-        elif mu == c:
-            lbf_in = [(m, b, half)]
-            ubf_in = [(a, m, half)]
-        else:
-            lbf_in = [(m, b, half)]
-            ubf_in = [(a, psi, up), (psi, m, half)]
-    else:  # m > mu
-        if mu < c:
-            # gamma == m exactly when mu sits at its lower feasible end.
-            lbf_in = [(mu, m, low), (m, gamma, half), (gamma, b, low)]
-            ubf_in = [(a, m, half)]
-        elif mu == c:
-            lbf_in = [(mu, m, low), (m, b, half)]
-            ubf_in = [(a, m, half)]
-        else:
-            lbf_in = [(mu, m, low), (m, b, half)]
-            ubf_in = [(a, psi, up), (psi, m, half)]
-
-    lbf = _assemble(lbf_in, b)
-    ubf = _assemble(ubf_in, max(m, mu))
+    lbf = _assemble([(mu, m, low), (m, gamma, half), (gamma, b, low)], b)
+    ubf = _assemble([(a, psi, up), (psi, m, half), (m, mu, up)], max(m, mu))
     return PBox(lbf, ubf, Interval(a, b), d)
 
 
@@ -399,14 +357,15 @@ def _inf_at_least(segs: Sequence[BoundSegment], p: float) -> float:
     """inf{theta : G(theta) >= p} for a right-continuous non-decreasing G.
 
     A constant segment (v_lo == v_hi) is returned or passed over before
-    ``inverse`` could be called on it.
+    ``inverse`` could be called on it.  The inverse is clamped into its own
+    segment, so rounding cannot carry it past a neighbouring piece.
     """
     for seg in segs:
         v_lo, v_hi = seg.value_range()
         if v_lo >= p:
             return seg.start
         if p < v_hi:
-            return seg.expr.inverse(p)
+            return min(max(seg.expr.inverse(p), seg.start), seg.end)
     return math.inf
 
 
@@ -414,14 +373,15 @@ def _sup_at_most(segs: Sequence[BoundSegment], p: float) -> float:
     """sup{theta : G(theta) <= p}; equals inf{theta : G(theta) > p}.
 
     A constant segment (v_lo == v_hi) is returned or passed over before
-    ``inverse`` could be called on it.
+    ``inverse`` could be called on it.  The inverse is clamped into its own
+    segment, as in ``_inf_at_least``.
     """
     for seg in reversed(segs):
         v_lo, v_hi = seg.value_range()
         if v_hi <= p:
             return seg.end
         if v_lo <= p:
-            return seg.expr.inverse(p)
+            return min(max(seg.expr.inverse(p), seg.start), seg.end)
     return -math.inf
 
 
@@ -486,6 +446,17 @@ def _envelope(
             for t in (seg.start, seg.end):
                 if math.isfinite(t) and a < t < b:
                     cuts.add(t)
+    # A curve meets a plateau where it inverts to the plateau's level; cut
+    # there exactly rather than rely on the scan below, which can miss it.
+    levels = {seg.expr.v for segs in seglists for seg in segs if isinstance(seg.expr, Constant)}
+    for segs in seglists:
+        for seg in segs:
+            v_lo, v_hi = seg.value_range()
+            for v in levels:
+                if v_lo < v < v_hi:
+                    t = seg.expr.inverse(v)
+                    if a < t < b:
+                        cuts.add(t)
     cuts = sorted(cuts)
 
     pieces: list[tuple[float, float, Expression]] = []

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .errors import ZeroSlices
 from .interval import Interval
-from .pbox import LOWER, UPPER, PBox, _inf_at_least, _sup_at_most
+from .pbox import LOWER, UPPER, PBox, quasi_inverse
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,10 @@ def discretize_outer(p: PBox, n: int) -> DiscretizedPBox:
     """
     if n < 1:
         raise ZeroSlices(f"need at least one slice, got {n}")
-    a, b = p.support.lo, p.support.hi
     elements = []
     for j in range(1, n + 1):
-        c_prev = (j - 1) / n
-        c_next = j / n
-        if j == 1:
-            left = a
-        else:
-            left = min(max(_sup_at_most(p._segments(UPPER), c_prev), a), b)
-        right = min(max(_inf_at_least(p._segments(LOWER), c_next), a), b)
-        right = max(right, left)
+        left = p.support.lo if j == 1 else quasi_inverse(p, UPPER, (j - 1) / n).hi
+        right = max(quasi_inverse(p, LOWER, j / n).lo, left)
         elements.append(FocalElement(Interval(left, right), 1.0 / n))
     return DiscretizedPBox(tuple(elements))
 

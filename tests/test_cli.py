@@ -325,6 +325,47 @@ def test_decide_all_fixed_model_error_recorded(tmp_path, capsys):
     assert record["type"] == "ModelEvaluationError"
     assert "SingularSystem" in record["message"]
 
+def _minmax_propagate_config(families: dict) -> dict:
+    """Min/max-only c1 and c6 boxes with a moment-matched PSA baseline."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["pipeline"] = "propagate"
+    config["parameters"]["boxed"] = {
+        name: {"min": 0.5, "max": 2.0} for name in config["parameters"].pop("precise")
+    }
+    config.update(n=2, psa_baseline={"samples": 20, "families": families})
+    return config
+
+
+def _decide_config(decision: dict, slow_c6=0.8) -> dict:
+    config = _all_fixed_decide_config(slow_c6=slow_c6)
+    config["decision"] = decision
+    return config
+
+
+@pytest.mark.parametrize(
+    "location, config",
+    [
+        ("psa_baseline.families.c1", _minmax_propagate_config({"c1": "weibull"})),
+        ("psa_baseline.families.c6", _minmax_propagate_config({"c6": "gamma"})),
+        ("decision.alpha", _decide_config({"rule": "hurwicz", "alpha": 1.5})),
+        ("decision.alpha", _decide_config({"rule": "hurwicz", "alpha": "x"})),
+        ("seed", dict(BASE_CONFIG, seed="abc")),
+        ("actions[1].overrides.c6", _decide_config({"rule": "pessimist"}, slow_c6="slow")),
+    ],
+)
+def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
+    with pytest.raises(ConfigParseError) as err:
+        AnalysisConfig.from_dict(config)
+    assert err.value.location == location
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", location)
+    assert not any(out.glob("*"))
+
+
 def test_inline_cea_model(tmp_path):
     config = {
         "schema": "pba-analysis/1",

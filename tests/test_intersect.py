@@ -110,3 +110,14 @@ def test_result_is_valid_pbox():
     assert np.all(np.diff(up) >= -1e-12)
     assert np.all(lo <= up + 1e-12)
     assert q.provenance == "intersection"
+
+
+def test_crossing_near_end_of_plateau_is_cut():
+    """The mean's upper bound meets the median's 1/2 plateau in the last 1/17 of it."""
+    m = -0.025912697457781686
+    pm = build_pbox(min_max_median(-1, 0, m))
+    pu = build_pbox(min_max_mean(-1, 0, m))
+    q = intersect_pboxes([pm, pu])
+    for t in np.linspace(-1.0, 0.0, 401).tolist() + [-0.026]:
+        assert q.lower(t) == pytest.approx(max(pm.lower(t), pu.lower(t)), abs=1e-12), t
+        assert q.upper(t) == pytest.approx(min(pm.upper(t), pu.upper(t)), abs=1e-12), t

@@ -11,7 +11,8 @@ from pba.minimal_data import (
     min_max_median,
     min_max_median_mean,
 )
-from pba.pbox import LOWER, UPPER, build_pbox, intersect_pboxes
+from pba.pbox import LOWER, UPPER, build_pbox, intersect_pboxes, quasi_inverse
+from pba.slicing import discretize_outer
 
 ALL_KINDS = [
     min_max(0.0, 1.0),
@@ -167,3 +168,48 @@ def test_boundary_variance_two_point_box():
         assert p.lower(t) == pytest.approx(0.75)
         assert p.upper(t) == pytest.approx(0.75)
     assert p.lower(1.0) == 1.0
+
+
+def _bounds_on_grid(d):
+    """Lower and upper bound of ``build_pbox(d)`` on 641 points around its support."""
+    p = build_pbox(d)
+    w = d.maximum - d.minimum
+    grid = np.linspace(d.minimum - 0.1 * w, d.maximum + 0.1 * w, 641)
+    return p, np.array([p.lower(t) for t in grid]), np.array([p.upper(t) for t in grid])
+
+
+def test_median_mean_is_max_min_of_median_and_mean_boxes_at_boundaries():
+    """Medians on a 1% grid with the mean at either feasible end or the midpoint.
+
+    Every such box builds, slices, and equals the pointwise max (lower) and
+    min (upper) of its median-only and mean-only boxes.
+    """
+    count = 0
+    for a in (0.0, 0.1, 1.0, -1.0, 2.0):
+        for b in (a + 1.0, a + 10.0):
+            centred = _bounds_on_grid(min_max_mean(a, b, 0.5 * (a + b)))
+            for k in range(1, 100):
+                m = round(a + (b - a) * k / 100, 10)
+                _, med_lo, med_up = _bounds_on_grid(min_max_median(a, b, m))
+                for mu in sorted({0.5 * (a + m), 0.5 * (m + b), 0.5 * (a + b)}):
+                    count += 1
+                    p, lo, up = _bounds_on_grid(min_max_median_mean(a, b, m, mu))
+                    for n in (2, 10, 50):
+                        assert len(discretize_outer(p, n)) == n
+                    _, mean_lo, mean_up = (
+                        centred if mu == 0.5 * (a + b) else _bounds_on_grid(min_max_mean(a, b, mu))
+                    )
+                    assert np.array_equal(lo, np.maximum(med_lo, mean_lo)), (a, b, m, mu)
+                    assert np.array_equal(up, np.minimum(med_up, mean_up)), (a, b, m, mu)
+    assert count == 2970
+
+
+@pytest.mark.parametrize(
+    "stats, side, prob",
+    [((0.0, 1.0, 0.2, 0.5), UPPER, 0.625), ((-1.0, 0.0, -0.08, -0.54), LOWER, 0.5)],
+)
+def test_quasi_inverse_ordered_where_inverse_rounds_past_segment(stats, side, prob):
+    """An inverse that rounds past its segment's end still gives lo <= hi."""
+    p = build_pbox(min_max_median_mean(*stats))
+    iv = quasi_inverse(p, side, prob)
+    assert iv.lo == iv.hi == stats[2]
