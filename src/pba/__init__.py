@@ -36,6 +36,7 @@ from .models import (
     discounted_outcomes,
     inmb,
     life_expectancy,
+    monotone,
 )
 from .optimize import SearchBox, optimize_box, vertex_extrema
 from .oracle import oracle_cdf_bounds
@@ -88,6 +89,7 @@ __all__ = [
     "min_max_median",
     "min_max_median_mean",
     "moment_match",
+    "monotone",
     "optimize_box",
     "oracle_cdf_bounds",
     "propagate_mixed",

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import models
 from .decision import Dominance, Hurwicz, INDETERMINATE, Optimist, Pessimist, UtilityInterval, choose, expected_interval
@@ -343,18 +346,31 @@ def load_config(path: str | Path) -> AnalysisConfig:
 def export_curve(p: PBox | EmpiricalPBox, gridsize: int, path: str | Path) -> Path:
     """Write a theta,lbf,ubf CSV over the support padded 5% each side.
 
-    Numbers are written with shortest round-trip precision.
+    Numbers are written with shortest round-trip precision.  An envelope
+    with infinite outcomes gets its grid over the finite part of its
+    support, then a first row ``-inf,0.0,0.0`` and a last row
+    ``inf,1.0,1.0`` for an infinite end.  A finite part that is one point y
+    is padded by 5% of |y| (of 1 at y = 0), so theta still increases.
     """
     if gridsize < 2:
         raise ValueError(f"gridsize must be at least 2, got {gridsize}")
     support = p.support if isinstance(p, PBox) else p.support()
-    pad = 0.05 * (support.hi - support.lo)
-    start, stop = support.lo - pad, support.hi + pad
+    lo, hi = support
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        jumps = np.concatenate([p.upper_steps()[0], p.lower_steps()[0]])
+        finite = jumps[np.isfinite(jumps)]
+        lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+    pad = 0.05 * ((hi - lo) or abs(lo) or 1.0)
+    start, stop = lo - pad, hi + pad
     path = Path(path)
     lines = ["theta,lbf,ubf"]
+    if support.lo == -math.inf:
+        lines.append("-inf,0.0,0.0")
     for k in range(gridsize):
         theta = start + (stop - start) * k / (gridsize - 1)
         lines.append(f"{theta!r},{p.lower(theta)!r},{p.upper(theta)!r}")
+    if support.hi == math.inf:
+        lines.append("inf,1.0,1.0")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -420,6 +436,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
         action_rows = []
         evals = 0
         unconverged = 0
+        unbounded = 0
         for action_id, file_name, run_params in runs:
             result = propagate_mixed(
                 config.model.fn, run_params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
@@ -431,10 +448,12 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             intervals.append(ui)
             evals += result.model_evaluations
             unconverged += result.unconverged_boxes
+            unbounded += result.unbounded_boxes
             action_rows.append({
                 "id": action_id,
                 "expected_interval": [ui.lo, ui.hi],
                 "unconverged_boxes": result.unconverged_boxes,
+                "unbounded_boxes": result.unbounded_boxes,
             })
         if config.pipeline == "decide":
             chosen = choose(intervals, _RULES[config.rule_name](config.alpha))
@@ -455,6 +474,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
                 evals += ecdf.model_evaluations
         summary["model_evaluations"] = evals
         summary["unconverged_boxes"] = unconverged
+        summary["unbounded_boxes"] = unbounded
 
     summary["runtime_seconds"] = time.perf_counter() - started
     summary["outputs"] = outputs
@@ -494,7 +514,7 @@ def _resolve_seed(flag_seed: int | None, config_seed: int) -> int:
         return flag_seed
     env = os.environ.get("PBA_SEED")
     if env is not None:
-        return int(env)
+        return _number(int, env, "PBA_SEED")
     return config_seed
 
 

@@ -89,7 +89,8 @@ def expected_interval(
     The identity utility gives the interval of expected outcome values.
     Utilities must be non-decreasing on the outcome support; for
     non-monotone maps the CDF bounds no longer bound the expectation, so
-    they are rejected.
+    they are rejected.  An infinite outcome with positive mass makes that
+    end of the interval infinite.
     """
     up_y, up_c = e.upper_steps()
     lo_y, lo_c = e.lower_steps()
@@ -98,7 +99,8 @@ def expected_interval(
     else:
         all_y = np.unique(np.concatenate([up_y, lo_y]))
         u_all = np.array([float(utility(y)) for y in all_y])
-        if np.any(np.diff(u_all) < -1e-12 * max(1.0, float(np.abs(u_all).max()))):
+        scale = float(np.abs(u_all[np.isfinite(u_all)]).max(initial=1.0))
+        if np.any(np.diff(u_all) < -1e-12 * scale):
             raise NonMonotoneUtility("utility map decreases on the outcome support")
         u_up = np.array([float(utility(y)) for y in up_y])
         u_lo = np.array([float(utility(y)) for y in lo_y])

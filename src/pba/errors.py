@@ -70,7 +70,17 @@ class DimensionTooLarge(PbaError):
 
 
 class SingularSystem(PbaError):
-    """Transient linear system has no finite solution (no absorption path)."""
+    """Transient linear system has no finite solution (no absorption path).
+
+    ``direction`` is the sign of the divergence: +1 when the outcome grows
+    without bound, -1 when it falls without bound, 0 when unknown.  A box
+    vertex where the model raises this with a sign counts as that infinity
+    (see ``pba.optimize.vertex_extrema``).
+    """
+
+    def __init__(self, message, direction=0):
+        super().__init__(message)
+        self.direction = direction
 
 
 class RowSumViolation(PbaError):

@@ -56,27 +56,44 @@ def life_expectancy(rates: FourStateRates) -> float:
     restricted to {S1, S2, S3} is upper triangular, so the expected
     absorption times come from back substitution over the states reachable
     from S1.  States that cannot be reached do not constrain the solution.
+    Where a reachable state has no exit the time diverges to +inf, raised as
+    ``SingularSystem`` with direction +1.
     """
     r = rates
     exit1 = r.c1 + r.c2 + r.c3
     if exit1 <= 0:
-        raise SingularSystem("no transition out of S1; residence time diverges")
+        raise SingularSystem("no transition out of S1; residence time diverges", direction=1)
     reaches_s2 = r.c1 > 0
     reaches_s3 = r.c2 > 0 or (reaches_s2 and r.c4 > 0)
     t3 = 0.0
     if reaches_s3:
         if r.c6 <= 0:
-            raise SingularSystem("S3 reachable but has no exit; residence time diverges")
+            raise SingularSystem("S3 reachable but has no exit; residence time diverges", direction=1)
         t3 = 1.0 / r.c6
     t2 = 0.0
     if reaches_s2:
         exit2 = r.c4 + r.c5
         if exit2 <= 0:
-            raise SingularSystem("S2 reachable but has no exit; residence time diverges")
+            raise SingularSystem("S2 reachable but has no exit; residence time diverges", direction=1)
         t2 = (1.0 + r.c4 * t3) / exit2
     return (1.0 + r.c1 * t2 + r.c2 * t3) / exit1
 
 
+def monotone(fn: Callable[[Mapping[str, float]], float]):
+    """Declare the model ``fn`` monotone in each input, in either direction.
+
+    Propagation then takes a box's extrema from its vertices instead of
+    searching it.  The mark is an attribute on the callable, so a wrapper
+    made with ``functools.wraps`` keeps it; any other wrapper drops it, and
+    the model is searched by DIRECT again.
+    """
+    fn.monotone = True
+    return fn
+
+
+# Monotone: a Moebius function of each of c1..c5, and through 1/c6
+# decreasing in c6; a divergence (c6 -> 0 and the like) is a limit of it.
+@monotone
 def _life_expectancy_model(params: Mapping[str, float]) -> float:
     return life_expectancy(
         FourStateRates(

@@ -5,8 +5,8 @@ evaluate centers, trisect potentially optimal rectangles along their longest
 sides, and select candidates by the lower convex hull of (diameter, value)
 pairs.  Derivative-free and fully deterministic, so repeated runs on the
 same inputs give identical results.  Maximization runs on the negated
-objective.  A vertex-enumeration oracle covers coordinate-monotone
-objectives exactly.
+objective.  Vertex enumeration covers coordinate-monotone objectives
+exactly, and is how propagation treats models declared monotone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DimensionTooLarge, NonFiniteObjective
+from .errors import DimensionTooLarge, NonFiniteObjective, SingularSystem
 from .interval import Interval
 
 MIN = "min"
@@ -237,6 +237,10 @@ def vertex_extrema(
     """Extremes of ``objective`` over all box vertices.
 
     Exact for objectives monotone in every coordinate; 2**dim evaluations.
+    A vertex where the objective raises ``SingularSystem`` with a direction
+    counts as that signed infinity, the limit the outcome diverges to there;
+    so either extreme may be infinite.  A NaN or infinite return value is
+    still rejected.
     """
     dim = len(box.bounds)
     if 2**dim > box.budget:
@@ -244,9 +248,15 @@ def vertex_extrema(
     lo = math.inf
     hi = -math.inf
     for corner in itertools.product(*((iv.lo, iv.hi) for iv in box.bounds)):
-        value = float(objective(corner))
-        if not math.isfinite(value):
-            raise NonFiniteObjective(f"objective returned {value}", point=corner)
+        try:
+            value = float(objective(corner))
+        except SingularSystem as exc:
+            if not exc.direction:
+                raise
+            value = math.copysign(math.inf, exc.direction)
+        else:
+            if not math.isfinite(value):
+                raise NonFiniteObjective(f"objective returned {value}", point=corner)
         lo = min(lo, value)
         hi = max(hi, value)
     return lo, hi

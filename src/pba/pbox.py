@@ -11,6 +11,7 @@ and quasi-inversion are exact rather than interpolated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -30,6 +31,9 @@ LOWER = "lower"
 UPPER = "upper"
 
 _TIE_EPS = 1e-15
+# Relative gap below the variance cap (b - mean)(mean - a) that still counts
+# as the cap: squaring a rounded sqrt(cap) lands within about one ulp of it.
+_CAP_ROUNDING = 4 * sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +294,11 @@ def _build_mean_std(d: MinimalData) -> PBox:
     if sigma == 0.0:
         return _step_box(a, b, mu, d)
     cap = (b - mu) * (mu - a)
-    if sigma**2 == cap:
+    if cap - sigma**2 <= _CAP_ROUNDING * cap:
         # Maximal variance: the two-point {a, b} distribution is the only
-        # one consistent, and both bounds collapse to its CDF.
+        # one consistent, and both bounds collapse to its CDF.  A std given
+        # as sqrt(cap) squares back to cap only within rounding; below it,
+        # the kinks xi1 and xi2 would round onto a and b.
         phi = (b - mu) / (b - a)
         lbf = _assemble([(a, b, Constant(phi))], b)
         ubf = _assemble([(a, b, Constant(phi))], b)

@@ -4,7 +4,10 @@
 p-boxes and precise CDFs; for each Monte Carlo draw of the precise block,
 each sliced hyperrectangle of the p-boxes is minimized and maximized through
 the model, and the per-box extrema accumulate into a pair of weighted step
-functions averaged over the draws.  Its two special forms:
+functions averaged over the draws.  A model declared monotone
+(``pba.models.monotone``) has its box extrema read off the box's vertices,
+which may be infinite where the outcome diverges; any other model is searched
+by DIRECT.  Its two special forms:
 
 * ``propagate_pboxes``: no precise group, so one empty draw.
 * ``psa_propagate``: the probabilistic-sensitivity-analysis baseline; no
@@ -25,10 +28,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .distributions import DistributionSpec
-from .errors import HyperrectangleCapExceeded, ModelEvaluationError
+from .errors import HyperrectangleCapExceeded, ModelEvaluationError, SingularSystem
 from .interval import Interval
 from .minimal_data import MinimalData
-from .optimize import MAX, MIN, SearchBox, optimize_box
+from .optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
 from .pbox import build_pbox
 from .slicing import DiscretizedPBox, count_hyperrectangles, discretize_outer, focal_product
 
@@ -74,13 +77,17 @@ class EmpiricalPBox:
 
     Built from (y_min, y_max, mass) triples, one per optimized
     hyperrectangle (or one degenerate triple per Monte Carlo draw).  The
-    cumulative weights are normalized so both steps reach exactly one.
+    cumulative weights are normalized so both steps reach exactly one.  An
+    extremum may be +-inf (an outcome unbounded on its box), never NaN;
+    ``unbounded_boxes`` counts the triples with an infinite end.
     """
 
     def __init__(self, extrema, model_evaluations: int = 0, unconverged_boxes: int = 0):
         arr = np.asarray(list(extrema), dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
             raise ValueError("need a non-empty sequence of (y_min, y_max, mass) triples")
+        if np.any(np.isnan(arr)):
+            raise ValueError("found a NaN in a (y_min, y_max, mass) triple")
         y_min, y_max, mass = arr[:, 0], arr[:, 1], arr[:, 2]
         if np.any(y_min > y_max):
             raise ValueError("found a triple with y_min > y_max")
@@ -92,6 +99,7 @@ class EmpiricalPBox:
         self.extrema = tuple(map(tuple, arr))
         self.model_evaluations = model_evaluations
         self.unconverged_boxes = unconverged_boxes
+        self.unbounded_boxes = int(np.count_nonzero(np.isinf(y_min) | np.isinf(y_max)))
 
         up_order = np.argsort(y_min, kind="stable")
         self._up_y = y_min[up_order]
@@ -145,14 +153,19 @@ def _call_model(model: Model, args: Mapping[str, float]) -> float:
         raise ModelEvaluationError(f"model raised {exc!r}", params=args) from exc
 
 
-def _box_objective(model: Model, fixed: Mapping[str, float], names: list[str]):
-    """The model over one box's parameters, and its cache of evaluated points.
+def _box_objective(
+    model: Model, fixed: Mapping[str, float], names: list[str], divergent: bool = False
+):
+    """The model over the boxed parameters, and its cache of evaluated points.
 
     The MIN and MAX searches of a box both start from the same centres, so the
     cache, keyed on the parameter tuple, saves the second search every point
-    the first one already evaluated.
+    the first one already evaluated.  With ``divergent`` (vertex evaluation),
+    a ``SingularSystem`` that carries a direction is cached and raised as it
+    is, for ``vertex_extrema`` to read as that infinity; every other failure
+    of the model raises ``ModelEvaluationError``.
     """
-    cache: dict[tuple[float, ...], float] = {}
+    cache: dict[tuple[float, ...], float | SingularSystem] = {}
 
     def fn(vector) -> float:
         key = tuple(vector)
@@ -160,8 +173,17 @@ def _box_objective(model: Model, fixed: Mapping[str, float], names: list[str]):
             args = dict(fixed)
             for name, value in zip(names, key):
                 args[name] = value
-            cache[key] = _call_model(model, args)
-        return cache[key]
+            try:
+                cache[key] = _call_model(model, args)
+            except ModelEvaluationError as exc:
+                cause = exc.__cause__
+                if not (divergent and isinstance(cause, SingularSystem) and cause.direction):
+                    raise
+                cache[key] = cause
+        value = cache[key]
+        if isinstance(value, SingularSystem):
+            raise value
+        return value
 
     return fn, cache
 
@@ -188,14 +210,30 @@ def _optimize_rects(
     """(y_min, y_max, mass) per box, distinct model calls and unconverged searches.
 
     With no boxed names the only box is the point ``fixed``: one model call,
-    returned as the degenerate triple (y, y, 1.0).  Equal focal intervals (a
-    min/max-only p-box slices into n of them) give identical boxes; each
-    distinct box is searched once, and every box still contributes its own
-    triple and unconverged count.
+    returned as the degenerate triple (y, y, 1.0).  A model marked monotone
+    takes each box's extrema from ``vertex_extrema``, through one cache for
+    all boxes, since neighbouring boxes share vertices: at most (2n)**d model
+    calls, and nothing left unconverged.  Any other model is searched by
+    DIRECT, box by box.  Equal focal intervals (a min/max-only p-box slices
+    into n of them) give identical boxes; each distinct box is searched
+    once, and every box still contributes its own triple and unconverged
+    count.
     """
     if not names:
         y = _call_model(model, fixed)
         return [(y, y, 1.0)], 1, 0
+    if getattr(model, "monotone", False):
+        objective, cache = _box_objective(model, fixed, names, divergent=True)
+
+        def search(intervals):
+            known = len(cache)
+            box = SearchBox(intervals, budget=opt.budget, tol=opt.tol)
+            return vertex_extrema(objective, box), len(cache) - known, 0
+    else:
+
+        def search(intervals):
+            return _optimize_rect(model, fixed, names, intervals, opt)
+
     searched: dict[tuple[Interval, ...], tuple] = {}
     triples = []
     evals = 0
@@ -203,7 +241,7 @@ def _optimize_rects(
     for rect in focal_product(sliced):
         found = searched.get(rect.intervals)
         if found is None:
-            found = searched[rect.intervals] = _optimize_rect(model, fixed, names, rect.intervals, opt)
+            found = searched[rect.intervals] = search(rect.intervals)
             evals += found[1]
         (lo, hi), _, unconverged = found
         triples.append((lo, hi, rect.mass))

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -463,3 +464,47 @@ def test_bundled_configs_round_trip(name, tmp_path):
     assert np.all(np.diff(body[:, 2]) >= -1e-12)
     assert np.all(body[:, 1] <= body[:, 2] + 1e-12)
     assert summary["runtime_seconds"] >= 0
+
+
+def test_bad_pba_seed_gives_error_record(tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(BASE_CONFIG))
+    monkeypatch.setenv("PBA_SEED", "abc")
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", "PBA_SEED")
+
+
+@pytest.mark.parametrize(
+    "triples, first, last",
+    [
+        ([(2.0, math.inf, 1.0)], None, "inf,1.0,1.0"),  # finite part is one point
+        ([(-math.inf, 0.0, 0.5), (1.0, 3.0, 0.5)], "-inf,0.0,0.0", None),
+    ],
+)
+def test_export_curve_infinite_ends(triples, first, last, tmp_path):
+    rows = export_curve(EmpiricalPBox(triples), 5, tmp_path / "c.csv").read_text().splitlines()[1:]
+    if first:
+        assert rows.pop(0) == first
+    if last:
+        assert rows.pop() == last
+    body = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert len(body) == 5 and np.all(np.isfinite(body))
+    assert np.all(np.diff(body[:, 0]) > 0)
+    assert body[0, 2] == (0.5 if first else 0.0)
+
+
+def test_unbounded_outcome_in_summary_and_curve(tmp_path):
+    """Case 1 at n=10: the upper expected value is +inf on 10 boxes."""
+    config = json.loads((CONFIG_DIR / "case1-pba.json").read_text())
+    config.update(n=10, psa_baseline={"samples": 20, "families": {"c1": "gamma", "c6": "gamma"}})
+    run_analysis(AnalysisConfig.from_dict(config), tmp_path)
+    text = (tmp_path / "summary.json").read_text()
+    assert "Infinity" in text
+    summary = json.loads(text)
+    assert summary["expected_interval"][1] == math.inf
+    assert summary["outcome_support"][1] == math.inf
+    assert (summary["unbounded_boxes"], summary["unconverged_boxes"]) == (10, 0)
+    curve = (tmp_path / "curve.csv").read_text().splitlines()
+    assert curve[-1] == "inf,1.0,1.0"
+    assert curve[1].split(",")[1:] == ["0.0", "0.0"]

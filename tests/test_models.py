@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from pba.errors import RowSumViolation, SingularSystem
+from pba.interval import Interval
 from pba.models import (
     REGISTRY,
     CohortCeaSpec,
@@ -17,6 +19,7 @@ from pba.models import (
     inmb,
     life_expectancy,
 )
+from pba.optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
 
 BASE_RATES = dict(c2=0.01, c3=0.001, c4=0.1, c5=0.05)
 
@@ -347,3 +350,44 @@ def test_registry_declares_parameters():
     assert entry.param_names == {"c1", "c2", "c3", "c4", "c5", "c6"}
     value = entry.fn(dict(c1=0.05, c6=1.0, **BASE_RATES))
     assert value == pytest.approx(life_expectancy(FourStateRates(c1=0.05, c6=1.0, **BASE_RATES)))
+
+
+def test_only_the_four_state_model_is_declared_monotone():
+    # A grid probe of the CEA demo sees both signs of slope in p_serious.
+    assert REGISTRY["four_state_life_expectancy"].fn.monotone is True
+    for name in ("demo_cea_nmb", "demo_cea_inmb"):
+        assert not getattr(REGISTRY[name].fn, "monotone", False)
+
+
+def test_divergence_carries_its_direction():
+    for rates in (
+        FourStateRates(0, 0, 0, 0, 0, 0),
+        FourStateRates(0.1, 0.1, 0.0, 0.1, 0.1, 0.0),
+        FourStateRates(0.1, 0.0, 0.1, 0.0, 0.0, 1.0),
+    ):
+        with pytest.raises(SingularSystem) as err:
+            life_expectancy(rates)
+        assert err.value.direction == 1
+
+
+def test_four_state_vertex_extrema_bracket_the_box(rng):
+    """The monotone declaration holds: vertices bound every interior point.
+
+    All six rates are boxed (c6 kept positive, so every value is finite);
+    a dense interior grid and DIRECT's own MIN and MAX must stay inside the
+    vertex range.
+    """
+    model = REGISTRY["four_state_life_expectancy"].fn
+    names = ("c1", "c2", "c3", "c4", "c5", "c6")
+    objective = lambda v: model(dict(zip(names, v)))
+    for _ in range(6):
+        lows = rng.uniform(0.0, 1.0, size=6)
+        lows[5] += 0.05
+        highs = lows + rng.uniform(0.01, 1.0, size=6)
+        box = SearchBox(tuple(Interval(lo, hi) for lo, hi in zip(lows, highs)), budget=2000, tol=1e-4)
+        v_lo, v_hi = vertex_extrema(objective, box)
+        slack = 1e-12 * abs(v_hi)
+        for point in itertools.product(*(np.linspace(lo, hi, 5)[1:-1] for lo, hi in zip(lows, highs))):
+            assert v_lo - slack <= objective(point) <= v_hi + slack
+        for sense in (MIN, MAX):
+            assert v_lo - slack <= optimize_box(objective, box, sense).value <= v_hi + slack

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from pba.errors import DimensionTooLarge, NonFiniteObjective
+from pba.errors import DimensionTooLarge, NonFiniteObjective, SingularSystem
 from pba.interval import Interval
 from pba.optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
 
@@ -145,3 +147,18 @@ def test_budget_respected_and_flagged():
     result = optimize_box(quadratic, box, MIN)
     assert result.evaluations <= 40
     assert not result.converged
+
+
+def test_vertex_extrema_reads_a_signed_divergence_as_infinity():
+    def diverges_at_origin(v, direction):
+        if v == (0, 0):
+            raise SingularSystem("no finite value", direction=direction)
+        return v[0] + v[1]
+
+    box = SearchBox(UNIT2, budget=100)
+    assert vertex_extrema(lambda v: diverges_at_origin(v, 1), box) == (1.0, math.inf)
+    assert vertex_extrema(lambda v: diverges_at_origin(v, -1), box) == (-math.inf, 2.0)
+    with pytest.raises(SingularSystem):  # no direction: nothing to map it to
+        vertex_extrema(lambda v: diverges_at_origin(v, 0), box)
+    with pytest.raises(SingularSystem):  # a point evaluation still raises
+        optimize_box(lambda v: diverges_at_origin(v, 1), SearchBox((Interval(0, 0),) * 2), MAX)

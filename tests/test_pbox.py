@@ -11,7 +11,19 @@ from pba.minimal_data import (
     min_max_median,
     min_max_median_mean,
 )
-from pba.pbox import LOWER, UPPER, build_pbox, intersect_pboxes, quasi_inverse
+from pba.errors import InfeasibleVariance
+from pba.pbox import (
+    LOWER,
+    UPPER,
+    Constant,
+    StdLowerMid,
+    StdLowerRight,
+    StdUpperLeft,
+    StdUpperMid,
+    build_pbox,
+    intersect_pboxes,
+    quasi_inverse,
+)
 from pba.slicing import discretize_outer
 
 ALL_KINDS = [
@@ -168,6 +180,48 @@ def test_boundary_variance_two_point_box():
         assert p.lower(t) == pytest.approx(0.75)
         assert p.upper(t) == pytest.approx(0.75)
     assert p.lower(1.0) == 1.0
+
+
+def test_std_at_the_cap_within_rounding_is_two_point():
+    """std = sqrt(cap) squares back to the cap only within rounding.
+
+    Means on a 1% grid over four supports, std at the cap: every box that
+    validates builds, is the two-point {min, max} box, and slices.
+    """
+    built = 0
+    for a, b in ((0.0, 1.0), (0.0, 10.0), (-1.0, 1.0), (1.0, 2.0)):
+        for k in range(1, 100):
+            mu = a + (b - a) * k / 100
+            try:
+                d = min_max_mean_std(a, b, mu, math.sqrt((b - mu) * (mu - a)))
+            except InfeasibleVariance:  # the root rounded up past the cap
+                continue
+            p = build_pbox(d)
+            phi = (b - mu) / (b - a)
+            assert p.lower(mu) == p.upper(mu) == phi
+            assert len(discretize_outer(p, 10).elements) == 10
+            built += 1
+    assert built == 282
+
+
+def test_std_below_the_cap_keeps_general_segments():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a = rng.uniform(-5, 5)
+        b = a + rng.uniform(0.1, 10)
+        mu = rng.uniform(a, b)
+        sigma = math.sqrt((b - mu) * (mu - a)) * rng.uniform(0.01, 0.999)
+        p = build_pbox(min_max_mean_std(a, b, mu, sigma))
+        xi1, xi2 = mu - sigma**2 / (b - mu), mu + sigma**2 / (mu - a)
+        expected = {
+            LOWER: [(-math.inf, xi1, Constant(0.0)), (xi1, xi2, StdLowerMid(a, b, mu, sigma)),
+                    (xi2, b, StdLowerRight(mu, sigma)), (b, math.inf, Constant(1.0))],
+            UPPER: [(-math.inf, a, Constant(0.0)), (a, xi1, StdUpperLeft(mu, sigma)),
+                    (xi1, xi2, StdUpperMid(a, b, mu, sigma)), (xi2, math.inf, Constant(1.0))],
+        }
+        for side, segs in expected.items():
+            got = [(s.start.hex(), s.end.hex(), s.expr) for s in p._segments(side)]
+            assert got == [(s.hex(), e.hex(), x) for s, e, x in segs]
 
 
 def _bounds_on_grid(d):

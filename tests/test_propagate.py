@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import assert_within_envelope
+from pba.decision import expected_interval
 from pba.distributions import DistributionSpec
 from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError
 from pba.minimal_data import min_max, min_max_mean, min_max_mean_std, min_max_median
@@ -17,7 +19,7 @@ from pba.propagate import (
     propagate_pboxes,
     psa_propagate,
 )
-from pba.optimize import MAX, MIN, SearchBox, optimize_box
+from pba.optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
 from pba.slicing import discretize_outer, focal_product
 
 FAST_OPT = OptimizerSettings(budget=300, tol=1e-6)
@@ -326,8 +328,83 @@ def test_triple_validation():
         EmpiricalPBox([(0.0, 1.0, 0.4)])  # masses do not sum to 1
     with pytest.raises(ValueError):
         EmpiricalPBox([])
+    with pytest.raises(ValueError, match="NaN"):
+        EmpiricalPBox([(math.nan, 1.0, 0.5), (0.0, 2.0, 0.5)])
 
 
 def test_parameter_set_disjoint_names():
     with pytest.raises(ValueError):
         ParameterSet(fixed={"x": 1.0}, boxed={"x": min_max(0, 1)})
+
+
+def test_infinite_extrema_are_legal():
+    out = EmpiricalPBox([(1.0, math.inf, 0.25), (2.0, 3.0, 0.75)])
+    assert out.unbounded_boxes == 1
+    assert tuple(out.support()) == (1.0, math.inf)
+    assert out.lower(3.0) == 0.75 and out.lower(math.inf) == 1.0
+    assert tuple(expected_interval(out).interval) == (1.75, math.inf)
+    below = EmpiricalPBox([(-math.inf, 0.0, 0.5), (1.0, 2.0, 0.5)])
+    assert below.unbounded_boxes == 1
+    assert tuple(expected_interval(below).interval) == (-math.inf, 1.0)
+
+
+CASE1_FIXED = {"c2": 0.01, "c3": 0.001, "c4": 0.1, "c5": 0.05}
+CASE1_BOXES = {
+    "c1": min_max_mean_std(0.0, 10.0, 0.05, 0.00033),
+    "c6": min_max_mean_std(0.0, 10.0, 1.0, 0.0167),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+def test_case1_upper_expected_value_is_infinite(tol):
+    """c6's first focal interval starts at 0, where the outcome diverges.
+
+    The exact interval at n=10 is [20.887627720304142, +inf], whatever the
+    tolerance, with the maximum unbounded on the 10 boxes at c6 = 0.
+    """
+    out = propagate_pboxes(
+        REGISTRY["four_state_life_expectancy"].fn,
+        ParameterSet(fixed=CASE1_FIXED, boxed=CASE1_BOXES),
+        n=10,
+        opt=OptimizerSettings(budget=600, tol=tol),
+    )
+    lo, hi = expected_interval(out).interval
+    assert hi == math.inf
+    assert lo == pytest.approx(20.887627720304142, rel=1e-12, abs=0)
+    assert out.unbounded_boxes == 10
+    assert out.unconverged_boxes == 0
+    assert out.model_evaluations <= 20**2  # (2n)**d distinct vertices
+
+
+def test_monotone_mark_survives_wraps_not_lambda():
+    """A ``functools.wraps`` wrapper keeps the vertex path; a lambda gets DIRECT."""
+    four_state = REGISTRY["four_state_life_expectancy"].fn
+    params = ParameterSet(
+        fixed=CASE1_FIXED,
+        boxed={"c1": min_max_mean(0.0, 10.0, 0.05), "c6": min_max_mean(0.5, 2.0, 1.0)},
+    )
+    opt = OptimizerSettings(budget=200, tol=1e-6)
+    calls = []
+
+    @functools.wraps(four_state)
+    def wrapped(p):
+        calls.append((p["c1"], p["c6"]))
+        return four_state(p)
+
+    vertex = propagate_pboxes(wrapped, params, n=3, opt=opt)
+    plain = propagate_pboxes(lambda p: four_state(p), params, n=3, opt=opt)
+
+    sliced = [discretize_outer(build_pbox(params.boxed[k]), 3) for k in ("c1", "c6")]
+    objective = lambda v: four_state({**CASE1_FIXED, "c1": v[0], "c6": v[1]})
+    by_vertex, by_direct, bad = [], [], 0
+    for rect in focal_product(sliced):
+        box = SearchBox(rect.intervals, budget=opt.budget, tol=opt.tol)
+        by_vertex.append((*vertex_extrema(objective, box), rect.mass))
+        lo, hi = optimize_box(objective, box, MIN), optimize_box(objective, box, MAX)
+        by_direct.append((lo.value, hi.value, rect.mass))
+        bad += (not lo.converged) + (not hi.converged)
+    assert vertex.extrema == tuple(by_vertex)
+    assert len(calls) == len(set(calls)) == vertex.model_evaluations <= 6**2
+    assert vertex.unconverged_boxes == 0
+    assert plain.extrema == tuple(by_direct)
+    assert plain.unconverged_boxes == bad
