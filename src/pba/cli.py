@@ -26,7 +26,7 @@ from .distributions import DistributionSpec
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
 from .models import REGISTRY, CohortCeaSpec, RegisteredModel, build_transition_matrix, discounted_outcomes, cohort_trace
-from .pbox import PBox, build_pbox
+from .pbox import Intersection, PBox, build_pbox
 from .propagate import EmpiricalPBox, OptimizerSettings, ParameterSet, propagate_mixed, psa_propagate
 
 CONFIG_SCHEMA = "pba-analysis/1"
@@ -343,7 +343,7 @@ def load_config(path: str | Path) -> AnalysisConfig:
 # ---------------------------------------------------------------------------
 
 
-def export_curve(p: PBox | EmpiricalPBox, gridsize: int, path: str | Path) -> Path:
+def export_curve(p: PBox | Intersection | EmpiricalPBox, gridsize: int, path: str | Path) -> Path:
     """Write a theta,lbf,ubf CSV over the support padded 5% each side.
 
     Numbers are written with shortest round-trip precision.  An envelope
@@ -354,7 +354,7 @@ def export_curve(p: PBox | EmpiricalPBox, gridsize: int, path: str | Path) -> Pa
     """
     if gridsize < 2:
         raise ValueError(f"gridsize must be at least 2, got {gridsize}")
-    support = p.support if isinstance(p, PBox) else p.support()
+    support = p.support() if isinstance(p, EmpiricalPBox) else p.support
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi)):
         jumps = np.concatenate([p.upper_steps()[0], p.lower_steps()[0]])

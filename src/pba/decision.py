@@ -4,7 +4,12 @@ Expectations against the two bounding step functions of an outcome box give
 an interval of expected utilities per action.  For an increasing utility
 the stochastically smaller bound yields the smaller expectation, so rather
 than naming which step produced which endpoint, the interval is returned
-ordered as [min, max].
+ordered as [min, max].  An infinite outcome makes an end infinite; a step
+holding both -inf and +inf has no expectation and is rejected.
+
+Actions are chosen by dominance or by a Hurwicz score of the interval;
+Pessimist and Optimist are the Hurwicz scores at alpha 1 and 0, and an
+end with weight 0 is left out of the score, so it may be infinite.
 """
 
 from __future__ import annotations
@@ -57,12 +62,16 @@ class Dominance:
 
 @dataclass(frozen=True)
 class Pessimist:
-    pass
+    """Hurwicz with alpha 1: scores the lower end."""
+
+    alpha = 1.0
 
 
 @dataclass(frozen=True)
 class Optimist:
-    pass
+    """Hurwicz with alpha 0: scores the upper end."""
+
+    alpha = 0.0
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,10 @@ def expected_interval(
             raise NonMonotoneUtility("utility map decreases on the outcome support")
         u_up = np.array([float(utility(y)) for y in up_y])
         u_lo = np.array([float(utility(y)) for y in lo_y])
+    if any(np.isneginf(u).any() and np.isposinf(u).any() for u in (u_up, u_lo)):
+        raise ValueError(
+            "expected value is undefined: one bounding step holds both -inf and +inf"
+        )
     masses_up = np.diff(np.concatenate([[0.0], up_c]))
     masses_lo = np.diff(np.concatenate([[0.0], lo_c]))
     against_upper = float(masses_up @ u_up)
@@ -112,9 +125,10 @@ def expected_interval(
     return UtilityInterval(action, Interval(lo, hi))
 
 
-def _score_choice(us: Sequence[UtilityInterval], score: Callable[[UtilityInterval], float]):
-    best = max(score(u) for u in us)
-    return frozenset(u.action for u in us if score(u) == best)
+def _hurwicz_score(u: UtilityInterval, alpha: float) -> float:
+    """alpha * lo + (1 - alpha) * hi, leaving out an end whose weight is 0,
+    so that an infinite end it ignores cannot make the score NaN."""
+    return sum(w * end for w, end in ((alpha, u.lo), (1.0 - alpha, u.hi)) if w != 0.0)
 
 
 def choose(us: Sequence[UtilityInterval], rule: DecisionRule):
@@ -123,8 +137,8 @@ def choose(us: Sequence[UtilityInterval], rule: DecisionRule):
     Dominance: action a beats b iff both interval endpoints of a are
     strictly larger; the undominated set is returned when it is a single
     action and INDETERMINATE otherwise (no strict ordering exists among
-    several maximal elements).  The scoring rules return every maximizer on
-    ties.
+    several maximal elements).  Pessimist and Optimist are Hurwicz at alpha
+    1 and 0.  The scoring rules return every maximizer on ties.
     """
     us = list(us)
     if len(us) < 2:
@@ -137,11 +151,8 @@ def choose(us: Sequence[UtilityInterval], rule: DecisionRule):
         if len(maximal) == 1:
             return frozenset({maximal[0].action})
         return INDETERMINATE
-    if isinstance(rule, Pessimist):
-        return _score_choice(us, lambda u: u.lo)
-    if isinstance(rule, Optimist):
-        return _score_choice(us, lambda u: u.hi)
-    if isinstance(rule, Hurwicz):
-        alpha = rule.alpha
-        return _score_choice(us, lambda u: alpha * u.lo + (1.0 - alpha) * u.hi)
+    if isinstance(rule, (Pessimist, Optimist, Hurwicz)):
+        scores = [_hurwicz_score(u, rule.alpha) for u in us]
+        best = max(scores)
+        return frozenset(u.action for u, s in zip(us, scores) if s == best)
     raise TypeError(f"unknown decision rule {rule!r}")

@@ -146,19 +146,18 @@ def _check_matrix(spec: CohortCeaSpec, matrix: np.ndarray) -> np.ndarray:
     n = len(spec.states)
     if matrix.shape != (n, n):
         raise RowSumViolation(f"transition matrix must be {n}x{n}, got {matrix.shape}")
-    for i in range(n):
-        row_sum = float(matrix[i].sum())
-        if abs(row_sum - 1.0) > _ROW_TOL or matrix[i].min() < -_ROW_TOL:
+    bad_sum = (np.abs(matrix.sum(axis=1) - 1.0) > _ROW_TOL) | (matrix.min(axis=1) < -_ROW_TOL)
+    bad_absorbing = np.array(spec.absorbing) & (np.abs(matrix - np.eye(n)).max(axis=1) > _ROW_TOL)
+    bad = bad_sum | bad_absorbing
+    if bad.any():
+        i = int(np.argmax(bad))  # the first offending row
+        if bad_sum[i]:
             raise RowSumViolation(
-                f"row for state {spec.states[i]!r} sums to {row_sum}", cycle=0, state=i
+                f"row for state {spec.states[i]!r} sums to {float(matrix[i].sum())}", cycle=0, state=i
             )
-        if spec.absorbing[i]:
-            identity = np.zeros(n)
-            identity[i] = 1.0
-            if np.abs(matrix[i] - identity).max() > _ROW_TOL:
-                raise RowSumViolation(
-                    f"absorbing state {spec.states[i]!r} row is not identity", cycle=0, state=i
-                )
+        raise RowSumViolation(
+            f"absorbing state {spec.states[i]!r} row is not identity", cycle=0, state=i
+        )
     return matrix
 
 

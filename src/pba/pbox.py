@@ -6,6 +6,10 @@ function ``lbf`` and an upper bounding function ``ubf``, with
 support consistent with the available summary statistics.  Bounds are kept
 symbolically, one closed-form expression per theta segment, so evaluation
 and quasi-inversion are exact rather than interpolated.
+
+Boxes on one support intersect to an ``Intersection`` that keeps the boxes
+as its parts: its bounds are the pointwise max (lower) and min (upper) of
+theirs, and its quasi-inverses the min or max of theirs, so it is exact too.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .minimal_data import (
 LOWER = "lower"
 UPPER = "upper"
 
-_TIE_EPS = 1e-15
 # Relative gap below the variance cap (b - mean)(mean - a) that still counts
 # as the cap: squaring a rounded sqrt(cap) lands within about one ulp of it.
 _CAP_ROUNDING = 4 * sys.float_info.epsilon
@@ -40,16 +43,13 @@ _CAP_ROUNDING = 4 * sys.float_info.epsilon
 # Segment expressions
 #
 # Each expression is non-decreasing where a bound uses it, knows its exact
-# closed form and the closed form of its inverse.  ``rank`` orders
-# expressions by analytic simplicity; pointwise ties in intersections are
-# resolved toward the lower rank.
+# closed form and the closed form of its inverse.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Constant:
     v: float
-    rank = 0
 
     def value(self, theta: float) -> float:
         return self.v
@@ -64,7 +64,6 @@ class MeanLower:
 
     a: float
     mu: float
-    rank = 1
 
     def value(self, theta: float) -> float:
         return (theta - self.mu) / (theta - self.a)
@@ -79,7 +78,6 @@ class MeanUpper:
 
     b: float
     mu: float
-    rank = 1
 
     def value(self, theta: float) -> float:
         return (self.b - self.mu) / (self.b - theta)
@@ -96,7 +94,6 @@ class StdLowerMid:
     b: float
     mu: float
     sigma: float
-    rank = 2
 
     def value(self, theta: float) -> float:
         num = self.sigma**2 + (self.b - self.mu) * (theta - self.mu)
@@ -115,7 +112,6 @@ class StdLowerRight:
 
     mu: float
     sigma: float
-    rank = 2
 
     def value(self, theta: float) -> float:
         d2 = (theta - self.mu) ** 2
@@ -131,7 +127,6 @@ class StdUpperLeft:
 
     mu: float
     sigma: float
-    rank = 2
 
     def value(self, theta: float) -> float:
         return self.sigma**2 / ((self.mu - theta) ** 2 + self.sigma**2)
@@ -148,7 +143,6 @@ class StdUpperMid:
     b: float
     mu: float
     sigma: float
-    rank = 2
 
     def value(self, theta: float) -> float:
         num = (self.b - self.mu) * (self.b - self.a + self.mu - theta) - self.sigma**2
@@ -229,6 +223,34 @@ class PBox:
 
     def upper(self, theta: float) -> float:
         return self.value(UPPER, theta)
+
+    def inf_at_least(self, side: str, p: float) -> float:
+        """inf{theta : G(theta) >= p} for the right-continuous non-decreasing G.
+
+        A constant segment (v_lo == v_hi) is returned or passed over before
+        ``inverse`` could be called on it.  The inverse is clamped into its
+        own segment, so rounding cannot carry it past a neighbouring piece.
+        """
+        for seg in self._segments(side):
+            v_lo, v_hi = seg.value_range()
+            if v_lo >= p:
+                return seg.start
+            if p < v_hi:
+                return min(max(seg.expr.inverse(p), seg.start), seg.end)
+        return math.inf
+
+    def sup_at_most(self, side: str, p: float) -> float:
+        """sup{theta : G(theta) <= p}; equals inf{theta : G(theta) > p}.
+
+        Constant segments and rounding are handled as in ``inf_at_least``.
+        """
+        for seg in reversed(self._segments(side)):
+            v_lo, v_hi = seg.value_range()
+            if v_hi <= p:
+                return seg.end
+            if v_lo <= p:
+                return min(max(seg.expr.inverse(p), seg.start), seg.end)
+        return -math.inf
 
     def breakpoints(self) -> list[float]:
         """Finite segment boundaries of both bounds, sorted and deduplicated."""
@@ -359,39 +381,7 @@ def build_pbox(d: MinimalData) -> PBox:
 # ---------------------------------------------------------------------------
 
 
-def _inf_at_least(segs: Sequence[BoundSegment], p: float) -> float:
-    """inf{theta : G(theta) >= p} for a right-continuous non-decreasing G.
-
-    A constant segment (v_lo == v_hi) is returned or passed over before
-    ``inverse`` could be called on it.  The inverse is clamped into its own
-    segment, so rounding cannot carry it past a neighbouring piece.
-    """
-    for seg in segs:
-        v_lo, v_hi = seg.value_range()
-        if v_lo >= p:
-            return seg.start
-        if p < v_hi:
-            return min(max(seg.expr.inverse(p), seg.start), seg.end)
-    return math.inf
-
-
-def _sup_at_most(segs: Sequence[BoundSegment], p: float) -> float:
-    """sup{theta : G(theta) <= p}; equals inf{theta : G(theta) > p}.
-
-    A constant segment (v_lo == v_hi) is returned or passed over before
-    ``inverse`` could be called on it.  The inverse is clamped into its own
-    segment, as in ``_inf_at_least``.
-    """
-    for seg in reversed(segs):
-        v_lo, v_hi = seg.value_range()
-        if v_hi <= p:
-            return seg.end
-        if v_lo <= p:
-            return min(max(seg.expr.inverse(p), seg.start), seg.end)
-    return -math.inf
-
-
-def quasi_inverse(p: PBox, side: str, prob: float) -> Interval:
+def quasi_inverse(p: PBox | Intersection, side: str, prob: float) -> Interval:
     """Set-valued inverse of one bound at probability ``prob``.
 
     Plateaus of the bound at exactly ``prob`` return the full closed theta
@@ -400,10 +390,9 @@ def quasi_inverse(p: PBox, side: str, prob: float) -> Interval:
     """
     if not 0.0 <= prob <= 1.0:
         raise ProbabilityOutOfRange(f"probability {prob} outside [0, 1]")
-    segs = p._segments(side)
     a, b = p.support.lo, p.support.hi
-    lo = min(max(_inf_at_least(segs, prob), a), b)
-    hi = min(max(_sup_at_most(segs, prob), a), b)
+    lo = min(max(p.inf_at_least(side, prob), a), b)
+    hi = min(max(p.sup_at_most(side, prob), a), b)
     return Interval(lo, hi)
 
 
@@ -412,106 +401,52 @@ def quasi_inverse(p: PBox, side: str, prob: float) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _winner(exprs: list[Expression], theta: float, take_max: bool) -> int:
-    vals = [e.value(theta) for e in exprs]
-    best = max(vals) if take_max else min(vals)
-    candidates = [
-        i for i, v in enumerate(vals) if abs(v - best) <= _TIE_EPS * max(1.0, abs(best))
-    ]
-    return min(candidates, key=lambda i: (exprs[i].rank, i))
+@dataclass(frozen=True)
+class Intersection:
+    """Pointwise max of the parts' lower bounds and min of their upper bounds.
+
+    The parts share ``support``.  For non-decreasing right-continuous bounds
+    the quasi-inverses compose exactly: where the bound is a max G of the
+    parts' G_i, inf{theta : G >= p} is the least of the parts' infima and
+    sup{theta : G <= p} the least of their suprema; where it is a min, both
+    are the greatest.  So no crossing of two curves is ever located.
+    """
+
+    parts: tuple[PBox, ...]
+    support: Interval
+    provenance = "intersection"
+
+    def value(self, side: str, theta: float) -> float:
+        values = [p.value(side, theta) for p in self.parts]
+        return max(values) if side == LOWER else min(values)
+
+    def lower(self, theta: float) -> float:
+        return self.value(LOWER, theta)
+
+    def upper(self, theta: float) -> float:
+        return self.value(UPPER, theta)
+
+    def inf_at_least(self, side: str, p: float) -> float:
+        thetas = [q.inf_at_least(side, p) for q in self.parts]
+        return min(thetas) if side == LOWER else max(thetas)
+
+    def sup_at_most(self, side: str, p: float) -> float:
+        thetas = [q.sup_at_most(side, p) for q in self.parts]
+        return min(thetas) if side == LOWER else max(thetas)
+
+    def breakpoints(self) -> list[float]:
+        """Finite segment boundaries of every part, sorted and deduplicated."""
+        return sorted({t for p in self.parts for t in p.breakpoints()})
 
 
-def _bisect_crossing(e1: Expression, e2: Expression, lo: float, hi: float) -> float:
-    g = lambda t: e1.value(t) - e2.value(t)
-    g_lo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (g(mid) > 0) == (g_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _active_expr(segs: Sequence[BoundSegment], theta: float) -> Expression:
-    for seg in segs:
-        if seg.start <= theta < seg.end:
-            return seg.expr
-    return Constant(1.0)
-
-
-def _envelope(
-    seglists: list[tuple[BoundSegment, ...]], a: float, b: float, take_max: bool
-) -> tuple[BoundSegment, ...]:
-    """Pointwise max (or min) of several bounds as a new segment tiling."""
-    cuts = {a, b}
-    for segs in seglists:
-        for seg in segs:
-            for t in (seg.start, seg.end):
-                if math.isfinite(t) and a < t < b:
-                    cuts.add(t)
-    # A curve meets a plateau where it inverts to the plateau's level; cut
-    # there exactly rather than rely on the scan below, which can miss it.
-    levels = {seg.expr.v for segs in seglists for seg in segs if isinstance(seg.expr, Constant)}
-    for segs in seglists:
-        for seg in segs:
-            v_lo, v_hi = seg.value_range()
-            for v in levels:
-                if v_lo < v < v_hi:
-                    t = seg.expr.inverse(v)
-                    if a < t < b:
-                        cuts.add(t)
-    cuts = sorted(cuts)
-
-    pieces: list[tuple[float, float, Expression]] = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        exprs = [_active_expr(segs, 0.5 * (t0 + t1)) for segs in seglists]
-        # Locate interior crossings by scanning for winner changes.
-        n_scan = 17
-        xs = [t0 + (t1 - t0) * k / n_scan for k in range(n_scan)]
-        winners = [_winner(exprs, x, take_max) for x in xs]
-        sub_cuts = [t0]
-        for k in range(1, n_scan):
-            if winners[k] != winners[k - 1]:
-                cross = _bisect_crossing(
-                    exprs[winners[k - 1]], exprs[winners[k]], xs[k - 1], xs[k]
-                )
-                if sub_cuts[-1] < cross < t1:
-                    sub_cuts.append(cross)
-        sub_cuts.append(t1)
-        for s0, s1 in zip(sub_cuts, sub_cuts[1:]):
-            # Sub-stretches are crossing-free, so the midpoint winner wins
-            # throughout (endpoints can tie exactly at a crossing).
-            w = _winner(exprs, 0.5 * (s0 + s1), take_max)
-            pieces.append((s0, s1, exprs[w]))
-
-    merged: list[tuple[float, float, Expression]] = []
-    for s, e, x in pieces:
-        if merged and merged[-1][2] == x:
-            merged[-1] = (merged[-1][0], e, x)
-        else:
-            merged.append((s, e, x))
-
-    # Trim leading zero pieces and trailing one pieces into the tails.
-    while merged and isinstance(merged[0][2], Constant) and merged[0][2].v == 0.0:
-        merged.pop(0)
-    one_from = b
-    while merged and isinstance(merged[-1][2], Constant) and merged[-1][2].v == 1.0:
-        one_from = merged[-1][0]
-        merged.pop()
-    return _assemble(merged, one_from)
-
-
-def intersect_pboxes(boxes: Sequence[PBox]) -> PBox:
+def intersect_pboxes(boxes: Sequence[PBox]) -> Intersection:
     """Pointwise max of lower bounds and min of upper bounds.
 
     All boxes must share the same support.  Raises ``EmptyBox`` when the
     combined lower bound exceeds the combined upper bound anywhere, which
     signals mutually inconsistent summary statistics.
     """
-    boxes = list(boxes)
+    boxes = tuple(boxes)
     if not boxes:
         raise ValueError("need at least one p-box")
     support = boxes[0].support
@@ -519,9 +454,7 @@ def intersect_pboxes(boxes: Sequence[PBox]) -> PBox:
         if p.support != support:
             raise MismatchedSupports(f"supports differ: {support} vs {p.support}")
     a, b = support.lo, support.hi
-    lbf = _envelope([p.lbf for p in boxes], a, b, take_max=True)
-    ubf = _envelope([p.ubf for p in boxes], a, b, take_max=False)
-    out = PBox(lbf, ubf, support, "intersection")
+    out = Intersection(boxes, support)
 
     probe = sorted(set(out.breakpoints()) | {a + (b - a) * k / 400 for k in range(401)})
     for t in probe:
@@ -529,3 +462,5 @@ def intersect_pboxes(boxes: Sequence[PBox]) -> PBox:
             if out.lower(x) > out.upper(x) + 1e-12:
                 raise EmptyBox(f"lower bound exceeds upper bound at theta = {x}")
     return out
+
+

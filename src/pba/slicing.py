@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .errors import ZeroSlices
 from .interval import Interval
-from .pbox import LOWER, UPPER, PBox, quasi_inverse
+from .pbox import LOWER, UPPER, Intersection, PBox, quasi_inverse
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class DiscretizedPBox:
         return iter(self.elements)
 
 
-def discretize_outer(p: PBox, n: int) -> DiscretizedPBox:
+def discretize_outer(p: PBox | Intersection, n: int) -> DiscretizedPBox:
     """Cut [0, 1] into ``n`` equal-mass slices and invert them outward.
 
     The j-th slice ((j-1)/n, j/n] maps to the interval from

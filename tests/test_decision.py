@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,17 @@ def test_pessimist_optimist():
     intervals = [ui("a", 1, 10), ui("b", 2, 3)]
     assert choose(intervals, Pessimist()) == {"b"}
     assert choose(intervals, Optimist()) == {"a"}
+
+
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_ignored_infinite_end_keeps_score_finite(first):
+    # alpha 1 ignores the upper end and alpha 0 the lower; 0 * inf would be NaN.
+    for high, low, rule, named in [
+        (ui("a", 20.0, math.inf), ui("b", 19.0, 30.0), Hurwicz(1.0), Pessimist()),
+        (ui("a", -math.inf, 10.0), ui("b", 0.0, 9.0), Hurwicz(0.0), Optimist()),
+    ]:
+        intervals = [high, low] if first == "a" else [low, high]
+        assert choose(intervals, rule) == choose(intervals, named) == {"a"}
 
 
 def test_too_few_actions():
@@ -115,6 +129,14 @@ def test_expected_interval_orders_endpoints():
     interval = expected_interval(e, utility=lambda y: 2 * y + 1).interval
     assert interval.lo == pytest.approx(2 * 0.125 + 1)
     assert interval.hi == pytest.approx(2 * 0.75 + 1)
+
+
+def test_step_holding_both_infinities_has_no_expectation():
+    e = EmpiricalPBox([(-math.inf, 0.0, 0.5), (math.inf, math.inf, 0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="undefined: one bounding step holds both -inf and"):
+            expected_interval(e)
 
 
 def test_non_monotone_utility_rejected():

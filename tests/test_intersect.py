@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pba.cli import export_curve
 from pba.errors import EmptyBox, MismatchedSupports
 from pba.minimal_data import (
     min_max,
@@ -10,6 +11,7 @@ from pba.minimal_data import (
     min_max_median_mean,
 )
 from pba.pbox import build_pbox, intersect_pboxes
+from pba.slicing import discretize_outer
 
 GRID = np.linspace(-0.2, 1.2, 401)
 
@@ -61,7 +63,7 @@ def test_empty_box_detected():
 
 
 def test_random_pairs_match_pointwise_extremes(rng):
-    """Segment-level intersection equals direct pointwise max/min.
+    """The intersection equals the direct pointwise max/min exactly.
 
     Random pairs across all constructor kinds exercise every crossing type,
     including the quadratic ones between standard-deviation branches.
@@ -96,8 +98,8 @@ def test_random_pairs_match_pointwise_extremes(rng):
         for t in GRID:
             want_lo = max(p1.lower(t), p2.lower(t))
             want_up = min(p1.upper(t), p2.upper(t))
-            assert q.lower(t) == pytest.approx(want_lo, abs=1e-9), t
-            assert q.upper(t) == pytest.approx(want_up, abs=1e-9), t
+            assert q.lower(t) == want_lo, t
+            assert q.upper(t) == want_up, t
 
 
 def test_result_is_valid_pbox():
@@ -113,11 +115,45 @@ def test_result_is_valid_pbox():
 
 
 def test_crossing_near_end_of_plateau_is_cut():
-    """The mean's upper bound meets the median's 1/2 plateau in the last 1/17 of it."""
+    """Bounds are exact where curves cross just before a breakpoint.
+
+    The mean's upper bound meets the median's 1/2 plateau in the last 1/17
+    of it; a mean bound crosses a mean/std bound near theta = 0.6645.
+    """
     m = -0.025912697457781686
-    pm = build_pbox(min_max_median(-1, 0, m))
-    pu = build_pbox(min_max_mean(-1, 0, m))
-    q = intersect_pboxes([pm, pu])
-    for t in np.linspace(-1.0, 0.0, 401).tolist() + [-0.026]:
-        assert q.lower(t) == pytest.approx(max(pm.lower(t), pu.lower(t)), abs=1e-12), t
-        assert q.upper(t) == pytest.approx(min(pm.upper(t), pu.upper(t)), abs=1e-12), t
+    pairs = [
+        (build_pbox(min_max_median(-1, 0, m)), build_pbox(min_max_mean(-1, 0, m)), -0.026),
+        (
+            build_pbox(min_max_mean(0, 1, 0.7481910230437291)),
+            build_pbox(min_max_mean_std(0, 1, 0.6980530936632332, 0.09704398592264867)),
+            0.6645,
+        ),
+    ]
+    for p1, p2, near in pairs:
+        q = intersect_pboxes([p1, p2])
+        a, b = p1.support
+        for t in np.linspace(a, b, 401).tolist() + [near]:
+            assert q.lower(t) == max(p1.lower(t), p2.lower(t)), t
+            assert q.upper(t) == min(p1.upper(t), p2.upper(t)), t
+
+
+def test_intersection_slices_and_exports(tmp_path):
+    """Slice ends are the exact quasi-inverses of the pointwise max/min."""
+    p1 = build_pbox(min_max_mean(0, 1, 0.7481910230437291))
+    p2 = build_pbox(min_max_mean_std(0, 1, 0.6980530936632332, 0.09704398592264867))
+    q = intersect_pboxes([p1, p2])
+    lower = lambda t: max(p1.lower(t), p2.lower(t))
+    upper = lambda t: min(p1.upper(t), p2.upper(t))
+    n, h, eps = 10, 1e-9, 1e-12  # eps: rounding of the closed-form inverses
+    for j, elem in enumerate(discretize_outer(q, n), start=1):
+        left, right = elem.interval
+        # right = inf{theta : lower >= j/n}, left = sup{theta : upper <= (j-1)/n}
+        assert lower(right) >= j / n - eps and (right == 0.0 or lower(right - h) < j / n), j
+        if j > 1:
+            assert upper(left - h) <= (j - 1) / n + eps, j
+            assert left == 1.0 or upper(left + h) > (j - 1) / n, j
+    rows = export_curve(q, 21, tmp_path / "curve.csv").read_text().splitlines()
+    assert rows[0] == "theta,lbf,ubf" and len(rows) == 22
+    for row in rows[1:]:
+        theta, lo, up = map(float, row.split(","))
+        assert (lo, up) == (lower(theta), upper(theta)), theta

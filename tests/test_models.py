@@ -150,6 +150,35 @@ def test_row_sum_violation():
         cohort_trace(bad, {})
 
 
+@pytest.mark.parametrize(
+    "matrix, state, message",
+    [
+        ([[0.5, 0.5, 0.0], [0.5, 0.6, 0.0], [0.2, 0.0, 0.7]], 1, "row for state 'b' sums to"),
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.0, 0.7]], 2, "row for state 'c' sums to"),
+        ([[0.5, 0.5, 0.0], [0.4, 0.5, 0.1], [0.2, 0.0, 0.8]], 2, "absorbing state 'c' row is not identity"),
+        ([[1.1, 0.0, -0.1], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]], 0, "row for state 'a' sums to"),
+    ],
+)
+def test_first_bad_row_is_reported(matrix, state, message):
+    # Rows 1 and 2 bad; row 2 failing both checks; row 2 only not identity;
+    # rows 0 (a negative entry) and 1 bad.  The first bad row is named, by
+    # its sum check before its identity check.
+    spec = CohortCeaSpec(
+        states=("a", "b", "c"),
+        absorbing=(False, False, True),
+        transition_builder=lambda params: np.array(matrix),
+        costs=(1.0, 1.0, 0.0),
+        utilities=(1.0, 0.5, 0.0),
+        cycle_length_years=1.0,
+        horizon_cycles=3,
+        discount_rate_annual=0.0,
+        initial=(1.0, 0.0, 0.0),
+    )
+    with pytest.raises(RowSumViolation, match=message) as err:
+        cohort_trace(spec, {})
+    assert (err.value.cycle, err.value.state) == (0, state)
+
+
 def test_absorbing_row_must_be_identity():
     spec = two_state_spec(stay=0.8)
     bad = CohortCeaSpec(
