@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import models
-from .decision import Dominance, Hurwicz, INDETERMINATE, Optimist, Pessimist, UtilityInterval, choose, expected_interval
+from .decision import INDETERMINATE, DecisionRule, Dominance, Hurwicz, Optimist, Pessimist, UtilityInterval, choose, expected_interval
 from .distributions import DistributionSpec
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
@@ -34,12 +34,7 @@ SUMMARY_SCHEMA = "pba-summary/1"
 
 PIPELINES = ("pbox-curve", "propagate", "propagate-mixed", "psa", "decide")
 
-_RULES = {
-    "dominance": lambda alpha: Dominance(),
-    "pessimist": lambda alpha: Pessimist(),
-    "optimist": lambda alpha: Optimist(),
-    "hurwicz": lambda alpha: Hurwicz(alpha if alpha is not None else 0.5),
-}
+_RULES = {"dominance": Dominance, "pessimist": Pessimist, "optimist": Optimist, "hurwicz": Hurwicz}
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +83,12 @@ def _minimal_data_from(cfg: Mapping, location: str) -> MinimalData:
 def _distribution_from(cfg: Mapping, location: str) -> DistributionSpec:
     family = _need(cfg, "family", location)
     try:
-        if family == "gamma":
-            if "shape" in cfg:
-                return DistributionSpec.gamma(float(cfg["shape"]), float(cfg["rate"]))
-            data = MinimalData(-float("inf"), float("inf"), mean=float(cfg["mean"]), std=float(cfg["std"]))
-            return DistributionSpec.from_moments("gamma", data)
-        if family == "beta":
-            if "alpha" in cfg:
-                return DistributionSpec.beta(float(cfg["alpha"]), float(cfg["beta"]))
-            data = MinimalData(-float("inf"), float("inf"), mean=float(cfg["mean"]), std=float(cfg["std"]))
-            return DistributionSpec.from_moments("beta", data)
+        if family in ("gamma", "beta"):
+            if "mean" in cfg:
+                data = MinimalData(-math.inf, math.inf, mean=float(cfg["mean"]), std=float(cfg["std"]))
+                return DistributionSpec.from_moments(family, data)
+            native = {k: float(v) for k, v in cfg.items() if k != "family"}
+            return getattr(DistributionSpec, family)(**native)
         if family == "uniform":
             return DistributionSpec.uniform(float(_need(cfg, "min", location)), float(_need(cfg, "max", location)))
         if family == "tabulated":
@@ -191,6 +182,22 @@ def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
     )
 
 
+def _rule_from(cfg: Mapping) -> tuple[str, DecisionRule]:
+    """The named decision rule, built once; ``alpha`` belongs to ``hurwicz`` alone."""
+    name = cfg.get("rule", "dominance")
+    if name not in _RULES:
+        raise ConfigParseError(f"unknown decision rule {name!r}", location="decision.rule")
+    kwargs = {}
+    if cfg.get("alpha") is not None:
+        if name != "hurwicz":
+            raise ConfigParseError(f"rule {name!r} takes no alpha", location="decision.alpha")
+        kwargs["alpha"] = _number(float, cfg["alpha"], "decision.alpha")
+    try:
+        return name, _RULES[name](**kwargs)
+    except ValueError as exc:
+        raise ConfigParseError(str(exc), location="decision.alpha") from exc
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     pipeline: str
@@ -203,7 +210,7 @@ class AnalysisConfig:
     optimizer: OptimizerSettings = OptimizerSettings()
     actions: tuple[ActionSpec, ...] = ()
     rule_name: str = "dominance"
-    alpha: float | None = None
+    rule: DecisionRule = Dominance()
     curve_grid: int = 201
     psa_baseline: PsaBaseline | None = None
     outputs: Mapping[str, str] = field(default_factory=dict)
@@ -256,21 +263,12 @@ class AnalysisConfig:
             )
             for i, a in enumerate(cfg.get("actions", ()))
         )
-        decision_cfg = cfg.get("decision", {})
-        rule_name = decision_cfg.get("rule", "dominance")
-        if rule_name not in _RULES:
-            raise ConfigParseError(f"unknown decision rule {rule_name!r}", location="decision.rule")
-        alpha = decision_cfg.get("alpha")
-        alpha = None if alpha is None else _number(float, alpha, "decision.alpha")
-        try:
-            _RULES[rule_name](alpha)
-        except ValueError as exc:
-            raise ConfigParseError(str(exc), location="decision.alpha") from exc
+        rule_name, rule = _rule_from(cfg.get("decision", {}))
 
         opt_cfg = cfg.get("optimizer", {})
         try:
             optimizer = OptimizerSettings(
-                budget=int(opt_cfg.get("budget", 2000)), tol=float(opt_cfg.get("tol", 1e-6))
+                **{key: kind(opt_cfg[key]) for key, kind in (("budget", int), ("tol", float)) if key in opt_cfg}
             )
         except (TypeError, ValueError) as exc:
             raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc
@@ -288,12 +286,13 @@ class AnalysisConfig:
             optimizer=optimizer,
             actions=actions,
             rule_name=rule_name,
-            alpha=alpha,
+            rule=rule,
             curve_grid=_count(cfg, "curve_grid", 201, 2, "curve_grid"),
             psa_baseline=psa_baseline,
             outputs=dict(cfg.get("output", {})),
         )
         config._validate_names()
+        config._validate_pipeline()
         return config
 
     def _validate_names(self):
@@ -317,6 +316,21 @@ class AnalysisConfig:
                 f"model {self.model_name!r} inputs {missing} are not configured",
                 location="parameters",
             )
+
+    def _validate_pipeline(self):
+        """The parameter groups and actions the pipeline needs, checked at load."""
+        params = self.parameters
+        if self.pipeline == "pbox-curve" and not params.boxed:
+            raise ConfigParseError("pbox-curve needs boxed parameters", location="parameters.boxed")
+        if self.pipeline == "propagate" and params.precise:
+            raise ConfigParseError(
+                "pipeline 'propagate' forbids precise parameters; use propagate-mixed",
+                location="parameters.precise",
+            )
+        if self.pipeline == "psa" and params.boxed:
+            raise ConfigParseError("pipeline 'psa' forbids boxed parameters", location="parameters.boxed")
+        if self.pipeline == "decide" and len(self.actions) < 2:
+            raise ConfigParseError("decide needs at least two actions", location="actions")
 
     def replace(self, **kwargs) -> "AnalysisConfig":
         from dataclasses import replace as dc_replace
@@ -407,8 +421,6 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
     curve_name = config.outputs.get("curve", "curve.csv")
 
     if config.pipeline == "pbox-curve":
-        if not config.parameters.boxed:
-            raise ConfigParseError("pbox-curve needs boxed parameters", location="parameters.boxed")
         multiple = len(config.parameters.boxed) > 1
         for name, data in sorted(config.parameters.boxed.items()):
             box = build_pbox(data)
@@ -417,18 +429,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             outputs[f"curve:{name}"] = str(target)
     else:
         params = config.parameters
-        if config.pipeline == "propagate" and params.precise:
-            raise ConfigParseError(
-                "pipeline 'propagate' forbids precise parameters; use propagate-mixed",
-                location="parameters.precise",
-            )
-        if config.pipeline == "psa" and params.boxed:
-            raise ConfigParseError(
-                "pipeline 'psa' forbids boxed parameters", location="parameters.boxed"
-            )
         if config.pipeline == "decide":
-            if len(config.actions) < 2:
-                raise ConfigParseError("decide needs at least two actions", location="actions")
             runs = [(a.id, f"curve-{a.id}.csv", _pinned(params, a.overrides)) for a in config.actions]
         else:
             runs = [("", curve_name, params)]
@@ -456,11 +457,11 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
                 "unbounded_boxes": result.unbounded_boxes,
             })
         if config.pipeline == "decide":
-            chosen = choose(intervals, _RULES[config.rule_name](config.alpha))
+            chosen = choose(intervals, config.rule)
             summary["actions"] = action_rows
             summary["rule"] = config.rule_name
-            if config.alpha is not None:
-                summary["alpha"] = config.alpha
+            if config.rule_name == "hurwicz":
+                summary["alpha"] = config.rule.alpha
             summary["chosen"] = "indeterminate" if chosen is INDETERMINATE else sorted(chosen)
         else:
             summary["expected_interval"] = [ui.lo, ui.hi]

@@ -7,13 +7,16 @@ than naming which step produced which endpoint, the interval is returned
 ordered as [min, max].  An infinite outcome makes an end infinite; a step
 holding both -inf and +inf has no expectation and is rejected.
 
-Actions are chosen by dominance or by a Hurwicz score of the interval;
-Pessimist and Optimist are the Hurwicz scores at alpha 1 and 0, and an
-end with weight 0 is left out of the score, so it may be infinite.
+Actions are chosen by dominance or by a Hurwicz score of the interval,
+alpha * lower + (1 - alpha) * upper.  ``Pessimist()`` and ``Optimist()``
+are that score at alpha 1 and 0.  An end with weight 0 is left out of the
+score, so it may be infinite; an interval with both ends infinite has no
+score for 0 < alpha < 1 and is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -61,31 +64,27 @@ class Dominance:
 
 
 @dataclass(frozen=True)
-class Pessimist:
-    """Hurwicz with alpha 1: scores the lower end."""
-
-    alpha = 1.0
-
-
-@dataclass(frozen=True)
-class Optimist:
-    """Hurwicz with alpha 0: scores the upper end."""
-
-    alpha = 0.0
-
-
-@dataclass(frozen=True)
 class Hurwicz:
     """Scores alpha * lower + (1 - alpha) * upper; alpha weights pessimism."""
 
-    alpha: float
+    alpha: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-DecisionRule = Union[Dominance, Pessimist, Optimist, Hurwicz]
+def Pessimist() -> Hurwicz:
+    """Hurwicz with alpha 1: scores the lower end."""
+    return Hurwicz(1.0)
+
+
+def Optimist() -> Hurwicz:
+    """Hurwicz with alpha 0: scores the upper end."""
+    return Hurwicz(0.0)
+
+
+DecisionRule = Union[Dominance, Hurwicz]
 
 
 def expected_interval(
@@ -127,8 +126,12 @@ def expected_interval(
 
 def _hurwicz_score(u: UtilityInterval, alpha: float) -> float:
     """alpha * lo + (1 - alpha) * hi, leaving out an end whose weight is 0,
-    so that an infinite end it ignores cannot make the score NaN."""
-    return sum(w * end for w, end in ((alpha, u.lo), (1.0 - alpha, u.hi)) if w != 0.0)
+    so that an infinite end it ignores cannot make the score NaN.  With both
+    ends weighted, [-inf, +inf] has no score and is rejected."""
+    score = sum(w * end for w, end in ((alpha, u.lo), (1.0 - alpha, u.hi)) if w != 0.0)
+    if math.isnan(score):
+        raise ValueError(f"Hurwicz score of {u.action!r} is undefined: alpha {alpha} weights both ends of [-inf, inf]")
+    return score
 
 
 def choose(us: Sequence[UtilityInterval], rule: DecisionRule):
@@ -137,8 +140,7 @@ def choose(us: Sequence[UtilityInterval], rule: DecisionRule):
     Dominance: action a beats b iff both interval endpoints of a are
     strictly larger; the undominated set is returned when it is a single
     action and INDETERMINATE otherwise (no strict ordering exists among
-    several maximal elements).  Pessimist and Optimist are Hurwicz at alpha
-    1 and 0.  The scoring rules return every maximizer on ties.
+    several maximal elements).  Hurwicz returns every maximizer on ties.
     """
     us = list(us)
     if len(us) < 2:
@@ -151,7 +153,7 @@ def choose(us: Sequence[UtilityInterval], rule: DecisionRule):
         if len(maximal) == 1:
             return frozenset({maximal[0].action})
         return INDETERMINATE
-    if isinstance(rule, (Pessimist, Optimist, Hurwicz)):
+    if isinstance(rule, Hurwicz):
         scores = [_hurwicz_score(u, rule.alpha) for u in us]
         best = max(scores)
         return frozenset(u.action for u, s in zip(us, scores) if s == best)

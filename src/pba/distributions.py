@@ -1,4 +1,11 @@
-"""Precise parameter distributions for the Monte Carlo pipelines."""
+"""Precise parameter distributions for the Monte Carlo pipelines.
+
+A ``DistributionSpec`` is built by the constructor named after its family
+(``gamma``, ``beta``, ``uniform``, ``tabulated``), or for the first three
+from summary statistics by ``from_moments``: ``moment_match`` returns the
+native parameters under that constructor's argument names, so building from
+moments needs no second dispatch on the family.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +29,12 @@ def moment_match(family: str, data: MinimalData) -> dict[str, float]:
     gamma: shape = mean^2/std^2, rate = mean/std^2.
     beta:  nu = mean(1-mean)/std^2 - 1, alpha = mean*nu, beta = (1-mean)*nu.
     uniform: the (min, max) pair directly.
+
+    The keys are the argument names of ``DistributionSpec``'s constructor
+    for ``family``.  An unknown family is rejected before anything else.
     """
+    if family not in (GAMMA, BETA, UNIFORM):
+        raise InvalidDistributionSpec(f"unknown family {family!r}")
     if family == UNIFORM:
         return {"low": data.minimum, "high": data.maximum}
     mu, sigma = data.mean, data.std
@@ -32,15 +44,13 @@ def moment_match(family: str, data: MinimalData) -> dict[str, float]:
         if mu <= 0 or sigma <= 0:
             raise InfeasibleMoments(f"gamma needs positive mean and std, got {mu}, {sigma}")
         return {"shape": mu**2 / sigma**2, "rate": mu / sigma**2}
-    if family == BETA:
-        var = sigma**2
-        if not 0 < mu < 1:
-            raise InfeasibleMoments(f"beta needs mean in (0, 1), got {mu}")
-        if var >= mu * (1 - mu):
-            raise InfeasibleMoments(f"beta needs std^2 < mean(1-mean), got {var}")
-        nu = mu * (1 - mu) / var - 1
-        return {"alpha": mu * nu, "beta": (1 - mu) * nu}
-    raise InvalidDistributionSpec(f"unknown family {family!r}")
+    var = sigma**2
+    if not 0 < mu < 1:
+        raise InfeasibleMoments(f"beta needs mean in (0, 1), got {mu}")
+    if var >= mu * (1 - mu):
+        raise InfeasibleMoments(f"beta needs std^2 < mean(1-mean), got {var}")
+    nu = mu * (1 - mu) / var - 1
+    return {"alpha": mu * nu, "beta": (1 - mu) * nu}
 
 
 @dataclass(frozen=True)
@@ -85,14 +95,8 @@ class DistributionSpec:
 
     @classmethod
     def from_moments(cls, family: str, data: MinimalData) -> "DistributionSpec":
-        params = moment_match(family, data)
-        if family == GAMMA:
-            return cls.gamma(params["shape"], params["rate"])
-        if family == BETA:
-            return cls.beta(params["alpha"], params["beta"])
-        if family == UNIFORM:
-            return cls.uniform(params["low"], params["high"])
-        raise InvalidDistributionSpec(f"unknown family {family!r}")
+        params = moment_match(family, data)  # rejects an unknown family first
+        return getattr(cls, family)(**params)
 
     def _p(self, name: str) -> float:
         return dict(self.params)[name]
@@ -125,14 +129,3 @@ class DistributionSpec:
             ps = np.array([p for _, p in self.table])
             return np.interp(u, ps, xs)
         raise InvalidDistributionSpec(f"unknown family {self.family!r}")
-
-    def mean(self) -> float:
-        if self.family == GAMMA:
-            return self._p("shape") / self._p("rate")
-        if self.family == BETA:
-            a, b = self._p("alpha"), self._p("beta")
-            return a / (a + b)
-        if self.family == UNIFORM:
-            return 0.5 * (self._p("low") + self._p("high"))
-        u = np.linspace(0.0, 1.0, 20001)[1:-1]
-        return float(np.mean(self.ppf(u)))

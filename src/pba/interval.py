@@ -20,13 +20,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def __iter__(self):
         yield self.lo
         yield self.hi

@@ -52,10 +52,6 @@ class MinimalData:
             return KIND_MEDIAN
         return KIND_MINMAX
 
-    @property
-    def width(self) -> float:
-        return self.maximum - self.minimum
-
 
 def min_max(a: float, b: float) -> MinimalData:
     return validate_minimal_data(MinimalData(a, b))

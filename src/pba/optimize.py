@@ -188,6 +188,14 @@ def _direct_minimize(
             return best.center, best.f, False, evals
 
 
+def _finite_value(objective: Callable[[Sequence[float]], float], point: tuple[float, ...]) -> float:
+    """``objective(point)`` as a float; a NaN or infinity raises ``NonFiniteObjective``."""
+    value = float(objective(point))
+    if not math.isfinite(value):
+        raise NonFiniteObjective(f"objective returned {value}", point=point)
+    return value
+
+
 def optimize_box(
     objective: Callable[[Sequence[float]], float], box: SearchBox, sense: str = MIN
 ) -> OptResult:
@@ -213,17 +221,11 @@ def optimize_box(
 
     def wrapped(unit_point: Sequence[float]) -> float:
         point = denormalize(unit_point)
-        value = float(objective(point))
-        if not math.isfinite(value):
-            raise NonFiniteObjective(f"objective returned {value}", point=point)
-        return sign * value
+        return sign * _finite_value(objective, point)
 
     if not active:
         point = tuple(lows)
-        value = float(objective(point))
-        if not math.isfinite(value):
-            raise NonFiniteObjective(f"objective returned {value}", point=point)
-        return OptResult(point, value, True, 1)
+        return OptResult(point, _finite_value(objective, point), True, 1)
 
     unit_best, f_best, converged, evals = _direct_minimize(
         wrapped, len(active), box.budget, box.tol
@@ -249,14 +251,11 @@ def vertex_extrema(
     hi = -math.inf
     for corner in itertools.product(*((iv.lo, iv.hi) for iv in box.bounds)):
         try:
-            value = float(objective(corner))
+            value = _finite_value(objective, corner)
         except SingularSystem as exc:
             if not exc.direction:
                 raise
             value = math.copysign(math.inf, exc.direction)
-        else:
-            if not math.isfinite(value):
-                raise NonFiniteObjective(f"objective returned {value}", point=corner)
         lo = min(lo, value)
         hi = max(hi, value)
     return lo, hi

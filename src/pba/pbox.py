@@ -86,9 +86,16 @@ class MeanUpper:
         return self.b - (self.b - self.mu) / p
 
 
+def _slack(e: StdLowerMid | StdUpperMid) -> float:
+    """r = (b-mu)(mu-a) - s^2, the variance below the cap.  The middle pieces
+    are written in r: near the cap their textbook forms cancel badly."""
+    return (e.b - e.mu) * (e.mu - e.a) - e.sigma**2
+
+
 @dataclass(frozen=True)
 class StdLowerMid:
-    """[s^2 + (b-mu)(theta-mu)] / [(b-a)(theta-a)], between the two kinks."""
+    """[s^2 + (b-mu)(theta-mu)] / [(b-a)(theta-a)] = [(b-mu) - r/(theta-a)] / (b-a),
+    between the two kinks."""
 
     a: float
     b: float
@@ -96,14 +103,10 @@ class StdLowerMid:
     sigma: float
 
     def value(self, theta: float) -> float:
-        num = self.sigma**2 + (self.b - self.mu) * (theta - self.mu)
-        den = (self.b - self.a) * (theta - self.a)
-        return num / den
+        return ((self.b - self.mu) - _slack(self) / (theta - self.a)) / (self.b - self.a)
 
     def inverse(self, p: float) -> float:
-        num = self.mu * (self.b - self.mu) - self.sigma**2 - p * self.a * (self.b - self.a)
-        den = (self.b - self.mu) - p * (self.b - self.a)
-        return num / den
+        return self.a + _slack(self) / ((self.b - self.mu) - p * (self.b - self.a))
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,8 @@ class StdUpperLeft:
 
 @dataclass(frozen=True)
 class StdUpperMid:
-    """[(b-mu)(b-a+mu-theta) - s^2] / [(b-a)(b-theta)], between the kinks."""
+    """[(b-mu)(b-a+mu-theta) - s^2] / [(b-a)(b-theta)] = [(b-mu) + r/(b-theta)] / (b-a),
+    between the kinks."""
 
     a: float
     b: float
@@ -145,14 +149,10 @@ class StdUpperMid:
     sigma: float
 
     def value(self, theta: float) -> float:
-        num = (self.b - self.mu) * (self.b - self.a + self.mu - theta) - self.sigma**2
-        den = (self.b - self.a) * (self.b - theta)
-        return num / den
+        return ((self.b - self.mu) + _slack(self) / (self.b - theta)) / (self.b - self.a)
 
     def inverse(self, p: float) -> float:
-        num = p * self.b * (self.b - self.a) - (self.b - self.mu) * (self.b - self.a + self.mu) + self.sigma**2
-        den = p * (self.b - self.a) - (self.b - self.mu)
-        return num / den
+        return self.b - _slack(self) / (p * (self.b - self.a) - (self.b - self.mu))
 
 
 Expression = Union[
@@ -325,8 +325,9 @@ def _build_mean_std(d: MinimalData) -> PBox:
         lbf = _assemble([(a, b, Constant(phi))], b)
         ubf = _assemble([(a, b, Constant(phi))], b)
         return PBox(lbf, ubf, Interval(a, b), d)
-    xi1 = mu - sigma**2 / (b - mu)
-    xi2 = mu + sigma**2 / (mu - a)
+    # Just below the cap the kinks can round onto a or b: keep them inside.
+    xi1 = max(mu - sigma**2 / (b - mu), math.nextafter(a, b))
+    xi2 = min(mu + sigma**2 / (mu - a), math.nextafter(b, a))
     lbf = _assemble(
         [(xi1, xi2, StdLowerMid(a, b, mu, sigma)), (xi2, b, StdLowerRight(mu, sigma))],
         b,

@@ -84,9 +84,9 @@ def test_unknown_schema_rejected():
 def test_pipeline_parameter_consistency():
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad["pipeline"] = "propagate"
-    config = AnalysisConfig.from_dict(bad)
-    with pytest.raises(ConfigParseError):
-        run_analysis(config, "/tmp/should-not-matter")
+    with pytest.raises(ConfigParseError) as err:
+        AnalysisConfig.from_dict(bad)
+    assert err.value.location == "parameters.precise"
 
 
 
@@ -272,6 +272,7 @@ def test_decide_pipeline(tmp_path):
     assert [row["unconverged_boxes"] for row in written["actions"]] == list(counts.values())
     assert (tmp_path / "curve-device.csv").exists()
     assert (tmp_path / "curve-conventional.csv").exists()
+    assert written["rule"] == "pessimist" and "alpha" not in written
 
 
 
@@ -299,7 +300,7 @@ def _all_fixed_decide_config(slow_c6: float) -> dict:
 
 
 def test_decide_all_fixed_actions(tmp_path):
-    analysis = AnalysisConfig.from_dict(_all_fixed_decide_config(slow_c6=0.8))
+    analysis = AnalysisConfig.from_dict(_decide_config({"rule": "hurwicz"}))
     model = analysis.model
     calls = []
 
@@ -316,6 +317,9 @@ def test_decide_all_fixed_actions(tmp_path):
         assert row["expected_interval"] == [model.fn(args)] * 2
         curve = (tmp_path / f"curve-{row['id']}.csv").read_text().strip().splitlines()[1:]
         assert all(line.split(",")[1] == line.split(",")[2] for line in curve)  # degenerate
+    # A hurwicz run reports the alpha it used, the default included.
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert (written["rule"], written["alpha"]) == ("hurwicz", 0.5)
 
 
 def test_decide_all_fixed_model_error_recorded(tmp_path, capsys):
@@ -352,6 +356,11 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("decision.alpha", _decide_config({"rule": "hurwicz", "alpha": "x"})),
         ("seed", dict(BASE_CONFIG, seed="abc")),
         ("actions[1].overrides.c6", _decide_config({"rule": "pessimist"}, slow_c6="slow")),
+        ("decision.alpha", _decide_config({"rule": "pessimist", "alpha": 0.3})),
+        ("parameters.boxed", dict(BASE_CONFIG, pipeline="pbox-curve")),
+        ("parameters.precise", dict(BASE_CONFIG, pipeline="propagate")),
+        ("parameters.boxed", dict(_minmax_propagate_config({}), pipeline="psa")),
+        ("actions", dict(_all_fixed_decide_config(slow_c6=0.8), actions=[{"id": "usual"}])),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -508,3 +517,24 @@ def test_unbounded_outcome_in_summary_and_curve(tmp_path):
     curve = (tmp_path / "curve.csv").read_text().splitlines()
     assert curve[-1] == "inf,1.0,1.0"
     assert curve[1].split(",")[1:] == ["0.0", "0.0"]
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        {"min": 0.011252101358785849, "max": 4.181297142517946, "mean": 4.111666749105025, "std": 0.5343346190157194},
+        {"min": 0.0, "max": 1.0, "mean": 0.44, "std": 0.4963869458396343},
+    ],
+)
+def test_run_with_std_at_or_just_below_the_cap(box, tmp_path):
+    """Mean/std boxes at or within ulps of the variance cap slice and propagate."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config.update(pipeline="propagate", n=10, curve_grid=11)
+    config["parameters"]["fixed"]["c6"] = config["parameters"]["precise"].pop("c6")["mean"]
+    config["parameters"]["boxed"] = {"c1": box}
+    del config["parameters"]["precise"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    lo, hi = json.loads((tmp_path / "out" / "summary.json").read_text())["expected_interval"]
+    assert 0 < lo <= hi < math.inf

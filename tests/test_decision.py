@@ -52,6 +52,17 @@ def test_ignored_infinite_end_keeps_score_finite(first):
         assert choose(intervals, rule) == choose(intervals, named) == {"a"}
 
 
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_hurwicz_score_of_doubly_infinite_interval_rejected(first):
+    # alpha * -inf + (1 - alpha) * inf has no value for 0 < alpha < 1.
+    unbounded, bounded = ui("a", -math.inf, math.inf), ui("b", 0.0, 1.0)
+    intervals = [unbounded, bounded] if first == "a" else [bounded, unbounded]
+    with pytest.raises(ValueError, match="undefined"):
+        choose(intervals, Hurwicz(0.5))
+    assert choose(intervals, Pessimist()) == {"b"}
+    assert choose(intervals, Optimist()) == {"a"}
+
+
 def test_too_few_actions():
     with pytest.raises(TooFewActions):
         choose([ui("a", 0, 1)], Pessimist())
@@ -63,6 +74,8 @@ def test_hurwicz_alpha_validated():
 
 
 def test_hurwicz_extremes_match_named_rules(rng):
+    assert Pessimist() == Hurwicz(1.0)
+    assert Optimist() == Hurwicz(0.0)
     for _ in range(100):
         k = rng.integers(2, 6)
         intervals = []

@@ -224,6 +224,35 @@ def test_std_below_the_cap_keeps_general_segments():
             assert got == [(s.hex(), e.hex(), x) for s, e, x in segs]
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+def test_std_a_few_ulps_below_the_cap_builds_and_slices(seed):
+    """std**2 = cap * (1 - k * eps): the kinks land within ulps of min and max.
+
+    The middle pieces are evaluated through the slack below the cap and the
+    kinks are kept strictly inside the support, so every such box builds,
+    keeps ordered, non-decreasing bounds, slices and inverts.
+    """
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        a = rng.uniform(-5, 5)
+        b = a + rng.uniform(0.1, 10)
+        mu = rng.uniform(a, b)
+        cap = (b - mu) * (mu - a)
+        for k in (2, 3, 5, 10, 20, 50, 100, 1e3, 1e4, 1e6):
+            p = build_pbox(min_max_mean_std(a, b, mu, math.sqrt(cap * (1 - k * eps))))
+            assert len(discretize_outer(p, 10).elements) == 10
+            grid = sorted({*np.linspace(a, b, 11).tolist(), *p.breakpoints()})
+            lower = np.array([p.lower(t) for t in grid])
+            upper = np.array([p.upper(t) for t in grid])
+            assert np.all(lower <= upper)
+            # Closed forms evaluated in floating point are monotone up to rounding.
+            assert np.all(np.diff(lower) >= -1e-12) and np.all(np.diff(upper) >= -1e-12)
+            for side in (LOWER, UPPER):
+                for prob in (0.0, 0.25, 0.5, 0.75, 1.0):
+                    quasi_inverse(p, side, prob)
+
+
 def _bounds_on_grid(d):
     """Lower and upper bound of ``build_pbox(d)`` on 641 points around its support."""
     p = build_pbox(d)
