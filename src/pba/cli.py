@@ -25,7 +25,7 @@ from .decision import INDETERMINATE, DecisionRule, Dominance, Hurwicz, Optimist,
 from .distributions import DistributionSpec
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
-from .models import REGISTRY, CohortCeaSpec, RegisteredModel, build_transition_matrix, discounted_outcomes, cohort_trace
+from .models import REGISTRY, CohortCeaSpec, RegisteredModel, cohort_trace, compile_transitions, discounted_outcomes
 from .pbox import Intersection, PBox, build_pbox
 from .propagate import EmpiricalPBox, OptimizerSettings, ParameterSet, propagate_mixed, psa_propagate
 
@@ -112,10 +112,8 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
     if outcome not in ("nmb", "cost", "qaly"):
         raise ConfigParseError(f"unknown outcome {outcome!r}", location=location)
 
-    def builder(params: Mapping[str, float]):
-        return build_transition_matrix(states, absorbing, transitions, params)
-
     try:
+        builder = compile_transitions(states, absorbing, transitions)
         spec = CohortCeaSpec(
             states=states,
             absorbing=absorbing,
@@ -130,14 +128,6 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
     except ValueError as exc:
         raise ConfigParseError(str(exc), location=location) from exc
 
-    declared: set[str] = set()
-    for entry in transitions:
-        if "param" in entry:
-            declared.add(entry["param"])
-        for factor in entry.get("product", ()):
-            if isinstance(factor, str):
-                declared.add(factor)
-
     def model(params: Mapping[str, float]) -> float:
         cost, qaly = discounted_outcomes(cohort_trace(spec, params), spec)
         if outcome == "cost":
@@ -146,7 +136,7 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
             return qaly
         return wtp * qaly - cost
 
-    return RegisteredModel(model, frozenset(declared))
+    return RegisteredModel(model, builder.param_names)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -115,6 +115,11 @@ class CohortCeaSpec:
     row-stochastic matrix.  Costs and utilities are annual rates weighted by
     state occupancy; rewards accrue at cycle starts with no half-cycle
     correction, discounted by (1 + annual rate)**(-t * cycle_length).
+
+    The arrays every evaluation needs (costs, utilities, initial
+    distribution, discount factors and the absorbing rows' identity rows)
+    are built once per spec; ``dataclasses.replace`` makes a new spec and
+    so builds them afresh.
     """
 
     states: tuple[str, ...]
@@ -137,53 +142,88 @@ class CohortCeaSpec:
             raise ValueError("cycle length must be positive")
         if any(not 0.0 <= u <= 1.0 for u in self.utilities):
             raise ValueError("utilities must lie in [0, 1]")
-        if abs(math.fsum(self.initial) - 1.0) > _ROW_TOL:
+        if not abs(math.fsum(self.initial) - 1.0) <= _ROW_TOL:
             raise ValueError("initial distribution must sum to 1")
+
+    # Built on first use, once per spec: a run that never evaluates the
+    # spec (the bundled demo spec is made at import) pays nothing for them.
+
+    @cached_property
+    def _costs(self) -> np.ndarray:
+        return np.asarray(self.costs, dtype=float)
+
+    @cached_property
+    def _utilities(self) -> np.ndarray:
+        return np.asarray(self.utilities, dtype=float)
+
+    @cached_property
+    def _initial(self) -> np.ndarray:
+        return np.asarray(self.initial, dtype=float)
+
+    @cached_property
+    def _discount(self) -> np.ndarray:
+        cycles = np.arange(self.horizon_cycles)
+        return (1.0 + self.discount_rate_annual) ** (-cycles * self.cycle_length_years)
+
+    @cached_property
+    def _identity_rows(self) -> tuple[list[float] | None, ...]:
+        """The identity row of each absorbing state, None for the others."""
+        n = len(self.states)
+        return tuple([float(i == j) for j in range(n)] if a else None for i, a in enumerate(self.absorbing))
 
 
 def _check_matrix(spec: CohortCeaSpec, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a float array, or ``RowSumViolation`` at its first bad row.
+
+    A row is bad if its sum is off 1 or an entry is negative, or, for an
+    absorbing state, if it is not the identity row; a NaN anywhere fails
+    the sum check.  The checks run on Python rows, which for a handful of
+    states is cheaper than the numpy reductions.
+    """
     matrix = np.asarray(matrix, dtype=float)
     n = len(spec.states)
     if matrix.shape != (n, n):
         raise RowSumViolation(f"transition matrix must be {n}x{n}, got {matrix.shape}")
-    bad_sum = (np.abs(matrix.sum(axis=1) - 1.0) > _ROW_TOL) | (matrix.min(axis=1) < -_ROW_TOL)
-    bad_absorbing = np.array(spec.absorbing) & (np.abs(matrix - np.eye(n)).max(axis=1) > _ROW_TOL)
-    bad = bad_sum | bad_absorbing
-    if bad.any():
-        i = int(np.argmax(bad))  # the first offending row
-        if bad_sum[i]:
+    for i, (row, identity) in enumerate(zip(matrix.tolist(), spec._identity_rows)):
+        total = sum(row)
+        if not (abs(total - 1.0) <= _ROW_TOL and min(row) >= -_ROW_TOL):
             raise RowSumViolation(
-                f"row for state {spec.states[i]!r} sums to {float(matrix[i].sum())}", cycle=0, state=i
+                f"row for state {spec.states[i]!r} sums to {total}", cycle=0, state=i
             )
-        raise RowSumViolation(
-            f"absorbing state {spec.states[i]!r} row is not identity", cycle=0, state=i
-        )
+        if identity is not None and not max(abs(x - e) for x, e in zip(row, identity)) <= _ROW_TOL:
+            raise RowSumViolation(
+                f"absorbing state {spec.states[i]!r} row is not identity", cycle=0, state=i
+            )
     return matrix
 
 
 def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray:
     """State occupancy by cycle: row 0 is the initial distribution.
 
-    Occupancy is computed by repeated squaring: once rows 0..k-1 are known,
-    rows k..2k-1 are those rows times P**k, and P**k is squared for the next
-    round, so a horizon of H cycles takes about 2*log2(H) small products
-    instead of H.  Mass conservation is checked at every cycle, and a drift
-    is reported at the first cycle that exceeds the tolerance.
+    Occupancy is computed by repeated squaring.  One buffer holds P**k in
+    its first n rows and the trace after them; once trace rows 0..k-1 are
+    known, the one product ``buffer[:n + step] @ P**k`` gives both P**2k and
+    trace rows k..k+step-1, so a horizon of H cycles takes about log2(H)
+    small products instead of H.  Mass conservation is checked at every
+    cycle, and a drift (or a NaN) is reported at the first cycle where it
+    exceeds the tolerance.
     """
     matrix = _check_matrix(spec, spec.transition_builder(params))
-    rows = spec.horizon_cycles + 1
-    trace = np.empty((rows, len(spec.states)))
-    trace[0] = spec.initial
-    power, filled = matrix, 1  # power == matrix ** filled
+    n, rows = len(spec.states), spec.horizon_cycles + 1
+    buffer = np.empty((n + rows, n))
+    buffer[:n] = matrix
+    buffer[n] = spec._initial
+    filled = 1  # buffer[:n] == matrix ** filled, and trace rows 0..filled-1 are known
     while filled < rows:
         step = min(filled, rows - filled)
-        trace[filled : filled + step] = trace[:step] @ power
+        product = buffer[: n + step] @ buffer[:n]
+        buffer[:n] = product[:n]
+        buffer[n + filled : n + filled + step] = product[n:]
         filled += step
-        if filled < rows:
-            power = power @ power
+    trace = buffer[n:]
     drift = np.abs(trace.sum(axis=1) - 1.0)
-    if drift.max() > _ROW_TOL:
-        t = int(np.argmax(drift > _ROW_TOL))
+    if not drift.max() <= _ROW_TOL:
+        t = int(np.argmax(~(drift <= _ROW_TOL)))
         raise RowSumViolation(
             f"occupancy at cycle {t} sums to {trace[t].sum()}", cycle=t, state=None
         )
@@ -192,12 +232,10 @@ def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray
 
 def discounted_outcomes(trace: np.ndarray, spec: CohortCeaSpec) -> tuple[float, float]:
     """Discounted (total cost, total QALY) over the horizon."""
-    cycles = np.arange(spec.horizon_cycles)
-    discount = (1.0 + spec.discount_rate_annual) ** (-cycles * spec.cycle_length_years)
     occupancy = trace[: spec.horizon_cycles]
-    cost_per_cycle = occupancy @ np.asarray(spec.costs) * spec.cycle_length_years
-    qaly_per_cycle = occupancy @ np.asarray(spec.utilities) * spec.cycle_length_years
-    return float(discount @ cost_per_cycle), float(discount @ qaly_per_cycle)
+    cost_per_cycle = occupancy @ spec._costs * spec.cycle_length_years
+    qaly_per_cycle = occupancy @ spec._utilities * spec.cycle_length_years
+    return float(spec._discount @ cost_per_cycle), float(spec._discount @ qaly_per_cycle)
 
 
 def inmb(
@@ -214,40 +252,74 @@ def inmb(
 # ---------------------------------------------------------------------------
 
 
+def compile_transitions(
+    states: Sequence[str],
+    absorbing: Sequence[bool],
+    transitions: Sequence[Mapping],
+) -> Callable[[Mapping[str, float]], np.ndarray]:
+    """A transition builder for declarative transition entries.
+
+    Each entry has ``from``, ``to`` and one of ``value`` (a constant),
+    ``param`` (a named parameter) or ``product`` (a list of names/constants
+    multiplied together, left to right).  Staying probabilities are the row
+    remainders, summed left to right; absorbing states take identity rows.
+
+    The entries are resolved once, here: state indices, the product of
+    each entry's leading constants, and the factors after them.  The
+    returned ``builder(params)`` then only multiplies floats into Python
+    rows and makes one array.  ``builder.param_names`` is the frozenset of
+    parameter names the entries use.
+    """
+    index = {name: i for i, name in enumerate(states)}
+    n = len(states)
+    entries = []
+    names: set[str] = set()
+    for entry in transitions:
+        src, dst = index.get(entry.get("from")), index.get(entry.get("to"))
+        if src is None or dst is None:
+            raise ValueError(f"transition {dict(entry)} needs 'from' and 'to' naming declared states")
+        if "value" in entry:
+            factors = [float(entry["value"])]
+        elif "param" in entry:
+            factors = [str(entry["param"])]
+        elif "product" in entry:
+            factors = [f if isinstance(f, str) else float(f) for f in entry["product"]]
+        else:
+            raise ValueError(f"transition {dict(entry)} needs a 'value', 'param' or 'product'")
+        # Fold the leading constants; multiplying by them at call time, in
+        # this order from 1.0, would give the same float.
+        head = 1.0
+        while factors and not isinstance(factors[0], str):
+            head *= factors.pop(0)
+        entries.append((src, dst, head, tuple(factors)))
+        names.update(f for f in factors if isinstance(f, str))
+    free = [i for i in range(n) if not absorbing[i]]
+    identity = [(i, [float(i == j) for j in range(n)]) for i in range(n) if absorbing[i]]
+
+    def builder(params: Mapping[str, float]) -> np.ndarray:
+        rows = [[0.0] * n for _ in range(n)]
+        for src, dst, p, tail in entries:
+            for factor in tail:
+                p *= params[factor] if isinstance(factor, str) else factor
+            rows[src][dst] += p
+        for i in free:
+            rows[i][i] += 1.0 - sum(rows[i])
+        for i, row in identity:
+            rows[i] = row
+        return np.array(rows, dtype=float)
+
+    builder.param_names = frozenset(names)
+    return builder
+
+
 def build_transition_matrix(
     states: Sequence[str],
     absorbing: Sequence[bool],
     transitions: Sequence[Mapping],
     params: Mapping[str, float],
 ) -> np.ndarray:
-    """Assemble a row-stochastic matrix from declarative transition entries.
-
-    Each entry has ``from``, ``to`` and one of ``value`` (a constant),
-    ``param`` (a named parameter) or ``product`` (a list of names/constants
-    multiplied together).  Staying probabilities are the row remainders;
-    absorbing states take identity rows.
-    """
-    index = {name: i for i, name in enumerate(states)}
-    n = len(states)
-    matrix = np.zeros((n, n))
-    for entry in transitions:
-        src, dst = index[entry["from"]], index[entry["to"]]
-        if "value" in entry:
-            p = float(entry["value"])
-        elif "param" in entry:
-            p = float(params[entry["param"]])
-        else:
-            p = 1.0
-            for factor in entry["product"]:
-                p *= float(params[factor]) if isinstance(factor, str) else float(factor)
-        matrix[src, dst] += p
-    for i in range(n):
-        if absorbing[i]:
-            matrix[i] = 0.0
-            matrix[i, i] = 1.0
-        else:
-            matrix[i, i] += 1.0 - matrix[i].sum()
-    return matrix
+    """One matrix from declarative transition entries; see ``compile_transitions``."""
+    return compile_transitions(states, absorbing, transitions)(params)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +345,10 @@ DEMO_PARAM_NAMES = frozenset(
 def demo_cea_spec() -> CohortCeaSpec:
     """Synthetic device-evaluation cohort model, monthly cycles for 10 years."""
     absorbing = (False, False, False, True)
-
-    def builder(params: Mapping[str, float]) -> np.ndarray:
-        return build_transition_matrix(DEMO_STATES, absorbing, DEMO_TRANSITIONS, params)
-
     return CohortCeaSpec(
         states=DEMO_STATES,
         absorbing=absorbing,
-        transition_builder=builder,
+        transition_builder=compile_transitions(DEMO_STATES, absorbing, DEMO_TRANSITIONS),
         costs=(300.0, 2_400.0, 24_000.0, 0.0),
         utilities=(0.95, 0.75, 0.40, 0.0),
         cycle_length_years=1.0 / 12.0,

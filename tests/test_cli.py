@@ -341,6 +341,29 @@ def _minmax_propagate_config(families: dict) -> dict:
     return config
 
 
+def _inline_cea_config(transitions: list) -> dict:
+    """A two-state inline CEA model with the given transition entries."""
+    return {
+        "schema": "pba-analysis/1",
+        "pipeline": "propagate",
+        "model": {
+            "cea": {
+                "states": [
+                    {"name": "alive", "cost": 100.0, "utility": 0.9},
+                    {"name": "dead", "absorbing": True},
+                ],
+                "transitions": transitions,
+                "initial": [1.0, 0.0],
+                "cycle_length_years": 1.0,
+                "horizon_cycles": 20,
+                "discount_rate_annual": 0.035,
+            }
+        },
+        "parameters": {"boxed": {"p_die": {"min": 0.05, "max": 0.3, "mean": 0.1}}},
+        "n": 5,
+    }
+
+
 def _decide_config(decision: dict, slow_c6=0.8) -> dict:
     config = _all_fixed_decide_config(slow_c6=slow_c6)
     config["decision"] = decision
@@ -361,6 +384,8 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("parameters.precise", dict(BASE_CONFIG, pipeline="propagate")),
         ("parameters.boxed", dict(_minmax_propagate_config({}), pipeline="psa")),
         ("actions", dict(_all_fixed_decide_config(slow_c6=0.8), actions=[{"id": "usual"}])),
+        ("model.cea", _inline_cea_config([{"from": "alive", "to": "gone", "param": "p_die"}])),
+        ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead"}])),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -473,6 +498,21 @@ def test_bundled_configs_round_trip(name, tmp_path):
     assert np.all(np.diff(body[:, 2]) >= -1e-12)
     assert np.all(body[:, 1] <= body[:, 2] + 1e-12)
     assert summary["runtime_seconds"] >= 0
+
+
+def test_bundled_cea_result_pinned(tmp_path):
+    """The bundled CEA run, at two samples, gives the figures it gave before
+    the cohort evaluator was compiled per spec: the same expected interval to
+    the last bit, and the same DIRECT trajectory (model evaluations).  The
+    figures were recorded with numpy 2.4 on x86-64; another BLAS may round
+    the small matrix products differently."""
+    config = load_config(CONFIG_DIR / "demo-cea-inmb.json").replace(samples=2)
+    summary = run_analysis(config, tmp_path)
+    assert [repr(v) for v in summary["expected_interval"]] == [
+        "-1581.6096957697448",
+        "31609.485147967665",
+    ]
+    assert summary["model_evaluations"] == 10466
 
 
 def test_bad_pba_seed_gives_error_record(tmp_path, capsys, monkeypatch):

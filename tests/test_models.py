@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,11 +8,13 @@ import pytest
 from pba.errors import RowSumViolation, SingularSystem
 from pba.interval import Interval
 from pba.models import (
+    DEMO_TRANSITIONS,
     REGISTRY,
     CohortCeaSpec,
     FourStateRates,
     build_transition_matrix,
     cohort_trace,
+    compile_transitions,
     demo_cea_inmb,
     demo_cea_nmb,
     demo_cea_spec,
@@ -179,6 +182,24 @@ def test_first_bad_row_is_reported(matrix, state, message):
     assert (err.value.cycle, err.value.state) == (0, state)
 
 
+def test_absorbing_row_reported_before_a_later_bad_sum():
+    # Row 0 (absorbing) is not identity and row 1 sums to 1.1: row 0 is named.
+    spec = CohortCeaSpec(
+        states=("dead", "b"),
+        absorbing=(True, False),
+        transition_builder=lambda params: np.array([[0.9, 0.1], [0.5, 0.6]]),
+        costs=(0.0, 1.0),
+        utilities=(0.0, 1.0),
+        cycle_length_years=1.0,
+        horizon_cycles=3,
+        discount_rate_annual=0.0,
+        initial=(0.0, 1.0),
+    )
+    with pytest.raises(RowSumViolation, match="absorbing state 'dead' row is not identity") as err:
+        cohort_trace(spec, {})
+    assert (err.value.cycle, err.value.state) == (0, 0)
+
+
 def test_absorbing_row_must_be_identity():
     spec = two_state_spec(stay=0.8)
     bad = CohortCeaSpec(
@@ -214,6 +235,63 @@ def test_drift_caught_at_first_offending_cycle():
     with pytest.raises(RowSumViolation) as err:
         cohort_trace(drifting, {})
     assert err.value.cycle == 2
+
+
+@pytest.mark.parametrize(
+    "matrix, state",
+    [
+        ([[math.nan, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], 0),
+        ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, math.nan, 1.0]], 2),
+        ([[1.0, 0.0, 0.0], [0.5, math.inf, 0.0], [0.0, 0.0, 1.0]], 1),
+    ],
+)
+def test_non_finite_row_is_reported(matrix, state):
+    # Every comparison with NaN is false, so a check written as "reject if
+    # off by more than the tolerance" would let these rows through.
+    spec = CohortCeaSpec(
+        states=("a", "b", "c"),
+        absorbing=(False, False, True),
+        transition_builder=lambda params: np.array(matrix),
+        costs=(1.0, 1.0, 0.0),
+        utilities=(1.0, 0.5, 0.0),
+        cycle_length_years=1.0,
+        horizon_cycles=3,
+        discount_rate_annual=0.0,
+        initial=(1.0, 0.0, 0.0),
+    )
+    with pytest.raises(RowSumViolation, match="sums to (nan|inf)") as err:
+        cohort_trace(spec, {})
+    assert (err.value.cycle, err.value.state) == (0, state)
+
+
+def test_nan_occupancy_caught_at_first_cycle():
+    # A valid matrix and an initial distribution that sums to exactly 1, but
+    # whose huge entries of both signs pile into states 0 and 1 and overflow
+    # to +inf and -inf at cycle 1; their sum is NaN.
+    big = 1e308
+    spec = CohortCeaSpec(
+        states=("a", "b", "c", "d", "e"),
+        absorbing=(False,) * 5,
+        transition_builder=lambda params: np.array(
+            [[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0], [1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0], [0, 0, 0, 0, 1.0]]
+        ),
+        costs=(1.0,) * 5,
+        utilities=(0.5,) * 5,
+        cycle_length_years=1.0,
+        horizon_cycles=4,
+        discount_rate_annual=0.0,
+        initial=(big, -big, big, -big, 1.0),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RowSumViolation, match="occupancy at cycle 1 sums to nan") as err:
+            cohort_trace(spec, {})
+    assert (err.value.cycle, err.value.state) == (1, None)
+
+
+def test_nan_initial_distribution_rejected():
+    spec = two_state_spec(stay=0.8)
+    with pytest.raises(ValueError, match="initial distribution"):
+        dataclasses.replace(spec, initial=(math.nan, 1.0))
 
 
 def _sequential_outcomes(spec, matrix):
@@ -372,6 +450,108 @@ def test_transition_builder_remainder_and_absorbing():
     assert matrix[0, 0] == pytest.approx(0.7)
     assert matrix[1, 2] == pytest.approx(0.4)
     assert np.array_equal(matrix[2], [0, 0, 1])
+
+
+def _reference_matrix(states, absorbing, transitions, params):
+    """The per-entry loop the compiled builder replaced, kept as a reference.
+
+    It takes row remainders from numpy sums, which run left to right, as
+    the builder's do, for rows of fewer than eight entries.
+    """
+    index = {name: i for i, name in enumerate(states)}
+    n = len(states)
+    matrix = np.zeros((n, n))
+    for entry in transitions:
+        src, dst = index[entry["from"]], index[entry["to"]]
+        if "value" in entry:
+            p = float(entry["value"])
+        elif "param" in entry:
+            p = float(params[entry["param"]])
+        else:
+            p = 1.0
+            for factor in entry["product"]:
+                p *= float(params[factor]) if isinstance(factor, str) else float(factor)
+        matrix[src, dst] += p
+    for i in range(n):
+        if absorbing[i]:
+            matrix[i] = 0.0
+            matrix[i, i] = 1.0
+        else:
+            matrix[i, i] += 1.0 - matrix[i].sum()
+    return matrix
+
+
+def _random_table(rng, n):
+    """Random states, absorbing flags and entries, with repeated (from, to)
+    pairs, constants anywhere in a product, and absorbing states that have
+    outgoing entries of their own."""
+    states = tuple(f"s{i}" for i in range(n))
+    absorbing = tuple(bool(b) for b in rng.random(n) < 0.3)
+    names = [f"q{k}" for k in range(4)]
+    pairs = [(states[rng.integers(n)], states[rng.integers(n)]) for _ in range(n + 2)]
+    transitions = []
+    for _ in range(rng.integers(1, 4 * n)):
+        src, dst = pairs[rng.integers(len(pairs))]
+        kind = rng.integers(3)
+        if kind == 0:
+            transitions.append({"from": src, "to": dst, "value": float(rng.uniform(0, 0.1))})
+        elif kind == 1:
+            transitions.append({"from": src, "to": dst, "param": names[rng.integers(4)]})
+        else:
+            factors = [
+                names[rng.integers(4)] if rng.random() < 0.5 else float(rng.uniform(0.2, 3.0))
+                for _ in range(rng.integers(1, 5))
+            ]
+            transitions.append({"from": src, "to": dst, "product": factors})
+    params = {name: float(rng.uniform(0.0, 0.1)) for name in names}
+    return states, absorbing, transitions, params
+
+
+def test_compiled_builder_matches_reference_loop():
+    rng = np.random.default_rng(20261018)
+    for n in range(2, 7):
+        for _ in range(300):
+            states, absorbing, transitions, params = _random_table(rng, n)
+            builder = compile_transitions(states, absorbing, transitions)
+            expected = _reference_matrix(states, absorbing, transitions, params)
+            assert np.array_equal(builder(params), expected), (transitions, params)
+            used = {e["param"] for e in transitions if "param" in e}
+            used |= {f for e in transitions for f in e.get("product", ()) if isinstance(f, str)}
+            assert builder.param_names == used
+
+    # The precomputed arrays follow a replaced horizon and discount rate,
+    # also when the original spec has built its own already.
+    spec = demo_cea_spec()
+    discounted_outcomes(cohort_trace(spec, DEMO_PARAMS), spec)
+    for horizon, rate in ((1, 0.0), (37, 0.1), (240, 0.035)):
+        replaced = dataclasses.replace(spec, horizon_cycles=horizon, discount_rate_annual=rate)
+        fresh = CohortCeaSpec(
+            states=spec.states,
+            absorbing=spec.absorbing,
+            transition_builder=compile_transitions(spec.states, spec.absorbing, DEMO_TRANSITIONS),
+            costs=spec.costs,
+            utilities=spec.utilities,
+            cycle_length_years=spec.cycle_length_years,
+            horizon_cycles=horizon,
+            discount_rate_annual=rate,
+            initial=spec.initial,
+        )
+        got = discounted_outcomes(cohort_trace(replaced, DEMO_PARAMS), replaced)
+        assert got == discounted_outcomes(cohort_trace(fresh, DEMO_PARAMS), fresh)
+        assert cohort_trace(replaced, DEMO_PARAMS).shape == (horizon + 1, 4)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"from": "a", "to": "gone", "param": "p"}, "naming declared states"),
+        ({"to": "a", "value": 0.1}, "naming declared states"),
+        ({"from": "a", "to": "b"}, "needs a 'value', 'param' or 'product'"),
+    ],
+)
+def test_compile_rejects_bad_entry(entry, message):
+    with pytest.raises(ValueError, match=message):
+        compile_transitions(("a", "b"), (False, True), [entry])
 
 
 def test_registry_declares_parameters():
