@@ -38,12 +38,11 @@ from .models import (
     life_expectancy,
     monotone,
 )
-from .optimize import SearchBox, optimize_box, vertex_extrema
+from .optimize import OptimizerSettings, SearchBox, optimize_box, vertex_extrema
 from .oracle import oracle_cdf_bounds
 from .pbox import PBox, build_pbox, intersect_pboxes, quasi_inverse
 from .propagate import (
     EmpiricalPBox,
-    OptimizerSettings,
     ParameterSet,
     propagate_mixed,
     propagate_pboxes,

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,7 +27,8 @@ from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
 from .models import REGISTRY, CohortCeaSpec, RegisteredModel, cohort_trace, compile_transitions, discounted_outcomes
 from .pbox import Intersection, PBox, build_pbox
-from .propagate import EmpiricalPBox, OptimizerSettings, ParameterSet, propagate_mixed, psa_propagate
+from .optimize import OptimizerSettings
+from .propagate import EmpiricalPBox, ParameterSet, propagate_mixed, psa_propagate
 
 CONFIG_SCHEMA = "pba-analysis/1"
 SUMMARY_SCHEMA = "pba-summary/1"
@@ -194,16 +195,16 @@ class AnalysisConfig:
     model_name: str
     model: RegisteredModel
     parameters: ParameterSet
-    n: int = 50
-    samples: int = 50
-    seed: int = 0
-    optimizer: OptimizerSettings = OptimizerSettings()
-    actions: tuple[ActionSpec, ...] = ()
-    rule_name: str = "dominance"
-    rule: DecisionRule = Dominance()
-    curve_grid: int = 201
-    psa_baseline: PsaBaseline | None = None
-    outputs: Mapping[str, str] = field(default_factory=dict)
+    n: int
+    samples: int
+    seed: int
+    optimizer: OptimizerSettings
+    actions: tuple[ActionSpec, ...]
+    rule_name: str
+    rule: DecisionRule
+    curve_grid: int
+    psa_baseline: PsaBaseline | None
+    outputs: Mapping[str, str]
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "AnalysisConfig":
@@ -321,11 +322,6 @@ class AnalysisConfig:
             raise ConfigParseError("pipeline 'psa' forbids boxed parameters", location="parameters.boxed")
         if self.pipeline == "decide" and len(self.actions) < 2:
             raise ConfigParseError("decide needs at least two actions", location="actions")
-
-    def replace(self, **kwargs) -> "AnalysisConfig":
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **kwargs)
 
 
 def load_config(path: str | Path) -> AnalysisConfig:
@@ -514,7 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "run":
             config = load_config(args.config)
-            config = config.replace(seed=_resolve_seed(args.seed, config.seed))
+            config = replace(config, seed=_resolve_seed(args.seed, config.seed))
             run_analysis(config, args.out)
             return 0
         if args.command == "pbox":

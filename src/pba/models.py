@@ -136,12 +136,19 @@ class CohortCeaSpec:
         n = len(self.states)
         if not (len(self.absorbing) == len(self.costs) == len(self.utilities) == len(self.initial) == n):
             raise ValueError("per-state fields must all have one entry per state")
-        if self.horizon_cycles < 1:
+        # Each check is written so that a NaN fails it.
+        if not self.horizon_cycles >= 1:
             raise ValueError("horizon must be at least one cycle")
-        if self.cycle_length_years <= 0:
-            raise ValueError("cycle length must be positive")
+        if not 0 < self.cycle_length_years < math.inf:
+            raise ValueError(f"cycle length must be positive and finite, got {self.cycle_length_years}")
+        if not -1 < self.discount_rate_annual < math.inf:
+            raise ValueError(f"discount rate must be finite and above -1, got {self.discount_rate_annual}")
+        if not all(math.isfinite(c) for c in self.costs):
+            raise ValueError(f"costs must be finite, got {self.costs}")
         if any(not 0.0 <= u <= 1.0 for u in self.utilities):
             raise ValueError("utilities must lie in [0, 1]")
+        if not all(x >= 0.0 for x in self.initial):
+            raise ValueError(f"initial distribution entries must be non-negative, got {self.initial}")
         if not abs(math.fsum(self.initial) - 1.0) <= _ROW_TOL:
             raise ValueError("initial distribution must sum to 1")
 
@@ -312,16 +319,6 @@ def compile_transitions(
     return builder
 
 
-def build_transition_matrix(
-    states: Sequence[str],
-    absorbing: Sequence[bool],
-    transitions: Sequence[Mapping],
-    params: Mapping[str, float],
-) -> np.ndarray:
-    """One matrix from declarative transition entries; see ``compile_transitions``."""
-    return compile_transitions(states, absorbing, transitions)(params)
-
-
 # ---------------------------------------------------------------------------
 # Demonstration cost-effectiveness model
 # ---------------------------------------------------------------------------
@@ -336,9 +333,6 @@ DEMO_TRANSITIONS = (
     {"from": "minor", "to": "dead", "param": "p_die"},
     {"from": "serious", "to": "minor", "value": 0.05},
     {"from": "serious", "to": "dead", "param": "p_die_serious"},
-)
-DEMO_PARAM_NAMES = frozenset(
-    {"p_minor", "p_serious", "p_die", "p_minor_serious", "p_die_serious", "rr", "device_cost"}
 )
 
 
@@ -359,6 +353,7 @@ def demo_cea_spec() -> CohortCeaSpec:
 
 
 _DEMO_SPEC = demo_cea_spec()
+DEMO_PARAM_NAMES = _DEMO_SPEC.transition_builder.param_names | {"device_cost"}
 _DEMO_KEYS = ("p_minor", "p_serious", "p_die", "p_minor_serious", "p_die_serious")
 
 

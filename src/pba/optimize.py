@@ -25,20 +25,29 @@ MAX = "max"
 
 
 @dataclass(frozen=True)
-class SearchBox:
-    """Bounds plus the evaluation budget and relative diameter tolerance."""
+class OptimizerSettings:
+    """Per-box evaluation budget and relative diameter tolerance."""
 
-    bounds: tuple[Interval, ...]
     budget: int = 2000
     tol: float = 1e-6
 
     def __post_init__(self):
-        if len(self.bounds) == 0:
-            raise ValueError("search box needs at least one dimension")
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
         if not 0 < self.tol < 1:
             raise ValueError(f"tol must be in (0, 1), got {self.tol}")
+
+
+@dataclass(frozen=True)
+class SearchBox:
+    """Bounds plus the settings of the search over them."""
+
+    bounds: tuple[Interval, ...]
+    settings: OptimizerSettings = OptimizerSettings()
+
+    def __post_init__(self):
+        if len(self.bounds) == 0:
+            raise ValueError("search box needs at least one dimension")
 
 
 @dataclass(frozen=True)
@@ -228,7 +237,7 @@ def optimize_box(
         return OptResult(point, _finite_value(objective, point), True, 1)
 
     unit_best, f_best, converged, evals = _direct_minimize(
-        wrapped, len(active), box.budget, box.tol
+        wrapped, len(active), box.settings.budget, box.settings.tol
     )
     return OptResult(denormalize(unit_best), sign * f_best, converged, evals)
 
@@ -245,8 +254,8 @@ def vertex_extrema(
     still rejected.
     """
     dim = len(box.bounds)
-    if 2**dim > box.budget:
-        raise DimensionTooLarge(f"2**{dim} vertex evaluations exceed budget {box.budget}")
+    if 2**dim > box.settings.budget:
+        raise DimensionTooLarge(f"2**{dim} vertex evaluations exceed budget {box.settings.budget}")
     lo = math.inf
     hi = -math.inf
     for corner in itertools.product(*((iv.lo, iv.hi) for iv in box.bounds)):

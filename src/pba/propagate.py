@@ -31,27 +31,13 @@ from .distributions import DistributionSpec
 from .errors import HyperrectangleCapExceeded, ModelEvaluationError, SingularSystem
 from .interval import Interval
 from .minimal_data import MinimalData
-from .optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
+from .optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_box, vertex_extrema
 from .pbox import build_pbox
 from .slicing import DiscretizedPBox, count_hyperrectangles, discretize_outer, focal_product
 
 Model = Callable[[Mapping[str, float]], float]
 
 DEFAULT_HYPERRECT_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Per-hyperrectangle optimization budget and tolerance."""
-
-    budget: int = 2000
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -188,12 +174,9 @@ def _box_objective(
     return fn, cache
 
 
-def _optimize_rect(
-    model: Model, fixed: Mapping[str, float], names: list[str], intervals, opt: OptimizerSettings
-):
+def _optimize_rect(model: Model, fixed: Mapping[str, float], names: list[str], box: SearchBox):
     """(y_min, y_max), distinct model calls and unconverged searches of one box."""
     objective, cache = _box_objective(model, fixed, names)
-    box = SearchBox(intervals, budget=opt.budget, tol=opt.tol)
     lo = optimize_box(objective, box, MIN)
     hi = optimize_box(objective, box, MAX)
     bad = (0 if lo.converged else 1) + (0 if hi.converged else 1)
@@ -225,14 +208,13 @@ def _optimize_rects(
     if getattr(model, "monotone", False):
         objective, cache = _box_objective(model, fixed, names, divergent=True)
 
-        def search(intervals):
+        def search(box):
             known = len(cache)
-            box = SearchBox(intervals, budget=opt.budget, tol=opt.tol)
             return vertex_extrema(objective, box), len(cache) - known, 0
     else:
 
-        def search(intervals):
-            return _optimize_rect(model, fixed, names, intervals, opt)
+        def search(box):
+            return _optimize_rect(model, fixed, names, box)
 
     searched: dict[tuple[Interval, ...], tuple] = {}
     triples = []
@@ -241,7 +223,7 @@ def _optimize_rects(
     for rect in focal_product(sliced):
         found = searched.get(rect.intervals)
         if found is None:
-            found = searched[rect.intervals] = search(rect.intervals)
+            found = searched[rect.intervals] = search(SearchBox(rect.intervals, opt))
             evals += found[1]
         (lo, hi), _, unconverged = found
         triples.append((lo, hi, rect.mass))

@@ -219,8 +219,7 @@ def test_criterion_07_optimizer_soundness():
                 Interval(c1_lo, c1_lo + rng.uniform(0.01, 2.0)),
                 Interval(c6_lo, c6_lo + rng.uniform(0.01, 2.0)),
             ),
-            budget=4000,
-            tol=1e-8,
+            OptimizerSettings(budget=4000, tol=1e-8),
         )
         v_lo, v_hi = vertex_extrema(objective, box)
         d_lo = optimize_box(objective, box, MIN).value
@@ -228,7 +227,7 @@ def test_criterion_07_optimizer_soundness():
         assert abs(d_lo - v_lo) <= 1e-6 * abs(v_lo)
         assert abs(d_hi - v_hi) <= 1e-6 * abs(v_hi)
     quad = lambda v: (v[0] - 0.3) ** 2 + (v[1] - 0.7) ** 2
-    result = optimize_box(quad, SearchBox((Interval(0, 1), Interval(0, 1)), budget=2000), MIN)
+    result = optimize_box(quad, SearchBox((Interval(0, 1), Interval(0, 1)), OptimizerSettings(budget=2000)), MIN)
     assert result.value <= 1e-4 and result.evaluations <= 2000
     report(7, "vertex-oracle agreement <= 1e-6 on 20 boxes; quadratic <= 1e-4")
 

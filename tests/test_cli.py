@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -178,7 +179,7 @@ def test_summary_counts_every_model_call(tmp_path):
         calls.append(1)
         return model.fn(params)
 
-    summary = run_analysis(analysis.replace(model=RegisteredModel(counted, model.param_names)), tmp_path)
+    summary = run_analysis(dataclasses.replace(analysis, model=RegisteredModel(counted, model.param_names)), tmp_path)
     assert "baseline" in summary["outputs"]
     assert summary["model_evaluations"] == len(calls)
 
@@ -308,7 +309,7 @@ def test_decide_all_fixed_actions(tmp_path):
         calls.append(dict(params))
         return model.fn(params)
 
-    summary = run_analysis(analysis.replace(model=RegisteredModel(counted, model.param_names)), tmp_path)
+    summary = run_analysis(dataclasses.replace(analysis, model=RegisteredModel(counted, model.param_names)), tmp_path)
     # One model call per action, at the fixed parameters and its overrides.
     assert summary["model_evaluations"] == len(calls) == 2
     assert [c["c6"] for c in calls] == [1.0, 0.8]
@@ -341,8 +342,11 @@ def _minmax_propagate_config(families: dict) -> dict:
     return config
 
 
-def _inline_cea_config(transitions: list) -> dict:
-    """A two-state inline CEA model with the given transition entries."""
+ALIVE_TO_DEAD = [{"from": "alive", "to": "dead", "param": "p_die"}]
+
+
+def _inline_cea_config(transitions: list, **cea) -> dict:
+    """A two-state inline CEA model with the given transition entries and fields."""
     return {
         "schema": "pba-analysis/1",
         "pipeline": "propagate",
@@ -357,6 +361,7 @@ def _inline_cea_config(transitions: list) -> dict:
                 "cycle_length_years": 1.0,
                 "horizon_cycles": 20,
                 "discount_rate_annual": 0.035,
+                **cea,
             }
         },
         "parameters": {"boxed": {"p_die": {"min": 0.05, "max": 0.3, "mean": 0.1}}},
@@ -386,6 +391,9 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("actions", dict(_all_fixed_decide_config(slow_c6=0.8), actions=[{"id": "usual"}])),
         ("model.cea", _inline_cea_config([{"from": "alive", "to": "gone", "param": "p_die"}])),
         ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead"}])),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, cycle_length_years=math.nan)),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, discount_rate_annual=math.nan)),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, initial=[1.5, -0.5])),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -506,7 +514,7 @@ def test_bundled_cea_result_pinned(tmp_path):
     the last bit, and the same DIRECT trajectory (model evaluations).  The
     figures were recorded with numpy 2.4 on x86-64; another BLAS may round
     the small matrix products differently."""
-    config = load_config(CONFIG_DIR / "demo-cea-inmb.json").replace(samples=2)
+    config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     summary = run_analysis(config, tmp_path)
     assert [repr(v) for v in summary["expected_interval"]] == [
         "-1581.6096957697448",

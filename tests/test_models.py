@@ -12,7 +12,6 @@ from pba.models import (
     REGISTRY,
     CohortCeaSpec,
     FourStateRates,
-    build_transition_matrix,
     cohort_trace,
     compile_transitions,
     demo_cea_inmb,
@@ -22,7 +21,7 @@ from pba.models import (
     inmb,
     life_expectancy,
 )
-from pba.optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
+from pba.optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_box, vertex_extrema
 
 BASE_RATES = dict(c2=0.01, c3=0.001, c4=0.1, c5=0.05)
 
@@ -267,7 +266,8 @@ def test_non_finite_row_is_reported(matrix, state):
 def test_nan_occupancy_caught_at_first_cycle():
     # A valid matrix and an initial distribution that sums to exactly 1, but
     # whose huge entries of both signs pile into states 0 and 1 and overflow
-    # to +inf and -inf at cycle 1; their sum is NaN.
+    # to +inf and -inf at cycle 1; their sum is NaN.  The spec rejects a
+    # negative entry, so the mixed-sign distribution is set after it is built.
     big = 1e308
     spec = CohortCeaSpec(
         states=("a", "b", "c", "d", "e"),
@@ -280,8 +280,9 @@ def test_nan_occupancy_caught_at_first_cycle():
         cycle_length_years=1.0,
         horizon_cycles=4,
         discount_rate_annual=0.0,
-        initial=(big, -big, big, -big, 1.0),
+        initial=(0.0, 0.0, 0.0, 0.0, 1.0),
     )
+    object.__setattr__(spec, "initial", (big, -big, big, -big, 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RowSumViolation, match="occupancy at cycle 1 sums to nan") as err:
             cohort_trace(spec, {})
@@ -292,6 +293,27 @@ def test_nan_initial_distribution_rejected():
     spec = two_state_spec(stay=0.8)
     with pytest.raises(ValueError, match="initial distribution"):
         dataclasses.replace(spec, initial=(math.nan, 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cycle_length_years", math.nan, "cycle length"),
+        ("cycle_length_years", math.inf, "cycle length"),
+        ("cycle_length_years", 0.0, "cycle length"),
+        ("discount_rate_annual", math.nan, "discount rate"),
+        ("discount_rate_annual", -1.0, "discount rate"),
+        ("discount_rate_annual", math.inf, "discount rate"),
+        ("costs", (math.nan, 0.0), "costs"),
+        ("costs", (100.0, math.inf), "costs"),
+        ("horizon_cycles", math.nan, "horizon"),
+        ("initial", (1.5, -0.5), "non-negative"),
+    ],
+)
+def test_spec_rejects_bad_field(field, value, message):
+    spec = two_state_spec(stay=0.8)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec, **{field: value})
 
 
 def _sequential_outcomes(spec, matrix):
@@ -435,7 +457,7 @@ def test_demo_inmb_zero_when_no_effect():
 
 
 def test_transition_builder_remainder_and_absorbing():
-    matrix = build_transition_matrix(
+    matrix = compile_transitions(
         ("a", "b", "dead"),
         (False, False, True),
         (
@@ -443,8 +465,7 @@ def test_transition_builder_remainder_and_absorbing():
             {"from": "a", "to": "dead", "value": 0.1},
             {"from": "b", "to": "dead", "product": ["p", 2.0]},
         ),
-        {"p": 0.2},
-    )
+    )({"p": 0.2})
     assert np.allclose(matrix.sum(axis=1), 1.0)
     assert matrix[0, 1] == pytest.approx(0.2)
     assert matrix[0, 0] == pytest.approx(0.7)
@@ -561,6 +582,13 @@ def test_registry_declares_parameters():
     assert value == pytest.approx(life_expectancy(FourStateRates(c1=0.05, c6=1.0, **BASE_RATES)))
 
 
+def test_demo_models_declare_the_demo_names():
+    names = {"p_minor", "p_serious", "p_die", "p_minor_serious", "p_die_serious", "rr", "device_cost"}
+    for name in ("demo_cea_nmb", "demo_cea_inmb"):
+        assert REGISTRY[name].param_names == names
+    assert set(DEMO_PARAMS) == names
+
+
 def test_only_the_four_state_model_is_declared_monotone():
     # A grid probe of the CEA demo sees both signs of slope in p_serious.
     assert REGISTRY["four_state_life_expectancy"].fn.monotone is True
@@ -593,7 +621,8 @@ def test_four_state_vertex_extrema_bracket_the_box(rng):
         lows = rng.uniform(0.0, 1.0, size=6)
         lows[5] += 0.05
         highs = lows + rng.uniform(0.01, 1.0, size=6)
-        box = SearchBox(tuple(Interval(lo, hi) for lo, hi in zip(lows, highs)), budget=2000, tol=1e-4)
+        bounds = tuple(Interval(lo, hi) for lo, hi in zip(lows, highs))
+        box = SearchBox(bounds, OptimizerSettings(budget=2000, tol=1e-4))
         v_lo, v_hi = vertex_extrema(objective, box)
         slack = 1e-12 * abs(v_hi)
         for point in itertools.product(*(np.linspace(lo, hi, 5)[1:-1] for lo, hi in zip(lows, highs))):

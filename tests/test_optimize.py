@@ -5,7 +5,7 @@ import pytest
 
 from pba.errors import DimensionTooLarge, NonFiniteObjective, SingularSystem
 from pba.interval import Interval
-from pba.optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
+from pba.optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_box, vertex_extrema
 
 UNIT2 = (Interval(0, 1), Interval(0, 1))
 
@@ -24,11 +24,25 @@ def camel(v):
     return (4 - 2.1 * x**2 + x**4 / 3) * x**2 + x * y + (-4 + 4 * y**2) * y**2
 
 
-CAMEL_BOX = SearchBox((Interval(-3, 3), Interval(-2, 2)), budget=3000, tol=1e-7)
+CAMEL_BOX = SearchBox((Interval(-3, 3), Interval(-2, 2)), OptimizerSettings(budget=3000, tol=1e-7))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"budget": 0}, "budget must"), ({"tol": 0.0}, "tol must"), ({"tol": 1.0}, "tol must")],
+)
+def test_settings_range_checked(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        OptimizerSettings(**kwargs)
+
+
+def test_search_box_needs_a_dimension():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        SearchBox(())
 
 
 def test_quadratic_minimum():
-    result = optimize_box(quadratic, SearchBox(UNIT2, budget=2000, tol=1e-6), MIN)
+    result = optimize_box(quadratic, SearchBox(UNIT2, OptimizerSettings(budget=2000, tol=1e-6)), MIN)
     assert result.value == pytest.approx(0.0, abs=1e-4)
     assert result.point[0] == pytest.approx(0.3, abs=1e-2)
     assert result.point[1] == pytest.approx(0.7, abs=1e-2)
@@ -36,7 +50,7 @@ def test_quadratic_minimum():
 
 
 def test_linear_extrema():
-    box = SearchBox(UNIT2, budget=4000, tol=1e-8)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=4000, tol=1e-8))
     rmin = optimize_box(linear, box, MIN)
     rmax = optimize_box(linear, box, MAX)
     assert rmin.value == pytest.approx(-1.0, abs=1e-6)
@@ -55,7 +69,7 @@ def test_multimodal_global_minimum():
          ("-0x1.6ffe463fc8080p-4", "0x1.6ce14bc32fef4p-1")),
         (camel, CAMEL_BOX, MAX, 193, True, "0x1.45ccc2e22967dp+7",
          ("-0x1.7ffffe3f03b76p+1", "-0x1.fffffda95a49dp+0")),
-        (quadratic, SearchBox(UNIT2, budget=500, tol=1e-6), MIN, 499, False,
+        (quadratic, SearchBox(UNIT2, OptimizerSettings(budget=500, tol=1e-6)), MIN, 499, False,
          "0x1.2382eb5db9adep-36", ("0x1.33324fe6ae6e2p-2", "0x1.66661aa23a24bp-1")),
     ],
     ids=["camel-min", "camel-max", "quadratic-budget"],
@@ -71,14 +85,14 @@ def test_search_trajectory_pinned(objective, box, sense, evaluations, converged,
 
 
 def test_determinism():
-    box = SearchBox(UNIT2, budget=500, tol=1e-6)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=500, tol=1e-6))
     runs = [optimize_box(quadratic, box, MIN) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_soundness_against_interior_samples(rng):
     objective = lambda v: np.sin(3 * v[0]) * np.cos(2 * v[1]) + 0.1 * v[0]
-    box = SearchBox(UNIT2, budget=3000, tol=1e-7)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=3000, tol=1e-7))
     lo = optimize_box(objective, box, MIN).value
     hi = optimize_box(objective, box, MAX).value
     for _ in range(100):
@@ -88,8 +102,8 @@ def test_soundness_against_interior_samples(rng):
 
 
 def test_nested_boxes_monotone():
-    outer = SearchBox(UNIT2, budget=3000, tol=1e-7)
-    inner = SearchBox((Interval(0.2, 0.8), Interval(0.1, 0.6)), budget=3000, tol=1e-7)
+    outer = SearchBox(UNIT2, OptimizerSettings(budget=3000, tol=1e-7))
+    inner = SearchBox((Interval(0.2, 0.8), Interval(0.1, 0.6)), OptimizerSettings(budget=3000, tol=1e-7))
     f = lambda v: (v[0] - 0.55) ** 2 - v[1]
     tol = 1e-6
     assert optimize_box(f, inner, MIN).value >= optimize_box(f, outer, MIN).value - tol
@@ -97,30 +111,30 @@ def test_nested_boxes_monotone():
 
 
 def test_vertex_extrema_exact_for_linear():
-    box = SearchBox(UNIT2, budget=2000)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=2000))
     assert vertex_extrema(linear, box) == (-1.0, 2.0)
 
 
 def test_vertex_extrema_counts_evaluations():
     calls = []
-    box = SearchBox((Interval(0, 1),) * 3, budget=2000)
+    box = SearchBox((Interval(0, 1),) * 3, OptimizerSettings(budget=2000))
     vertex_extrema(lambda v: calls.append(1) or 0.0, box)
     assert len(calls) == 8
 
 
 def test_vertex_extrema_constant():
-    box = SearchBox(UNIT2, budget=2000)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=2000))
     assert vertex_extrema(lambda v: 3.5, box) == (3.5, 3.5)
 
 
 def test_dimension_too_large():
-    box = SearchBox((Interval(0, 1),) * 12, budget=2000)
+    box = SearchBox((Interval(0, 1),) * 12, OptimizerSettings(budget=2000))
     with pytest.raises(DimensionTooLarge):
         vertex_extrema(lambda v: 0.0, box)
 
 
 def test_non_finite_objective():
-    box = SearchBox(UNIT2, budget=100)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=100))
     with pytest.raises(NonFiniteObjective):
         optimize_box(lambda v: float("nan"), box, MIN)
     with pytest.raises(NonFiniteObjective):
@@ -128,14 +142,14 @@ def test_non_finite_objective():
 
 
 def test_degenerate_coordinates_pinned():
-    box = SearchBox((Interval(0.4, 0.4), Interval(0, 1)), budget=500, tol=1e-6)
+    box = SearchBox((Interval(0.4, 0.4), Interval(0, 1)), OptimizerSettings(budget=500, tol=1e-6))
     result = optimize_box(lambda v: (v[0] - 0.4) ** 2 + (v[1] - 0.25) ** 2, box, MIN)
     assert result.point[0] == 0.4
     assert result.value == pytest.approx(0.0, abs=1e-6)
 
 
 def test_fully_degenerate_box():
-    box = SearchBox((Interval(0.3, 0.3), Interval(0.6, 0.6)), budget=500)
+    box = SearchBox((Interval(0.3, 0.3), Interval(0.6, 0.6)), OptimizerSettings(budget=500))
     result = optimize_box(lambda v: v[0] + v[1], box, MIN)
     assert result.point == (0.3, 0.6)
     assert result.value == pytest.approx(0.9)
@@ -143,7 +157,7 @@ def test_fully_degenerate_box():
 
 
 def test_budget_respected_and_flagged():
-    box = SearchBox(UNIT2, budget=40, tol=1e-12)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=40, tol=1e-12))
     result = optimize_box(quadratic, box, MIN)
     assert result.evaluations <= 40
     assert not result.converged
@@ -155,7 +169,7 @@ def test_vertex_extrema_reads_a_signed_divergence_as_infinity():
             raise SingularSystem("no finite value", direction=direction)
         return v[0] + v[1]
 
-    box = SearchBox(UNIT2, budget=100)
+    box = SearchBox(UNIT2, OptimizerSettings(budget=100))
     assert vertex_extrema(lambda v: diverges_at_origin(v, 1), box) == (1.0, math.inf)
     assert vertex_extrema(lambda v: diverges_at_origin(v, -1), box) == (-math.inf, 2.0)
     with pytest.raises(SingularSystem):  # no direction: nothing to map it to

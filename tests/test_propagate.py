@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import pba.propagate as propagate
+
 from conftest import assert_within_envelope
 from pba.decision import expected_interval
 from pba.distributions import DistributionSpec
 from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError
 from pba.minimal_data import min_max, min_max_mean, min_max_mean_std, min_max_median
-from pba.models import REGISTRY
+from pba.models import REGISTRY, monotone
 from pba.pbox import build_pbox
 from pba.propagate import (
     EmpiricalPBox,
@@ -254,7 +256,7 @@ def test_min_and_max_searches_share_model_calls():
     for rect in focal_product(sliced):
         points = []
         objective = lambda v: points.append(tuple(v)) or f(v[0], v[1], 0.5)
-        box = SearchBox(rect.intervals, budget=FAST_OPT.budget, tol=FAST_OPT.tol)
+        box = SearchBox(rect.intervals, FAST_OPT)
         lo = optimize_box(objective, box, MIN).value
         hi = optimize_box(objective, box, MAX).value
         separate.append((lo, hi, rect.mass))
@@ -291,7 +293,7 @@ def test_identical_boxes_searched_once():
     separate, bad = [], 0
     for rect in rects:
         objective = lambda v: four_state({**params.fixed, "c1": v[0], "c6": v[1]})
-        box = SearchBox(rect.intervals, budget=opt.budget, tol=opt.tol)
+        box = SearchBox(rect.intervals, opt)
         lo, hi = optimize_box(objective, box, MIN), optimize_box(objective, box, MAX)
         separate.append((lo.value, hi.value, rect.mass))
         bad += (not lo.converged) + (not hi.converged)
@@ -398,7 +400,7 @@ def test_monotone_mark_survives_wraps_not_lambda():
     objective = lambda v: four_state({**CASE1_FIXED, "c1": v[0], "c6": v[1]})
     by_vertex, by_direct, bad = [], [], 0
     for rect in focal_product(sliced):
-        box = SearchBox(rect.intervals, budget=opt.budget, tol=opt.tol)
+        box = SearchBox(rect.intervals, opt)
         by_vertex.append((*vertex_extrema(objective, box), rect.mass))
         lo, hi = optimize_box(objective, box, MIN), optimize_box(objective, box, MAX)
         by_direct.append((lo.value, hi.value, rect.mass))
@@ -408,3 +410,34 @@ def test_monotone_mark_survives_wraps_not_lambda():
     assert vertex.unconverged_boxes == 0
     assert plain.extrema == tuple(by_direct)
     assert plain.unconverged_boxes == bad
+
+
+def test_each_distinct_box_searched_with_the_run_settings(monkeypatch):
+    """One ``SearchBox`` per distinct box, carrying the run's settings object whole."""
+    seen = []
+
+    def recording(search):
+        def recorder(objective, box, *rest):
+            seen.append(box)
+            return search(objective, box, *rest)
+
+        return recorder
+
+    monkeypatch.setattr(propagate, "optimize_box", recording(optimize_box))
+    monkeypatch.setattr(propagate, "vertex_extrema", recording(vertex_extrema))
+    opt = OptimizerSettings(budget=200, tol=1e-6)
+    params = ParameterSet(boxed={"x": min_max_mean(0.0, 1.0, 0.3), "y": min_max(0.0, 1.0)})
+    sliced = [discretize_outer(build_pbox(params.boxed[k]), 3) for k in ("x", "y")]
+    distinct = {rect.intervals for rect in focal_product(sliced)}
+    assert len(distinct) < 9  # y's min/max slices repeat each box
+
+    propagate_pboxes(lambda p: (p["x"] - 0.4) ** 2 + p["y"], params, n=3, opt=opt)
+    lows, highs = seen[::2], seen[1::2]  # a MIN then a MAX search of each box
+    assert [id(b) for b in lows] == [id(b) for b in highs]
+    assert len(lows) == len(distinct) and {b.bounds for b in lows} == distinct
+    assert all(b.settings is opt for b in seen)
+
+    seen.clear()
+    propagate_pboxes(monotone(lambda p: p["x"] + p["y"]), params, n=3, opt=opt)
+    assert len(seen) == len(distinct) and {b.bounds for b in seen} == distinct
+    assert all(b.settings is opt for b in seen)
