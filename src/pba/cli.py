@@ -25,7 +25,7 @@ from .decision import INDETERMINATE, DecisionRule, Dominance, Hurwicz, Optimist,
 from .distributions import DistributionSpec
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
-from .models import REGISTRY, CohortCeaSpec, RegisteredModel, cohort_trace, compile_transitions, discounted_outcomes
+from .models import REGISTRY, CohortCeaSpec, RegisteredModel, compile_transitions
 from .pbox import Intersection, PBox, build_pbox
 from .optimize import OptimizerSettings
 from .propagate import EmpiricalPBox, ParameterSet, propagate_mixed, psa_propagate
@@ -49,12 +49,20 @@ def _need(mapping: Mapping, key: str, location: str):
     return mapping[key]
 
 
-def _number(kind: type, value, location: str):
-    """``kind(value)`` for a config value, or a ``ConfigParseError`` at ``location``."""
+def _number(kind: type, value, location: str, name: str | None = None):
+    """``kind(value)`` for the config field ``name`` (by default ``location``),
+    or a ``ConfigParseError`` at ``location``.
+
+    An integer field takes whole numbers only: a boolean, or a float with a
+    fractional part, is refused rather than truncated.
+    """
+    name = name or location
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ConfigParseError(f"{name} must be a whole number, got {value!r}", location=location)
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"{location} must be {kind.__name__}: {exc}", location=location) from exc
+        raise ConfigParseError(f"{name} must be {kind.__name__}: {exc}", location=location) from exc
 
 
 def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) -> int:
@@ -122,7 +130,9 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
             costs=costs,
             utilities=utilities,
             cycle_length_years=float(_need(cfg, "cycle_length_years", location)),
-            horizon_cycles=int(_need(cfg, "horizon_cycles", location)),
+            horizon_cycles=_number(
+                int, _need(cfg, "horizon_cycles", location), location, f"{location}.horizon_cycles"
+            ),
             discount_rate_annual=float(_need(cfg, "discount_rate_annual", location)),
             initial=initial,
         )
@@ -130,13 +140,14 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
         raise ConfigParseError(str(exc), location=location) from exc
 
     def model(params: Mapping[str, float]) -> float:
-        cost, qaly = discounted_outcomes(cohort_trace(spec, params), spec)
+        cost, qaly = spec.outcomes(params)
         if outcome == "cost":
             return cost
         if outcome == "qaly":
             return qaly
         return wtp * qaly - cost
 
+    model.prefetch = spec.prefetch
     return RegisteredModel(model, builder.param_names)
 
 
@@ -259,9 +270,13 @@ class AnalysisConfig:
         opt_cfg = cfg.get("optimizer", {})
         try:
             optimizer = OptimizerSettings(
-                **{key: kind(opt_cfg[key]) for key, kind in (("budget", int), ("tol", float)) if key in opt_cfg}
+                **{
+                    key: _number(kind, opt_cfg[key], "optimizer", f"optimizer.{key}")
+                    for key, kind in (("budget", int), ("tol", float))
+                    if key in opt_cfg
+                }
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc
         psa_baseline = cfg.get("psa_baseline")
         if psa_baseline:

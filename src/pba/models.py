@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Sequence
+from collections import OrderedDict
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
 ANNUAL_DISCOUNT_RATE = 0.035
 
 _ROW_TOL = 1e-10
+_MEMO_SIZE = 65_536  # (cost, QALY) pairs one cohort spec remembers
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +119,11 @@ class CohortCeaSpec:
     correction, discounted by (1 + annual rate)**(-t * cycle_length).
 
     The arrays every evaluation needs (costs, utilities, initial
-    distribution, discount factors and the absorbing rows' identity rows)
-    are built once per spec; ``dataclasses.replace`` makes a new spec and
-    so builds them afresh.
+    distribution, discount factors and the entry bounds of the matrix
+    check) are built once per spec; ``dataclasses.replace`` makes a new spec and
+    so builds them afresh.  Each spec also remembers the outcomes of up to
+    65,536 parameter points, oldest out first: see ``outcomes`` and
+    ``prefetch``.
     """
 
     states: tuple[str, ...]
@@ -173,76 +177,189 @@ class CohortCeaSpec:
         return (1.0 + self.discount_rate_annual) ** (-cycles * self.cycle_length_years)
 
     @cached_property
-    def _identity_rows(self) -> tuple[list[float] | None, ...]:
-        """The identity row of each absorbing state, None for the others."""
+    def _entry_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offset, upper): an entry x passes if -tol <= x - offset <= upper.
+
+        A free state's entries need only x >= -tol; an absorbing state's row
+        must be within tol of its identity row, which also makes it
+        non-negative.
+        """
         n = len(self.states)
-        return tuple([float(i == j) for j in range(n)] if a else None for i, a in enumerate(self.absorbing))
+        offset = np.zeros((n, n))
+        upper = np.full((n, n), math.inf)
+        for i, absorbing in enumerate(self.absorbing):
+            if absorbing:
+                offset[i, i] = 1.0
+                upper[i] = _ROW_TOL
+        return offset, upper
+
+    @cached_property
+    def _memo(self) -> OrderedDict:
+        return OrderedDict()
+
+    @cached_property
+    def _key_names(self) -> tuple[str, ...] | None:
+        names = getattr(self.transition_builder, "param_names", None)
+        return None if names is None else tuple(sorted(names))
+
+    def _key(self, params: Mapping[str, float]) -> tuple:
+        """The memo key of ``params``: the values of the builder's inputs, or
+        of every parameter for a builder that does not name its inputs."""
+        names = self._key_names
+        if names is None:
+            return tuple(sorted(params.items()))
+        return tuple([params[name] for name in names])
+
+    def _remember(self, key: tuple, outcome: tuple[float, float]) -> None:
+        memo = self._memo
+        memo[key] = outcome
+        if len(memo) > _MEMO_SIZE:
+            memo.popitem(last=False)
+
+    def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
+        """Discounted (total cost, total QALY) at ``params``, remembered.
+
+        The same as ``discounted_outcomes(cohort_trace(self, params), self)``,
+        and raises as that does.
+        """
+        key = self._key(params)
+        found = self._memo.get(key)
+        if found is None:
+            found = discounted_outcomes(cohort_trace(self, params), self)
+            self._remember(key, found)
+        return found
+
+    def prefetch(self, points: Iterable[Mapping[str, float]]) -> None:
+        """Evaluate ``points`` together, as one stack, into the memo.
+
+        Only a speed-up for the ``outcomes`` calls that follow.  A point
+        already remembered is skipped, and so is one that ``outcomes`` would
+        reject (its inputs, its matrix or its occupancy): that call then
+        raises the error itself.
+        """
+        memo = self._memo
+        batch: dict[tuple, np.ndarray] = {}
+        for params in points:
+            try:
+                key = self._key(params)
+                if key not in memo and key not in batch:
+                    batch[key] = _transition_matrix(self, params)
+            except Exception:
+                continue  # left for the per-point call to raise
+        if not batch:
+            return
+        traces, faults = _traces(self, np.stack(list(batch.values())))
+        for key, fault, outcome in zip(batch, faults, _discounted(self, traces)):
+            if fault is None:
+                self._remember(key, outcome)
 
 
-def _check_matrix(spec: CohortCeaSpec, matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as a float array, or ``RowSumViolation`` at its first bad row.
-
-    A row is bad if its sum is off 1 or an entry is negative, or, for an
-    absorbing state, if it is not the identity row; a NaN anywhere fails
-    the sum check.  The checks run on Python rows, which for a handful of
-    states is cheaper than the numpy reductions.
-    """
-    matrix = np.asarray(matrix, dtype=float)
+def _transition_matrix(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray:
+    """The spec's transition matrix at ``params`` as an (n x n) float array."""
+    matrix = np.asarray(spec.transition_builder(params), dtype=float)
     n = len(spec.states)
     if matrix.shape != (n, n):
         raise RowSumViolation(f"transition matrix must be {n}x{n}, got {matrix.shape}")
-    for i, (row, identity) in enumerate(zip(matrix.tolist(), spec._identity_rows)):
-        total = sum(row)
-        if not (abs(total - 1.0) <= _ROW_TOL and min(row) >= -_ROW_TOL):
-            raise RowSumViolation(
-                f"row for state {spec.states[i]!r} sums to {total}", cycle=0, state=i
-            )
-        if identity is not None and not max(abs(x - e) for x, e in zip(row, identity)) <= _ROW_TOL:
-            raise RowSumViolation(
-                f"absorbing state {spec.states[i]!r} row is not identity", cycle=0, state=i
-            )
     return matrix
+
+
+def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> list[RowSumViolation | None]:
+    """For each matrix of the (B, n, n) ``stack``, the error at its first bad row, or None.
+
+    A row is bad if its sum is off 1 or an entry is negative, or, for an
+    absorbing state, if it is not the identity row; a NaN anywhere fails
+    the sum check, which a row is named for before its identity check.
+    Row sums run left to right, as Python's ``sum`` adds.
+    """
+    offset, upper = spec._entry_bounds
+    with np.errstate(all="ignore"):  # an inf or a NaN entry only fails its row
+        total = stack[..., 0].copy()
+        for j in range(1, stack.shape[2]):
+            total += stack[..., j]
+    shifted = stack - offset
+    ok = (np.abs(total - 1.0) <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
+    faults: list[RowSumViolation | None] = [None] * len(stack)
+    for b in np.flatnonzero(~ok.all(axis=1)).tolist():
+        i = int(np.argmin(ok[b]))
+        row = stack[b, i].tolist()
+        total = sum(row)
+        if abs(total - 1.0) <= _ROW_TOL and min(row) >= -_ROW_TOL:
+            message = f"absorbing state {spec.states[i]!r} row is not identity"
+        else:
+            message = f"row for state {spec.states[i]!r} sums to {total}"
+        faults[b] = RowSumViolation(message, cycle=0, state=i)
+    return faults
+
+
+def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, list[RowSumViolation | None]]:
+    """State occupancy by cycle for each matrix of the (B, n, n) ``stack``,
+    and the ``RowSumViolation`` each matrix raises, or None.
+
+    Occupancy is computed by repeated squaring.  One (B, n + rows, n)
+    buffer holds P**k in the first n rows of each slice and the trace after
+    them; once trace rows 0..k-1 are known, the one stacked product
+    ``buffer[:, :n + step] @ P**k`` gives both P**2k and trace rows
+    k..k+step-1 of every slice, so a horizon of H cycles takes about
+    log2(H) products instead of H.  A matrix that fails its check is
+    replaced by the identity, so its (unused) trace stays finite.  Mass
+    conservation is checked at every cycle, and a drift (or a NaN) is
+    reported at the first cycle where it exceeds the tolerance.
+    """
+    faults = _matrix_faults(spec, stack)
+    n, rows = len(spec.states), spec.horizon_cycles + 1
+    buffer = np.empty((len(stack), n + rows, n))
+    buffer[:, :n] = stack
+    failed = [b for b, fault in enumerate(faults) if fault is not None]
+    if failed:
+        buffer[failed, :n] = np.eye(n)
+    buffer[:, n] = spec._initial
+    filled = 1  # buffer[:, :n] == matrix ** filled, and trace rows 0..filled-1 are known
+    while filled < rows:
+        step = min(filled, rows - filled)
+        product = buffer[:, : n + step] @ buffer[:, :n]
+        buffer[:, :n] = product[:, :n]
+        buffer[:, n + filled : n + filled + step] = product[:, n:]
+        filled += step
+    traces = buffer[:, n:]
+    drifted = ~(np.abs(traces.sum(axis=2) - 1.0) <= _ROW_TOL)
+    for b in np.flatnonzero(drifted.any(axis=1)).tolist():
+        if faults[b] is None:
+            t = int(np.argmax(drifted[b]))
+            faults[b] = RowSumViolation(
+                f"occupancy at cycle {t} sums to {traces[b, t].sum()}", cycle=t, state=None
+            )
+    return traces, faults
 
 
 def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray:
     """State occupancy by cycle: row 0 is the initial distribution.
 
-    Occupancy is computed by repeated squaring.  One buffer holds P**k in
-    its first n rows and the trace after them; once trace rows 0..k-1 are
-    known, the one product ``buffer[:n + step] @ P**k`` gives both P**2k and
-    trace rows k..k+step-1, so a horizon of H cycles takes about log2(H)
-    small products instead of H.  Mass conservation is checked at every
-    cycle, and a drift (or a NaN) is reported at the first cycle where it
-    exceeds the tolerance.
+    Evaluated as a stack of one matrix; raises ``RowSumViolation`` at the
+    matrix's first bad row, or at the first cycle whose occupancy does not
+    sum to 1.
     """
-    matrix = _check_matrix(spec, spec.transition_builder(params))
-    n, rows = len(spec.states), spec.horizon_cycles + 1
-    buffer = np.empty((n + rows, n))
-    buffer[:n] = matrix
-    buffer[n] = spec._initial
-    filled = 1  # buffer[:n] == matrix ** filled, and trace rows 0..filled-1 are known
-    while filled < rows:
-        step = min(filled, rows - filled)
-        product = buffer[: n + step] @ buffer[:n]
-        buffer[:n] = product[:n]
-        buffer[n + filled : n + filled + step] = product[n:]
-        filled += step
-    trace = buffer[n:]
-    drift = np.abs(trace.sum(axis=1) - 1.0)
-    if not drift.max() <= _ROW_TOL:
-        t = int(np.argmax(~(drift <= _ROW_TOL)))
-        raise RowSumViolation(
-            f"occupancy at cycle {t} sums to {trace[t].sum()}", cycle=t, state=None
-        )
-    return trace
+    traces, (fault,) = _traces(spec, _transition_matrix(spec, params)[None])
+    if fault is not None:
+        raise fault
+    return traces[0]
+
+
+def _discounted(spec: CohortCeaSpec, traces: np.ndarray) -> list[tuple[float, float]]:
+    """Discounted (total cost, total QALY) of each trace of the (B, rows, n) ``traces``.
+
+    The per-cycle rewards are one product for the stack; the discounting
+    dot stays one per trace, since a product over the stack rounds differently.
+    """
+    occupancy = traces[:, : spec.horizon_cycles]
+    cost_per_cycle = occupancy @ spec._costs * spec.cycle_length_years
+    qaly_per_cycle = occupancy @ spec._utilities * spec.cycle_length_years
+    discount = spec._discount
+    return [(float(discount @ c), float(discount @ q)) for c, q in zip(cost_per_cycle, qaly_per_cycle)]
 
 
 def discounted_outcomes(trace: np.ndarray, spec: CohortCeaSpec) -> tuple[float, float]:
     """Discounted (total cost, total QALY) over the horizon."""
-    occupancy = trace[: spec.horizon_cycles]
-    cost_per_cycle = occupancy @ spec._costs * spec.cycle_length_years
-    qaly_per_cycle = occupancy @ spec._utilities * spec.cycle_length_years
-    return float(spec._discount @ cost_per_cycle), float(spec._discount @ qaly_per_cycle)
+    return _discounted(spec, trace[None])[0]
 
 
 def inmb(
@@ -354,31 +471,33 @@ def demo_cea_spec() -> CohortCeaSpec:
 
 _DEMO_SPEC = demo_cea_spec()
 DEMO_PARAM_NAMES = _DEMO_SPEC.transition_builder.param_names | {"device_cost"}
-_DEMO_KEYS = ("p_minor", "p_serious", "p_die", "p_minor_serious", "p_die_serious")
 
 
-@lru_cache(maxsize=65536)
-def _demo_outcomes(key: tuple[float, ...], rr: float, device_cost: float):
-    params = dict(zip(_DEMO_KEYS, key))
-    params["rr"] = rr
-    trace = cohort_trace(_DEMO_SPEC, params)
-    cost, qaly = discounted_outcomes(trace, _DEMO_SPEC)
-    return cost + device_cost, qaly
+def _comparator(params: Mapping[str, float]) -> dict[str, float]:
+    """The conventional comparator's inputs: ``params`` without the device's relative risk."""
+    return {**params, "rr": 1.0}
 
 
 def demo_cea_nmb(params: Mapping[str, float]) -> float:
     """Net monetary benefit of one strategy at the fixed threshold."""
-    key = tuple(params[k] for k in _DEMO_KEYS)
-    cost, qaly = _demo_outcomes(key, params["rr"], params["device_cost"])
-    return WTP_PER_QALY * qaly - cost
+    cost, qaly = _DEMO_SPEC.outcomes(params)
+    return WTP_PER_QALY * qaly - (cost + params["device_cost"])
 
 
 def demo_cea_inmb(params: Mapping[str, float]) -> float:
     """INMB of the device strategy over the conventional comparator."""
-    key = tuple(params[k] for k in _DEMO_KEYS)
-    cost_a, qaly_a = _demo_outcomes(key, params["rr"], params["device_cost"])
-    cost_b, qaly_b = _demo_outcomes(key, 1.0, 0.0)
-    return inmb(cost_a, qaly_a, cost_b, qaly_b, WTP_PER_QALY)
+    cost_a, qaly_a = _DEMO_SPEC.outcomes(params)
+    cost_b, qaly_b = _DEMO_SPEC.outcomes(_comparator(params))
+    return inmb(cost_a + params["device_cost"], qaly_a, cost_b, qaly_b, WTP_PER_QALY)
+
+
+def _prefetch_inmb(points: Iterable[Mapping[str, float]]) -> None:
+    _DEMO_SPEC.prefetch([arm for params in points for arm in (params, _comparator(params))])
+
+
+# Each round of a box search is evaluated as one stack (``pba.optimize``).
+demo_cea_nmb.prefetch = _DEMO_SPEC.prefetch
+demo_cea_inmb.prefetch = _prefetch_inmb
 
 
 # ---------------------------------------------------------------------------

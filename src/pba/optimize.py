@@ -125,8 +125,17 @@ def _potentially_optimal(reps: list[_Rect]) -> list[_Rect]:
 
 
 def _direct_minimize(
-    f: Callable[[tuple[float, ...]], float], dim: int, budget: int, tol: float
+    f: Callable[[tuple[float, ...]], float],
+    dim: int,
+    budget: int,
+    tol: float,
+    prefetch: Callable[[list[tuple[float, ...]]], None] | None = None,
 ) -> tuple[tuple[float, ...], float, bool, int]:
+    """DIRECT on the unit cube: (best point, its value, converged, evaluations).
+
+    Each round's trial points are known before any of them is evaluated;
+    ``prefetch``, if given, receives them in evaluation order first.
+    """
     evals = 0
     order = itertools.count()
     classes: dict[tuple[int, ...], list] = {}
@@ -165,26 +174,38 @@ def _direct_minimize(
         if evals + 2 > budget:
             return best.center, best.f, False, evals
 
-        selected = _potentially_optimal(_representatives(classes))
-        progressed = False
-        for rect in selected:
+        # The round's trial points, fixed before any is evaluated: two per
+        # longest side of each selected rect, while the budget lasts.
+        trials = []
+        planned = evals
+        for rect in _potentially_optimal(_representatives(classes)):
             lmin = min(rect.levels)
-            dims = [i for i, l in enumerate(rect.levels) if l == lmin]
             delta = 3.0 ** (-(lmin + 1))
-            sampled = []
-            for i in dims:
-                if evals + 2 > budget:
+            sides = []
+            for i, level in enumerate(rect.levels):
+                if level != lmin:
+                    continue
+                if planned + 2 > budget:
                     break
+                planned += 2
                 plus = list(rect.center)
                 plus[i] += delta
                 minus = list(rect.center)
                 minus[i] -= delta
-                f_plus = evaluate(tuple(plus))
-                f_minus = evaluate(tuple(minus))
-                sampled.append((min(f_plus, f_minus), i, tuple(plus), f_plus, tuple(minus), f_minus))
-            if not sampled:
-                continue
-            progressed = True
+                sides.append((i, tuple(plus), tuple(minus)))
+            if sides:
+                trials.append((rect, sides))
+        if not trials:
+            return best.center, best.f, False, evals
+        if prefetch is not None:
+            prefetch([point for _, sides in trials for _, plus, minus in sides for point in (plus, minus)])
+
+        for rect, sides in trials:
+            sampled = []
+            for i, plus, minus in sides:
+                f_plus = evaluate(plus)
+                f_minus = evaluate(minus)
+                sampled.append((min(f_plus, f_minus), i, plus, f_plus, minus, f_minus))
             sampled.sort(key=lambda s: (s[0], s[1]))
             levels = list(rect.levels)
             for _, i, p_plus, f_plus, p_minus, f_minus in sampled:
@@ -193,8 +214,6 @@ def _direct_minimize(
                     track(_Rect(point, tuple(levels), value, next(order)))
             rect.set_levels(tuple(levels))  # center keeps the shrunken rect
             track(rect)
-        if not progressed:
-            return best.center, best.f, False, evals
 
 
 def _finite_value(objective: Callable[[Sequence[float]], float], point: tuple[float, ...]) -> float:
@@ -214,6 +233,10 @@ def optimize_box(
     search.  The converged flag reports whether the best rectangle shrank
     below ``tol`` times the box diameter before the budget ran out; a spent
     budget is reported through the flag, not as an error.
+
+    An ``objective.prefetch`` attribute, if there is one, is handed the
+    points of each DIRECT round (in box coordinates) before they are
+    evaluated one by one; it may only speed those calls up.
     """
     if sense not in (MIN, MAX):
         raise ValueError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
@@ -236,8 +259,15 @@ def optimize_box(
         point = tuple(lows)
         return OptResult(point, _finite_value(objective, point), True, 1)
 
+    prefetch = getattr(objective, "prefetch", None)
+    announce = None
+    if prefetch is not None:
+
+        def announce(unit_points: list[tuple[float, ...]]) -> None:
+            prefetch([denormalize(u) for u in unit_points])
+
     unit_best, f_best, converged, evals = _direct_minimize(
-        wrapped, len(active), box.settings.budget, box.settings.tol
+        wrapped, len(active), box.settings.budget, box.settings.tol, announce
     )
     return OptResult(denormalize(unit_best), sign * f_best, converged, evals)
 

@@ -150,6 +150,10 @@ def _box_objective(
     a ``SingularSystem`` that carries a direction is cached and raised as it
     is, for ``vertex_extrema`` to read as that infinity; every other failure
     of the model raises ``ModelEvaluationError``.
+
+    For a model with a ``prefetch`` attribute, ``fn.prefetch(vectors)`` hands
+    it the points not yet in the cache, as parameter mappings.  It writes
+    nothing to the cache: every value and error still comes from ``fn``.
     """
     cache: dict[tuple[float, ...], float | SingularSystem] = {}
 
@@ -171,6 +175,20 @@ def _box_objective(
             raise value
         return value
 
+    model_prefetch = getattr(model, "prefetch", None)
+    if model_prefetch is not None:
+
+        def prefetch(vectors) -> None:
+            points = []
+            for key in dict.fromkeys(map(tuple, vectors)):
+                if key not in cache:
+                    args = dict(fixed)
+                    args.update(zip(names, key))
+                    points.append(args)
+            if points:
+                model_prefetch(points)
+
+        fn.prefetch = prefetch
     return fn, cache
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from pba.cli import AnalysisConfig, export_curve, load_config, main, run_analysis
 from pba.errors import ConfigParseError
 from pba.minimal_data import min_max
+from pba import models
 from pba.models import RegisteredModel
 from pba.pbox import build_pbox
 from pba.propagate import EmpiricalPBox
@@ -521,6 +523,68 @@ def test_bundled_cea_result_pinned(tmp_path):
         "31609.485147967665",
     ]
     assert summary["model_evaluations"] == 10466
+
+
+def test_prefetch_only_speeds_up(tmp_path):
+    """The bundled CEA run at two samples, once with the model's ``prefetch``
+    taken away and once as shipped, gives the same summary, curve bytes and
+    model evaluations.  The memo is emptied before each run, so the shipped
+    run computes its rounds as stacks."""
+    config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
+    fn = config.model.fn
+    announced = []
+
+    def plain(params):
+        return fn(params)
+
+    @functools.wraps(fn)  # copies the model's prefetch, which is then counted
+    def shipped(params):
+        return fn(params)
+
+    shipped.prefetch = lambda points: announced.append(len(points)) or fn.prefetch(points)
+    assert not hasattr(plain, "prefetch")
+    results = []
+    for model in (plain, shipped):
+        models._DEMO_SPEC._memo.clear()
+        out = tmp_path / str(len(results))
+        summary = run_analysis(dataclasses.replace(config, model=RegisteredModel(model, config.model.param_names)), out)
+        for key in ("runtime_seconds", "outputs", "summary_path"):
+            del summary[key]
+        results.append((summary, (out / "curve.csv").read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0]["model_evaluations"] == 10466
+    assert sum(announced) > 9000
+
+
+@pytest.mark.parametrize(
+    "location, config",
+    [
+        ("n", dict(BASE_CONFIG, n=2.7)),
+        ("n", dict(BASE_CONFIG, n=True)),
+        ("samples", dict(BASE_CONFIG, samples=50.5)),
+        ("seed", dict(BASE_CONFIG, seed=1.5)),
+        ("seed", dict(BASE_CONFIG, seed=False)),
+        ("curve_grid", dict(BASE_CONFIG, curve_grid=200.1)),
+        ("optimizer", dict(BASE_CONFIG, optimizer={"budget": 300.9})),
+        ("optimizer", dict(BASE_CONFIG, optimizer={"budget": True})),
+        ("optimizer", dict(BASE_CONFIG, optimizer={"budget": math.inf})),
+        ("psa_baseline.samples", dict(_minmax_propagate_config({}), psa_baseline={"samples": 20.5})),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, horizon_cycles=20.5)),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, horizon_cycles=True)),
+    ],
+)
+def test_integer_field_rejects_non_whole_number(location, config):
+    with pytest.raises(ConfigParseError, match="must be a whole number") as err:
+        AnalysisConfig.from_dict(config)
+    assert err.value.location == location
+
+
+def test_integer_field_takes_whole_float():
+    config = AnalysisConfig.from_dict(dict(BASE_CONFIG, n=50.0, samples=20.0, seed=7.0, optimizer={"budget": 300.0}))
+    assert (config.n, config.samples, config.seed, config.optimizer.budget) == (50, 20, 7, 300)
+    assert all(type(v) is int for v in (config.n, config.samples, config.seed, config.optimizer.budget))
+    model = AnalysisConfig.from_dict(_inline_cea_config(ALIVE_TO_DEAD, horizon_cycles=20.0)).model.fn
+    assert model({"p_die": 0.1}) == AnalysisConfig.from_dict(_inline_cea_config(ALIVE_TO_DEAD)).model.fn({"p_die": 0.1})
 
 
 def test_bad_pba_seed_gives_error_record(tmp_path, capsys, monkeypatch):

@@ -629,3 +629,90 @@ def test_four_state_vertex_extrema_bracket_the_box(rng):
             assert v_lo - slack <= objective(point) <= v_hi + slack
         for sense in (MIN, MAX):
             assert v_lo - slack <= optimize_box(objective, box, sense).value <= v_hi + slack
+
+
+def _random_cohort_tables(rng, n, count):
+    """A random n-state spec and ``count`` transition matrices for it.
+
+    Most matrices are row-stochastic, with identity rows for the absorbing
+    states.  The rest are spoilt in one of the ways the checks look for: a
+    NaN or infinite entry, a negative entry, a row sum off 1, an absorbing
+    row that is not the identity, or every row a little over 1, which
+    passes the matrix check but lets the occupancy mass drift.
+    """
+    absorbing = tuple(bool(b) for b in rng.random(n) < 0.3)
+    initial = rng.dirichlet(np.ones(n))
+    spec = dict(
+        states=tuple(f"s{i}" for i in range(n)),
+        absorbing=absorbing,
+        costs=tuple(rng.uniform(0, 1000, n)),
+        utilities=tuple(rng.uniform(0, 1, n)),
+        cycle_length_years=float(rng.choice([1.0, 1.0 / 12.0])),
+        horizon_cycles=int(rng.integers(1, 130)),
+        discount_rate_annual=float(rng.uniform(0, 0.05)),
+        initial=tuple(initial / math.fsum(initial)),
+    )
+    tables = []
+    for _ in range(count):
+        m = rng.dirichlet(np.ones(n) * 0.7, size=n)
+        for i in np.flatnonzero(absorbing):
+            m[i] = np.eye(n)[i]
+        i, j = rng.integers(n), rng.integers(n)
+        spoil = rng.integers(12)
+        if spoil == 0:
+            m[i, j] = math.nan
+        elif spoil == 1:
+            m[i, j] = rng.choice([math.inf, -math.inf])
+        elif spoil == 2:  # a negative entry in a row that still sums to 1
+            m[i, (j + 1) % n] += m[i, j] + 1e-3
+            m[i, j] = -1e-3
+        elif spoil == 3:
+            m[i] *= 1.0 + float(rng.choice([-1e-6, 1e-9, 3e-10, -2e-10]))
+        elif spoil == 4:
+            m[i] = rng.dirichlet(np.ones(n))
+        elif spoil == 5:
+            m *= 1.0 + 9e-11
+        tables.append(m)
+    return spec, tables
+
+
+def _outcome_or_error(spec, params):
+    try:
+        return spec.outcomes(params)
+    except RowSumViolation as exc:
+        return str(exc), exc.cycle, exc.state
+
+
+def test_prefetch_then_call_matches_call_alone(monkeypatch):
+    """On 1,500 random tables of 2-6 states, a point evaluated in a stack by
+    ``prefetch`` and then called gives the value, or the RowSumViolation
+    (message, cycle, state), of the call alone; the memo stays in its bound,
+    and a prefetched point is not built again when it is called."""
+    monkeypatch.setattr("pba.models._MEMO_SIZE", 64)
+    rng = np.random.default_rng(20261019)
+    kinds = set()
+    for n in range(2, 7):
+        fields, tables = _random_cohort_tables(rng, n, 300)
+        built = []
+
+        def builder(params, tables=tables, built=built):
+            built.append(params["k"])
+            return tables[params["k"]]
+
+        alone = CohortCeaSpec(transition_builder=lambda params, tables=tables: tables[params["k"]], **fields)
+        stacked = CohortCeaSpec(transition_builder=builder, **fields)
+        expected = [_outcome_or_error(alone, {"k": k}) for k in range(len(tables))]
+        assert len(alone._memo) <= 64
+        k = 0
+        while k < len(tables):
+            chunk = range(k, min(k + int(rng.integers(1, 21)), len(tables)))
+            stacked.prefetch([{"k": i} for i in chunk])
+            assert len(stacked._memo) <= 64
+            for i in chunk:
+                del built[:]
+                got = _outcome_or_error(stacked, {"k": i})
+                assert got == expected[i], (n, i)
+                assert built == ([] if isinstance(got[0], float) else [i])
+                kinds.add(got[0].split(" ")[0] if isinstance(got[0], str) else "value")
+            k = chunk.stop
+    assert kinds == {"value", "row", "absorbing", "occupancy"}

@@ -176,3 +176,74 @@ def test_vertex_extrema_reads_a_signed_divergence_as_infinity():
         vertex_extrema(lambda v: diverges_at_origin(v, 0), box)
     with pytest.raises(SingularSystem):  # a point evaluation still raises
         optimize_box(lambda v: diverges_at_origin(v, 1), SearchBox((Interval(0, 0),) * 2), MAX)
+
+
+class RoundRecorder:
+    """An objective that records each announced round and every point it evaluates."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+        self.rounds = []  # (calls made before the announcement, announced points)
+
+    def __call__(self, point):
+        self.calls.append(tuple(point))
+        return self.f(point)
+
+    def prefetch(self, points):
+        self.rounds.append((len(self.calls), list(points)))
+
+
+def _check_rounds(recorder):
+    """Each announced list is exactly the points evaluated next, in order,
+    and the rounds cover every evaluation after the first centre."""
+    start = 1
+    for made, points in recorder.rounds:
+        assert made == start
+        assert points and recorder.calls[made : made + len(points)] == points
+        start += len(points)
+    assert start == len(recorder.calls)
+
+
+@pytest.mark.parametrize(
+    "objective, box, sense",
+    [
+        (camel, CAMEL_BOX, MIN),
+        (camel, CAMEL_BOX, MAX),
+        (quadratic, SearchBox(UNIT2, OptimizerSettings(budget=500, tol=1e-6)), MIN),
+    ],
+    ids=["camel-min", "camel-max", "quadratic-budget"],
+)
+def test_rounds_announced_before_evaluation(objective, box, sense):
+    recorder = RoundRecorder(objective)
+    result = optimize_box(recorder, box, sense)
+    assert result == optimize_box(objective, box, sense)
+    assert len(recorder.rounds) > 10
+    _check_rounds(recorder)
+
+
+def test_round_cut_by_budget_announces_only_what_is_evaluated():
+    # At budget 100 the last round stops after 6 of its 10 points: that
+    # round is announced as those 6, and every earlier round as it is
+    # announced with the full budget.
+    full = RoundRecorder(camel)
+    optimize_box(full, CAMEL_BOX, MIN)
+    cut = RoundRecorder(camel)
+    result = optimize_box(cut, SearchBox(CAMEL_BOX.bounds, OptimizerSettings(budget=100, tol=1e-7)), MIN)
+    assert (result.evaluations, result.converged) == (99, False)
+    _check_rounds(cut)
+    last = len(cut.rounds) - 1
+    assert cut.rounds[:last] == full.rounds[:last]
+    made, points = cut.rounds[last]
+    assert full.rounds[last] == (made, points + full.rounds[last][1][len(points) :])
+    assert 0 < len(points) < len(full.rounds[last][1])
+
+
+def test_announced_points_are_in_box_coordinates():
+    box = SearchBox((Interval(2, 4), Interval(5, 5), Interval(-1, 0)), OptimizerSettings(budget=60))
+    recorder = RoundRecorder(lambda v: (v[0] - 3.3) ** 2 + v[2] ** 2)
+    optimize_box(recorder, box, MIN)
+    _check_rounds(recorder)
+    for _, points in recorder.rounds:
+        for x, y, z in points:
+            assert 2 < x < 4 and y == 5 and -1 < z < 0

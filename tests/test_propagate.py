@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -441,3 +442,28 @@ def test_each_distinct_box_searched_with_the_run_settings(monkeypatch):
     propagate_pboxes(monotone(lambda p: p["x"] + p["y"]), params, n=3, opt=opt)
     assert len(seen) == len(distinct) and {b.bounds for b in seen} == distinct
     assert all(b.settings is opt for b in seen)
+
+
+def test_prefetch_gets_each_new_point_once_and_changes_nothing():
+    """A model's ``prefetch`` is handed, as full parameter mappings, the
+    points of each DIRECT round that its box has not evaluated yet; results
+    and counts are those of the same model without it."""
+    params = ParameterSet(fixed={"z": 0.5}, boxed={"x": min_max_mean(0, 1, 0.4), "y": min_max(-1, 2)})
+    f = lambda p: math.sin(3 * p["x"]) * math.cos(2 * p["y"]) + p["z"] * p["x"] * p["y"]
+    calls, announced = [], []
+
+    def model(p):
+        calls.append(tuple(sorted(p.items())))
+        return f(p)
+
+    model.prefetch = lambda points: announced.extend(tuple(sorted(p.items())) for p in points)
+    out = propagate_pboxes(model, params, n=3, opt=FAST_OPT)
+    plain = propagate_pboxes(f, params, n=3, opt=FAST_OPT)
+    assert (out.extrema, out.model_evaluations) == (plain.extrema, plain.model_evaluations)
+
+    sliced = [discretize_outer(build_pbox(params.boxed[k]), 3) for k in ("x", "y")]
+    distinct = {rect.intervals for rect in focal_product(sliced)}
+    # Every call but each box's first centre was announced, and nothing else
+    # was.  Focal intervals overlap, so a point may recur in another box.
+    assert len(announced) == len(calls) - len(distinct)
+    assert not Counter(announced) - Counter(calls)
