@@ -53,16 +53,23 @@ def _number(kind: type, value, location: str, name: str | None = None):
     """``kind(value)`` for the config field ``name`` (by default ``location``),
     or a ``ConfigParseError`` at ``location``.
 
-    An integer field takes whole numbers only: a boolean, or a float with a
-    fractional part, is refused rather than truncated.
+    A JSON boolean is refused for any number field, and an integer field
+    takes whole numbers only: a float with a fractional part is refused
+    rather than truncated.
     """
     name = name or location
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        raise ConfigParseError(f"{name} must be a whole number, got {value!r}", location=location)
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        what = "a whole number" if kind is int else "a number"
+        raise ConfigParseError(f"{name} must be {what}, got {value!r}", location=location)
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigParseError(f"{name} must be {kind.__name__}: {exc}", location=location) from exc
+
+
+def _float_field(value, location: str, key: str) -> float:
+    """The float field ``key`` of the config object at ``location``."""
+    return _number(float, value, location, f"{location}.{key}")
 
 
 def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) -> int:
@@ -74,13 +81,17 @@ def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) ->
 
 
 def _minimal_data_from(cfg: Mapping, location: str) -> MinimalData:
+    def stat(key: str, required: bool = False) -> float | None:
+        value = _need(cfg, key, location) if required else cfg.get(key)
+        return None if value is None else _float_field(value, location, key)
+
     try:
         d = MinimalData(
-            minimum=float(_need(cfg, "min", location)),
-            maximum=float(_need(cfg, "max", location)),
-            median=None if cfg.get("median") is None else float(cfg["median"]),
-            mean=None if cfg.get("mean") is None else float(cfg["mean"]),
-            std=None if cfg.get("std") is None else float(cfg["std"]),
+            minimum=stat("min", required=True),
+            maximum=stat("max", required=True),
+            median=stat("median"),
+            mean=stat("mean"),
+            std=stat("std"),
         )
         return validate_minimal_data(d)
     except PbaError as exc:
@@ -94,12 +105,13 @@ def _distribution_from(cfg: Mapping, location: str) -> DistributionSpec:
     try:
         if family in ("gamma", "beta"):
             if "mean" in cfg:
-                data = MinimalData(-math.inf, math.inf, mean=float(cfg["mean"]), std=float(cfg["std"]))
-                return DistributionSpec.from_moments(family, data)
-            native = {k: float(v) for k, v in cfg.items() if k != "family"}
+                mean, std = _float_field(cfg["mean"], location, "mean"), _float_field(cfg["std"], location, "std")
+                return DistributionSpec.from_moments(family, MinimalData(-math.inf, math.inf, mean=mean, std=std))
+            native = {k: _float_field(v, location, k) for k, v in cfg.items() if k != "family"}
             return getattr(DistributionSpec, family)(**native)
         if family == "uniform":
-            return DistributionSpec.uniform(float(_need(cfg, "min", location)), float(_need(cfg, "max", location)))
+            low, high = (_float_field(_need(cfg, k, location), location, k) for k in ("min", "max"))
+            return DistributionSpec.uniform(low, high)
         if family == "tabulated":
             return DistributionSpec.tabulated(_need(cfg, "values", location), _need(cfg, "cum_probs", location))
     except (PbaError, KeyError, TypeError, ValueError) as exc:
@@ -112,11 +124,13 @@ def _distribution_from(cfg: Mapping, location: str) -> DistributionSpec:
 def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
     states = tuple(s["name"] for s in _need(cfg, "states", location))
     absorbing = tuple(bool(s.get("absorbing", False)) for s in cfg["states"])
-    costs = tuple(float(s.get("cost", 0.0)) for s in cfg["states"])
-    utilities = tuple(float(s.get("utility", 0.0)) for s in cfg["states"])
+    costs = tuple(_float_field(s.get("cost", 0.0), location, f"states[{i}].cost") for i, s in enumerate(cfg["states"]))
+    utilities = tuple(
+        _float_field(s.get("utility", 0.0), location, f"states[{i}].utility") for i, s in enumerate(cfg["states"])
+    )
     transitions = tuple(_need(cfg, "transitions", location))
-    initial = tuple(float(x) for x in _need(cfg, "initial", location))
-    wtp = float(cfg.get("wtp", models.WTP_PER_QALY))
+    initial = tuple(_float_field(x, location, f"initial[{i}]") for i, x in enumerate(_need(cfg, "initial", location)))
+    wtp = _float_field(cfg.get("wtp", models.WTP_PER_QALY), location, "wtp")
     outcome = cfg.get("outcome", "nmb")
     if outcome not in ("nmb", "cost", "qaly"):
         raise ConfigParseError(f"unknown outcome {outcome!r}", location=location)
@@ -129,11 +143,13 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
             transition_builder=builder,
             costs=costs,
             utilities=utilities,
-            cycle_length_years=float(_need(cfg, "cycle_length_years", location)),
+            cycle_length_years=_float_field(_need(cfg, "cycle_length_years", location), location, "cycle_length_years"),
             horizon_cycles=_number(
                 int, _need(cfg, "horizon_cycles", location), location, f"{location}.horizon_cycles"
             ),
-            discount_rate_annual=float(_need(cfg, "discount_rate_annual", location)),
+            discount_rate_annual=_float_field(
+                _need(cfg, "discount_rate_annual", location), location, "discount_rate_annual"
+            ),
             initial=initial,
         )
     except ValueError as exc:

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from collections import OrderedDict
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +24,8 @@ WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
 ANNUAL_DISCOUNT_RATE = 0.035
 
 _ROW_TOL = 1e-10
-_MEMO_SIZE = 65_536  # (cost, QALY) pairs one cohort spec remembers
+_MEMO_SIZE = 8_192  # (cost, QALY) pairs one cohort spec remembers
+_STACK_SLICE = 256  # matrices ``prefetch`` evaluates as one stack, which bounds its buffers
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +124,13 @@ class CohortCeaSpec:
     distribution, discount factors and the entry bounds of the matrix
     check) are built once per spec; ``dataclasses.replace`` makes a new spec and
     so builds them afresh.  Each spec also remembers the outcomes of up to
-    65,536 parameter points, oldest out first: see ``outcomes`` and
+    8,192 parameter points, oldest out first: see ``outcomes`` and
     ``prefetch``.
+
+    A ``transition_builder`` with a ``stack`` attribute (as
+    ``compile_transitions`` makes) builds many matrices at once:
+    ``stack(points)`` gives the (B x states x states) array for a sequence of
+    B parameter mappings.
     """
 
     states: tuple[str, ...]
@@ -198,19 +205,18 @@ class CohortCeaSpec:
         return OrderedDict()
 
     @cached_property
-    def _key_names(self) -> tuple[str, ...] | None:
+    def _key(self) -> Callable[[Mapping[str, float]], Hashable]:
+        """The memo key of a parameter mapping: the values of the builder's
+        inputs, or every (name, value) pair for a builder that does not name
+        its inputs."""
         names = getattr(self.transition_builder, "param_names", None)
-        return None if names is None else tuple(sorted(names))
-
-    def _key(self, params: Mapping[str, float]) -> tuple:
-        """The memo key of ``params``: the values of the builder's inputs, or
-        of every parameter for a builder that does not name its inputs."""
-        names = self._key_names
         if names is None:
-            return tuple(sorted(params.items()))
-        return tuple([params[name] for name in names])
+            return lambda params: tuple(sorted(params.items()))
+        if not names:
+            return lambda params: ()
+        return itemgetter(*sorted(names))
 
-    def _remember(self, key: tuple, outcome: tuple[float, float]) -> None:
+    def _remember(self, key: Hashable, outcome: tuple[float, float]) -> None:
         memo = self._memo
         memo[key] = outcome
         if len(memo) > _MEMO_SIZE:
@@ -234,33 +240,55 @@ class CohortCeaSpec:
 
         Only a speed-up for the ``outcomes`` calls that follow.  A point
         already remembered is skipped, and so is one that ``outcomes`` would
-        reject (its inputs, its matrix or its occupancy): that call then
-        raises the error itself.
+        reject (its matrix or its occupancy): that call then raises the error
+        itself.  So is every point if the inputs of one cannot be built into
+        a matrix.  The stack is evaluated in slices of at most 256 matrices,
+        which bounds the buffers.
         """
         memo = self._memo
-        batch: dict[tuple, np.ndarray] = {}
+        batch: dict[Hashable, Mapping[str, float]] = {}
         for params in points:
             try:
                 key = self._key(params)
-                if key not in memo and key not in batch:
-                    batch[key] = _transition_matrix(self, params)
             except Exception:
                 continue  # left for the per-point call to raise
+            if key not in memo:
+                batch.setdefault(key, params)
         if not batch:
             return
-        traces, faults = _traces(self, np.stack(list(batch.values())))
-        for key, fault, outcome in zip(batch, faults, _discounted(self, traces)):
-            if fault is None:
-                self._remember(key, outcome)
+        try:
+            stack = _transition_stack(self, list(batch.values()))
+        except Exception:
+            return  # left for the per-point calls to raise
+        keys = list(batch)
+        for start in range(0, len(keys), _STACK_SLICE):
+            traces, faults = _traces(self, stack[start : start + _STACK_SLICE])
+            for key, fault, outcome in zip(keys[start : start + _STACK_SLICE], faults, _discounted(self, traces)):
+                if fault is None:
+                    self._remember(key, outcome)
 
 
-def _transition_matrix(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray:
-    """The spec's transition matrix at ``params`` as an (n x n) float array."""
-    matrix = np.asarray(spec.transition_builder(params), dtype=float)
+def _transition_stack(spec: CohortCeaSpec, points: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """The spec's transition matrices at ``points`` as a (B x n x n) float array."""
+    builder = spec.transition_builder
+    stack = getattr(builder, "stack", None)
+    matrices = np.asarray(stack(points) if stack is not None else [builder(p) for p in points], dtype=float)
     n = len(spec.states)
-    if matrix.shape != (n, n):
-        raise RowSumViolation(f"transition matrix must be {n}x{n}, got {matrix.shape}")
-    return matrix
+    if matrices.shape != (len(points), n, n):
+        raise RowSumViolation(f"transition matrix must be {n}x{n}, got {matrices.shape[1:]}")
+    return matrices
+
+
+def _row_sums(array: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``array``, added left to right from 0.0.
+
+    Python 3.11's ``sum`` of floats adds the same way; 3.12's compensates,
+    so it is not used for sums that decide a check or a matrix entry.
+    """
+    total = np.zeros(array.shape[:-1])
+    for j in range(array.shape[-1]):
+        total += array[..., j]
+    return total
 
 
 def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> list[RowSumViolation | None]:
@@ -269,21 +297,18 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> list[RowSumViolati
     A row is bad if its sum is off 1 or an entry is negative, or, for an
     absorbing state, if it is not the identity row; a NaN anywhere fails
     the sum check, which a row is named for before its identity check.
-    Row sums run left to right, as Python's ``sum`` adds.
+    Row sums run left to right.
     """
     offset, upper = spec._entry_bounds
     with np.errstate(all="ignore"):  # an inf or a NaN entry only fails its row
-        total = stack[..., 0].copy()
-        for j in range(1, stack.shape[2]):
-            total += stack[..., j]
+        totals = _row_sums(stack)
     shifted = stack - offset
-    ok = (np.abs(total - 1.0) <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
+    ok = (np.abs(totals - 1.0) <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
     faults: list[RowSumViolation | None] = [None] * len(stack)
     for b in np.flatnonzero(~ok.all(axis=1)).tolist():
         i = int(np.argmin(ok[b]))
-        row = stack[b, i].tolist()
-        total = sum(row)
-        if abs(total - 1.0) <= _ROW_TOL and min(row) >= -_ROW_TOL:
+        total = float(totals[b, i])
+        if abs(total - 1.0) <= _ROW_TOL and min(stack[b, i].tolist()) >= -_ROW_TOL:
             message = f"absorbing state {spec.states[i]!r} row is not identity"
         else:
             message = f"row for state {spec.states[i]!r} sums to {total}"
@@ -321,12 +346,13 @@ def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, list[Ro
         buffer[:, n + filled : n + filled + step] = product[:, n:]
         filled += step
     traces = buffer[:, n:]
-    drifted = ~(np.abs(traces.sum(axis=2) - 1.0) <= _ROW_TOL)
+    mass = _row_sums(traces)
+    drifted = ~(np.abs(mass - 1.0) <= _ROW_TOL)
     for b in np.flatnonzero(drifted.any(axis=1)).tolist():
         if faults[b] is None:
             t = int(np.argmax(drifted[b]))
             faults[b] = RowSumViolation(
-                f"occupancy at cycle {t} sums to {traces[b, t].sum()}", cycle=t, state=None
+                f"occupancy at cycle {t} sums to {float(mass[b, t])}", cycle=t, state=None
             )
     return traces, faults
 
@@ -338,7 +364,7 @@ def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray
     matrix's first bad row, or at the first cycle whose occupancy does not
     sum to 1.
     """
-    traces, (fault,) = _traces(spec, _transition_matrix(spec, params)[None])
+    traces, (fault,) = _traces(spec, _transition_stack(spec, [params]))
     if fault is not None:
         raise fault
     return traces[0]
@@ -389,10 +415,13 @@ def compile_transitions(
     remainders, summed left to right; absorbing states take identity rows.
 
     The entries are resolved once, here: state indices, the product of
-    each entry's leading constants, and the factors after them.  The
-    returned ``builder(params)`` then only multiplies floats into Python
-    rows and makes one array.  ``builder.param_names`` is the frozenset of
-    parameter names the entries use.
+    each entry's leading constants, and the factors after them.
+    ``builder.stack(points)`` then builds the (B x n x n) matrices of B
+    parameter mappings at once: each entry is one column of B products,
+    made with the float operations, in the order, that one point's entry
+    takes.  ``builder(params)`` is the stack of one.
+    ``builder.param_names`` is the frozenset of parameter names the entries
+    use.
     """
     index = {name: i for i, name in enumerate(states)}
     n = len(states)
@@ -418,20 +447,27 @@ def compile_transitions(
         entries.append((src, dst, head, tuple(factors)))
         names.update(f for f in factors if isinstance(f, str))
     free = [i for i in range(n) if not absorbing[i]]
-    identity = [(i, [float(i == j) for j in range(n)]) for i in range(n) if absorbing[i]]
+    held = [i for i in range(n) if absorbing[i]]
+    used = sorted(names)
+
+    def stack(points: Sequence[Mapping[str, float]]) -> np.ndarray:
+        values = {name: np.array([params[name] for params in points], dtype=float) for name in used}
+        matrices = np.zeros((len(points), n, n))
+        for src, dst, head, tail in entries:
+            p = np.full(len(points), head)
+            for factor in tail:
+                p *= values[factor] if isinstance(factor, str) else factor
+            matrices[:, src, dst] += p
+        for i in free:
+            matrices[:, i, i] += 1.0 - _row_sums(matrices[:, i])
+        matrices[:, held] = 0.0
+        matrices[:, held, held] = 1.0
+        return matrices
 
     def builder(params: Mapping[str, float]) -> np.ndarray:
-        rows = [[0.0] * n for _ in range(n)]
-        for src, dst, p, tail in entries:
-            for factor in tail:
-                p *= params[factor] if isinstance(factor, str) else factor
-            rows[src][dst] += p
-        for i in free:
-            rows[i][i] += 1.0 - sum(rows[i])
-        for i, row in identity:
-            rows[i] = row
-        return np.array(rows, dtype=float)
+        return stack([params])[0]
 
+    builder.stack = stack
     builder.param_names = frozenset(names)
     return builder
 

@@ -5,8 +5,10 @@ evaluate centers, trisect potentially optimal rectangles along their longest
 sides, and select candidates by the lower convex hull of (diameter, value)
 pairs.  Derivative-free and fully deterministic, so repeated runs on the
 same inputs give identical results.  Maximization runs on the negated
-objective.  Vertex enumeration covers coordinate-monotone objectives
-exactly, and is how propagation treats models declared monotone.
+objective.  A search runs round by round, and ``optimize_boxes`` steps many
+searches together, so that the points of one combined round can be handed
+to the objective as one batch.  Vertex enumeration covers coordinate-monotone
+objectives exactly, and is how propagation treats models declared monotone.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from .errors import DimensionTooLarge, NonFiniteObjective, SingularSystem
 from .interval import Interval
 
 MIN = "min"
 MAX = "max"
+
+WINDOW = 64  # box searches that ``optimize_boxes`` steps together
 
 
 @dataclass(frozen=True)
@@ -59,18 +63,34 @@ class OptResult:
 
 
 class _Rect:
-    __slots__ = ("center", "f", "index", "levels", "key", "diameter")
+    __slots__ = ("center", "point", "f", "index", "levels", "key", "diameter")
 
-    def __init__(self, center: tuple[float, ...], levels: tuple[int, ...], f: float, index: int):
-        self.center = center
+    def __init__(self, center: tuple[float, ...], point: tuple[float, ...], shape: tuple, f: float, index: int):
+        self.center = center  # in the unit cube
+        self.point = point  # the same point in the box, as it was evaluated
         self.f = f
         self.index = index  # creation order, the last tie-break
-        self.set_levels(levels)
+        self.levels, self.key, self.diameter = shape
 
-    def set_levels(self, levels: tuple[int, ...]) -> None:
-        self.levels = levels
-        self.key = tuple(sorted(levels))  # size class
-        self.diameter = 0.5 * math.sqrt(sum(9.0 ** (-l) for l in levels))
+
+def _shaper() -> Callable[[tuple[int, ...]], tuple]:
+    """``shape(levels)``: (levels, size class, diameter), one shared tuple per levels tuple.
+
+    The diameter's squares are added left to right, so it does not depend on
+    whether ``sum`` compensates its float additions (Python 3.12 does).
+    """
+    shapes: dict[tuple[int, ...], tuple] = {}
+
+    def shape(levels: tuple[int, ...]) -> tuple:
+        found = shapes.get(levels)
+        if found is None:
+            squares = 0.0
+            for level in levels:
+                squares += 9.0 ** (-level)
+            found = shapes[levels] = (levels, tuple(sorted(levels)), 0.5 * math.sqrt(squares))
+        return found
+
+    return shape
 
 
 def _representatives(classes: dict[tuple[int, ...], list]) -> list[_Rect]:
@@ -129,15 +149,19 @@ def _direct_minimize(
     dim: int,
     budget: int,
     tol: float,
-    prefetch: Callable[[list[tuple[float, ...]]], None] | None = None,
-) -> tuple[tuple[float, ...], float, bool, int]:
-    """DIRECT on the unit cube: (best point, its value, converged, evaluations).
+    to_box: Callable[[tuple[float, ...]], tuple[float, ...]],
+) -> Generator[list[tuple[float, ...]], None, tuple[tuple[float, ...], float, bool, int]]:
+    """DIRECT on the unit cube, one round per step of the generator.
 
-    Each round's trial points are known before any of them is evaluated;
-    ``prefetch``, if given, receives them in evaluation order first.
+    ``f`` takes points in the box, and ``to_box`` maps a unit point there.
+    The first step evaluates the centre; each step yields the box points of
+    the next round, fixed before any of them is evaluated, and evaluates
+    them in that order once resumed.  Returns (best box point, its value,
+    converged, evaluations).
     """
     evals = 0
     order = itertools.count()
+    shape = _shaper()
     classes: dict[tuple[int, ...], list] = {}
     # Rects holding the lowest f, as a heap of (diameter, index, rect).  A
     # division always shrinks the diameter, so an entry whose diameter is no
@@ -160,7 +184,8 @@ def _direct_minimize(
             heapq.heappush(lowest, (rect.diameter, rect.index, rect))
 
     center = tuple(0.5 for _ in range(dim))
-    root = _Rect(center, tuple(0 for _ in range(dim)), evaluate(center), next(order))
+    point = to_box(center)
+    root = _Rect(center, point, shape(tuple(0 for _ in range(dim))), evaluate(point), next(order))
     track(root)
     d0 = root.diameter
 
@@ -170,9 +195,9 @@ def _direct_minimize(
             heapq.heappop(lowest)
         best = lowest[0][2]
         if best.diameter < tol * d0:
-            return best.center, best.f, True, evals
+            return best.point, best.f, True, evals
         if evals + 2 > budget:
-            return best.center, best.f, False, evals
+            return best.point, best.f, False, evals
 
         # The round's trial points, fixed before any is evaluated: two per
         # longest side of each selected rect, while the budget lasts.
@@ -192,27 +217,28 @@ def _direct_minimize(
                 plus[i] += delta
                 minus = list(rect.center)
                 minus[i] -= delta
-                sides.append((i, tuple(plus), tuple(minus)))
+                plus, minus = tuple(plus), tuple(minus)
+                sides.append((i, plus, to_box(plus), minus, to_box(minus)))
             if sides:
                 trials.append((rect, sides))
         if not trials:
-            return best.center, best.f, False, evals
-        if prefetch is not None:
-            prefetch([point for _, sides in trials for _, plus, minus in sides for point in (plus, minus)])
+            return best.point, best.f, False, evals
+        yield [point for _, sides in trials for _, _, p_plus, _, p_minus in sides for point in (p_plus, p_minus)]
 
         for rect, sides in trials:
             sampled = []
-            for i, plus, minus in sides:
-                f_plus = evaluate(plus)
-                f_minus = evaluate(minus)
-                sampled.append((min(f_plus, f_minus), i, plus, f_plus, minus, f_minus))
+            for i, plus, p_plus, minus, p_minus in sides:
+                f_plus = evaluate(p_plus)
+                f_minus = evaluate(p_minus)
+                sampled.append((min(f_plus, f_minus), i, (plus, p_plus, f_plus), (minus, p_minus, f_minus)))
             sampled.sort(key=lambda s: (s[0], s[1]))
             levels = list(rect.levels)
-            for _, i, p_plus, f_plus, p_minus, f_minus in sampled:
+            for _, i, *children in sampled:
                 levels[i] += 1
-                for point, value in ((p_plus, f_plus), (p_minus, f_minus)):
-                    track(_Rect(point, tuple(levels), value, next(order)))
-            rect.set_levels(tuple(levels))  # center keeps the shrunken rect
+                divided = shape(tuple(levels))
+                for center, point, value in children:
+                    track(_Rect(center, point, divided, value, next(order)))
+            rect.levels, rect.key, rect.diameter = divided  # center keeps the shrunken rect
             track(rect)
 
 
@@ -222,6 +248,35 @@ def _finite_value(objective: Callable[[Sequence[float]], float], point: tuple[fl
     if not math.isfinite(value):
         raise NonFiniteObjective(f"objective returned {value}", point=point)
     return value
+
+
+def _search(
+    objective: Callable[[Sequence[float]], float], box: SearchBox, sense: str
+) -> Generator[list[tuple[float, ...]], None, OptResult]:
+    """One box search as a generator of DIRECT rounds (see ``_direct_minimize``)."""
+    if sense not in (MIN, MAX):
+        raise ValueError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
+    sign = 1.0 if sense == MIN else -1.0
+    lows = [iv.lo for iv in box.bounds]
+    widths = [iv.width for iv in box.bounds]
+    active = [i for i, w in enumerate(widths) if w > 0.0]
+    if not active:
+        point = tuple(lows)
+        return OptResult(point, _finite_value(objective, point), True, 1)
+
+    def to_box(unit_point: tuple[float, ...]) -> tuple[float, ...]:
+        full = list(lows)
+        for axis, u in zip(active, unit_point):
+            full[axis] = lows[axis] + u * widths[axis]
+        return tuple(full)
+
+    def signed(point: tuple[float, ...]) -> float:
+        return sign * _finite_value(objective, point)
+
+    point, f_best, converged, evals = yield from _direct_minimize(
+        signed, len(active), box.settings.budget, box.settings.tol, to_box
+    )
+    return OptResult(point, sign * f_best, converged, evals)
 
 
 def optimize_box(
@@ -235,41 +290,72 @@ def optimize_box(
     budget is reported through the flag, not as an error.
 
     An ``objective.prefetch`` attribute, if there is one, is handed the
-    points of each DIRECT round (in box coordinates) before they are
-    evaluated one by one; it may only speed those calls up.
+    points of each DIRECT round after the first centre (in box coordinates)
+    before they are evaluated one by one; it may only speed those calls up.
     """
-    if sense not in (MIN, MAX):
-        raise ValueError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
-    sign = 1.0 if sense == MIN else -1.0
-    lows = [iv.lo for iv in box.bounds]
-    widths = [iv.width for iv in box.bounds]
-    active = [i for i, w in enumerate(widths) if w > 0.0]
-
-    def denormalize(unit_point: Sequence[float]) -> tuple[float, ...]:
-        full = list(lows)
-        for axis, u in zip(active, unit_point):
-            full[axis] = lows[axis] + u * widths[axis]
-        return tuple(full)
-
-    def wrapped(unit_point: Sequence[float]) -> float:
-        point = denormalize(unit_point)
-        return sign * _finite_value(objective, point)
-
-    if not active:
-        point = tuple(lows)
-        return OptResult(point, _finite_value(objective, point), True, 1)
-
     prefetch = getattr(objective, "prefetch", None)
-    announce = None
-    if prefetch is not None:
+    announce = None if prefetch is None else lambda rounds: prefetch(rounds[0][1])
+    return optimize_boxes([(objective, box, sense)], announce)[0]
 
-        def announce(unit_points: list[tuple[float, ...]]) -> None:
-            prefetch([denormalize(u) for u in unit_points])
 
-    unit_best, f_best, converged, evals = _direct_minimize(
-        wrapped, len(active), box.settings.budget, box.settings.tol, announce
-    )
-    return OptResult(denormalize(unit_best), sign * f_best, converged, evals)
+def optimize_boxes(
+    searches: Iterable[tuple[Callable[[Sequence[float]], float], SearchBox, str]],
+    prefetch: Callable[[list[tuple[Callable, list[tuple[float, ...]]]]], None] | None = None,
+) -> list[OptResult]:
+    """``optimize_box(objective, box, sense)`` for each search, stepped together.
+
+    With a ``prefetch``, up to ``WINDOW`` searches run at once, round by
+    round; a finished one makes room for the next, drawn from ``searches``
+    only then.  Each search starts by evaluating its first centre.
+    ``prefetch`` is then handed every combined round before any of its
+    points is evaluated, as (objective, points) pairs in search order; each
+    search's points are exactly what it evaluates next.  Without one there
+    is nothing to batch, and the searches run one at a time, so that only
+    one search's rectangles are held.
+
+    Results equal those of the searches run one by one, and so does the
+    error: when search k raises, the searches after it stop, those before
+    it run on, and the error of the lowest-numbered failing search is
+    raised once they are done.
+    """
+    pending = iter(searches)
+    results: list[OptResult | None] = []
+    window: list[tuple[int, Callable, Generator, list]] = []  # (search number, objective, search, its next round)
+    failed: tuple[int, Exception] | None = None
+    width = 1 if prefetch is None else WINDOW
+
+    def step(k: int, objective: Callable, search: Generator) -> None:
+        nonlocal failed
+        try:
+            points = next(search)
+        except StopIteration as done:
+            results[k] = done.value
+        except Exception as exc:  # kept to raise once the earlier searches are done
+            failed = (k, exc)
+        else:
+            window.append((k, objective, search, points))
+
+    while True:
+        while len(window) < width and failed is None:
+            try:
+                objective, box, sense = next(pending)
+            except StopIteration:
+                break
+            results.append(None)
+            step(len(results) - 1, objective, _search(objective, box, sense))
+        if failed is not None:
+            window = [entry for entry in window if entry[0] < failed[0]]
+        if not window:
+            break
+        if prefetch is not None:
+            prefetch([(objective, points) for _, objective, _, points in window])
+        stepping, window = window, []
+        for k, objective, search, _ in stepping:
+            if failed is None or k < failed[0]:
+                step(k, objective, search)
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def vertex_extrema(

@@ -31,7 +31,7 @@ from .distributions import DistributionSpec
 from .errors import HyperrectangleCapExceeded, ModelEvaluationError, SingularSystem
 from .interval import Interval
 from .minimal_data import MinimalData
-from .optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_box, vertex_extrema
+from .optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_boxes, vertex_extrema
 from .pbox import build_pbox
 from .slicing import DiscretizedPBox, count_hyperrectangles, discretize_outer, focal_product
 
@@ -145,26 +145,27 @@ def _box_objective(
     """The model over the boxed parameters, and its cache of evaluated points.
 
     The MIN and MAX searches of a box both start from the same centres, so the
-    cache, keyed on the parameter tuple, saves the second search every point
-    the first one already evaluated.  With ``divergent`` (vertex evaluation),
-    a ``SingularSystem`` that carries a direction is cached and raised as it
+    cache, keyed on the parameter tuple, saves one search every point the
+    other already evaluated.  With ``divergent`` (vertex evaluation), a
+    ``SingularSystem`` that carries a direction is cached and raised as it
     is, for ``vertex_extrema`` to read as that infinity; every other failure
     of the model raises ``ModelEvaluationError``.
 
-    For a model with a ``prefetch`` attribute, ``fn.prefetch(vectors)`` hands
-    it the points not yet in the cache, as parameter mappings.  It writes
-    nothing to the cache: every value and error still comes from ``fn``.
+    ``fn.missing(vectors)`` gives the vectors not yet in the cache, each
+    once, as full parameter mappings: what a model's ``prefetch`` is handed.
     """
     cache: dict[tuple[float, ...], float | SingularSystem] = {}
+
+    def arguments(key: tuple[float, ...]) -> dict[str, float]:
+        args = dict(fixed)
+        args.update(zip(names, key))
+        return args
 
     def fn(vector) -> float:
         key = tuple(vector)
         if key not in cache:
-            args = dict(fixed)
-            for name, value in zip(names, key):
-                args[name] = value
             try:
-                cache[key] = _call_model(model, args)
+                cache[key] = _call_model(model, arguments(key))
             except ModelEvaluationError as exc:
                 cause = exc.__cause__
                 if not (divergent and isinstance(cause, SingularSystem) and cause.direction):
@@ -175,30 +176,30 @@ def _box_objective(
             raise value
         return value
 
-    model_prefetch = getattr(model, "prefetch", None)
-    if model_prefetch is not None:
+    def missing(vectors) -> list[dict[str, float]]:
+        return [arguments(key) for key in dict.fromkeys(map(tuple, vectors)) if key not in cache]
 
-        def prefetch(vectors) -> None:
-            points = []
-            for key in dict.fromkeys(map(tuple, vectors)):
-                if key not in cache:
-                    args = dict(fixed)
-                    args.update(zip(names, key))
-                    points.append(args)
-            if points:
-                model_prefetch(points)
-
-        fn.prefetch = prefetch
+    fn.missing = missing
     return fn, cache
 
 
-def _optimize_rect(model: Model, fixed: Mapping[str, float], names: list[str], box: SearchBox):
-    """(y_min, y_max), distinct model calls and unconverged searches of one box."""
-    objective, cache = _box_objective(model, fixed, names)
-    lo = optimize_box(objective, box, MIN)
-    hi = optimize_box(objective, box, MAX)
-    bad = (0 if lo.converged else 1) + (0 if hi.converged else 1)
-    return (lo.value, hi.value), len(cache), bad
+def _round_prefetch(model: Model):
+    """The ``prefetch`` of ``optimize_boxes`` for box objectives of ``model``:
+    one ``model.prefetch`` call per combined round, with each box's missing
+    points once; None for a model without ``prefetch``."""
+    model_prefetch = getattr(model, "prefetch", None)
+    if model_prefetch is None:
+        return None
+
+    def prefetch(rounds) -> None:
+        per_box: dict = {}
+        for objective, points in rounds:
+            per_box.setdefault(objective, []).extend(points)
+        points = [args for objective, vectors in per_box.items() for args in objective.missing(vectors)]
+        if points:
+            model_prefetch(points)
+
+    return prefetch
 
 
 def _optimize_rects(
@@ -215,36 +216,47 @@ def _optimize_rects(
     takes each box's extrema from ``vertex_extrema``, through one cache for
     all boxes, since neighbouring boxes share vertices: at most (2n)**d model
     calls, and nothing left unconverged.  Any other model is searched by
-    DIRECT, box by box.  Equal focal intervals (a min/max-only p-box slices
-    into n of them) give identical boxes; each distinct box is searched
-    once, and every box still contributes its own triple and unconverged
-    count.
+    DIRECT: a MIN and a MAX search per box, sharing the box's cache, all
+    stepped together by ``optimize_boxes``.  Equal focal intervals (a
+    min/max-only p-box slices into n of them) give identical boxes; each
+    distinct box is searched once, and every box still contributes its own
+    triple and unconverged count.
     """
     if not names:
         y = _call_model(model, fixed)
         return [(y, y, 1.0)], 1, 0
+    rects = [(rect.intervals, rect.mass) for rect in focal_product(sliced)]
+    boxes = [SearchBox(intervals, opt) for intervals in dict.fromkeys(intervals for intervals, _ in rects)]
+    found: dict[tuple[Interval, ...], tuple[float, float, int]] = {}  # (y_min, y_max, unconverged)
     if getattr(model, "monotone", False):
         objective, cache = _box_objective(model, fixed, names, divergent=True)
-
-        def search(box):
-            known = len(cache)
-            return vertex_extrema(objective, box), len(cache) - known, 0
+        for box in boxes:
+            found[box.bounds] = (*vertex_extrema(objective, box), 0)
+        evals = len(cache)
     else:
+        evals = 0
 
-        def search(box):
-            return _optimize_rect(model, fixed, names, box)
+        def counted(args: Mapping[str, float]) -> float:
+            nonlocal evals
+            evals += 1
+            return model(args)
 
-    searched: dict[tuple[Interval, ...], tuple] = {}
+        def searches():
+            # Made as the window reaches them, so only the boxes in the
+            # window hold an objective and a cache.
+            for box in boxes:
+                objective, _ = _box_objective(counted, fixed, names)
+                yield objective, box, MIN
+                yield objective, box, MAX
+
+        results = optimize_boxes(searches(), _round_prefetch(model))
+        for box, lo, hi in zip(boxes, results[::2], results[1::2]):
+            found[box.bounds] = (lo.value, hi.value, (not lo.converged) + (not hi.converged))
     triples = []
-    evals = 0
     bad = 0
-    for rect in focal_product(sliced):
-        found = searched.get(rect.intervals)
-        if found is None:
-            found = searched[rect.intervals] = search(SearchBox(rect.intervals, opt))
-            evals += found[1]
-        (lo, hi), _, unconverged = found
-        triples.append((lo, hi, rect.mass))
+    for intervals, mass in rects:
+        lo, hi, unconverged = found[intervals]
+        triples.append((lo, hi, mass))
         bad += unconverged
     return triples, evals, bad
 

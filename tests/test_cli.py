@@ -371,6 +371,18 @@ def _inline_cea_config(transitions: list, **cea) -> dict:
     }
 
 
+def _with_cea_state_cost(cost) -> dict:
+    config = _inline_cea_config(ALIVE_TO_DEAD)
+    config["model"]["cea"]["states"][0]["cost"] = cost
+    return config
+
+
+def _with_boxed_mean(mean) -> dict:
+    config = _inline_cea_config(ALIVE_TO_DEAD)
+    config["parameters"]["boxed"]["p_die"]["mean"] = mean
+    return config
+
+
 def _decide_config(decision: dict, slow_c6=0.8) -> dict:
     config = _all_fixed_decide_config(slow_c6=slow_c6)
     config["decision"] = decision
@@ -396,6 +408,13 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, cycle_length_years=math.nan)),
         ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, discount_rate_annual=math.nan)),
         ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, initial=[1.5, -0.5])),
+        (
+            "parameters.fixed.c2",
+            dict(BASE_CONFIG, parameters={**BASE_CONFIG["parameters"], "fixed": {"c2": True}}),
+        ),
+        ("optimizer", dict(BASE_CONFIG, optimizer={"tol": True})),
+        ("parameters.boxed.p_die", _with_boxed_mean(True)),
+        ("model.cea", _with_cea_state_cost(True)),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -409,6 +428,22 @@ def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)["error"]
     assert (record["type"], record["location"]) == ("ConfigParseError", location)
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(BASE_CONFIG, parameters={**BASE_CONFIG["parameters"], "fixed": {"c2": True}}),
+        dict(BASE_CONFIG, optimizer={"tol": True}),
+        _with_boxed_mean(True),
+        _with_cea_state_cost(False),
+    ],
+    ids=["fixed", "optimizer", "boxed", "inline-cea"],
+)
+def test_boolean_refused_in_number_field(config):
+    """A JSON boolean is not read as 1.0 or 0.0, also where that would pass the range checks."""
+    with pytest.raises(ConfigParseError, match="must be a number, got (True|False)"):
+        AnalysisConfig.from_dict(config)
 
 
 def test_inline_cea_model(tmp_path):

@@ -562,6 +562,51 @@ def test_compiled_builder_matches_reference_loop():
         assert cohort_trace(replaced, DEMO_PARAMS).shape == (horizon + 1, 4)
 
 
+def test_compiled_builder_stacks_match_reference_loop():
+    # Stacks of 1 to 300 points, each matrix equal to the reference loop's.
+    rng = np.random.default_rng(20261021)
+    for n in range(2, 7):
+        for size in (1, 2, 300, *rng.integers(3, 300, 5).tolist()):
+            states, absorbing, transitions, params = _random_table(rng, n)
+            points = [{name: float(rng.uniform(0.0, 0.1)) for name in params} for _ in range(size)]
+            stack = compile_transitions(states, absorbing, transitions).stack(points)
+            expected = np.array([_reference_matrix(states, absorbing, transitions, p) for p in points])
+            assert stack.shape == (size, n, n)
+            assert np.array_equal(stack, expected), transitions
+
+
+def test_row_sums_added_left_to_right():
+    """A row remainder and a bad row's reported sum are added left to right,
+    as Python 3.11's ``sum`` adds, not compensated as ``math.fsum`` and
+    3.12's ``sum`` add; on these rows the two differ.  The suite runs on
+    3.11 only (numpy is not installed for 3.12 here), where ``sum`` would
+    pass this test too."""
+    states, absorbing = ("a", "b", "c", "d"), (False, True, True, True)
+    row = [0.7, 0.1, 0.1, 0.1]
+    left_to_right = ((0.7 + 0.1) + 0.1) + 0.1
+    assert left_to_right != math.fsum(row) == 1.0
+    builder = compile_transitions(
+        states, absorbing, [{"from": "a", "to": s, "value": v} for s, v in zip(states, row)]
+    )
+    assert builder({})[0, 0] == 0.7 + (1.0 - left_to_right) != 0.7
+
+    bad = [0.7, 0.1, 0.1, 0.2]
+    assert ((0.7 + 0.1) + 0.1) + 0.2 == 1.0999999999999999 != math.fsum(bad)
+    spec = CohortCeaSpec(
+        states=states,
+        absorbing=absorbing,
+        transition_builder=lambda params: np.array([bad, *np.eye(4)[1:]]),
+        costs=(1.0, 0.0, 0.0, 0.0),
+        utilities=(1.0, 0.0, 0.0, 0.0),
+        cycle_length_years=1.0,
+        horizon_cycles=3,
+        discount_rate_annual=0.0,
+        initial=(1.0, 0.0, 0.0, 0.0),
+    )
+    with pytest.raises(RowSumViolation, match=r"row for state 'a' sums to 1\.0999999999999999$"):
+        cohort_trace(spec, {})
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
@@ -716,3 +761,18 @@ def test_prefetch_then_call_matches_call_alone(monkeypatch):
                 kinds.add(got[0].split(" ")[0] if isinstance(got[0], str) else "value")
             k = chunk.stop
     assert kinds == {"value", "row", "absorbing", "occupancy"}
+
+
+def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
+    """A stack longer than a slice is evaluated slice by slice, with the
+    outcomes of the points evaluated one by one."""
+    monkeypatch.setattr("pba.models._STACK_SLICE", 7)
+    rng = np.random.default_rng(20261022)
+    points = [
+        {**DEMO_PARAMS, "p_serious": float(rng.uniform(0.001, 0.02)), "rr": float(rng.uniform(0.45, 1.05))}
+        for _ in range(50)
+    ]
+    sliced, alone = demo_cea_spec(), demo_cea_spec()
+    sliced.prefetch(points)
+    assert len(sliced._memo) == 50
+    assert [sliced._memo[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]

@@ -5,7 +5,17 @@ import pytest
 
 from pba.errors import DimensionTooLarge, NonFiniteObjective, SingularSystem
 from pba.interval import Interval
-from pba.optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_box, vertex_extrema
+from pba.optimize import (
+    MAX,
+    MIN,
+    WINDOW,
+    OptimizerSettings,
+    SearchBox,
+    _shaper,
+    optimize_box,
+    optimize_boxes,
+    vertex_extrema,
+)
 
 UNIT2 = (Interval(0, 1), Interval(0, 1))
 
@@ -247,3 +257,129 @@ def test_announced_points_are_in_box_coordinates():
     for _, points in recorder.rounds:
         for x, y, z in points:
             assert 2 < x < 4 and y == 5 and -1 < z < 0
+
+
+def test_objective_gets_the_announced_tuples():
+    # Each point is mapped into the box once: the objective is called with
+    # the very tuple objects the round announced, and the result's point is
+    # one of them.
+    announced, called = [], []
+
+    def objective(point):
+        called.append(point)
+        return camel(point)
+
+    objective.prefetch = announced.extend
+    result = optimize_box(objective, CAMEL_BOX, MIN)
+    assert len(called) == len(announced) + 1 == result.evaluations
+    assert all(a is c for a, c in zip(announced, called[1:]))
+    assert any(result.point is c for c in called)
+
+
+def test_diameter_squares_added_left_to_right():
+    # For these levels a compensated sum (math.fsum, or sum() on Python
+    # 3.12) gives another last bit than left-to-right adds, and so another
+    # diameter.  The test suite itself runs on 3.11, where sum() adds left
+    # to right too.
+    levels = (1, 1, 1, 0, 0)
+    squares = [9.0 ** (-level) for level in levels]
+    left_to_right = (((squares[0] + squares[1]) + squares[2]) + squares[3]) + squares[4]
+    assert 0.5 * math.sqrt(left_to_right) != 0.5 * math.sqrt(math.fsum(squares))
+    shape = _shaper()
+    assert shape(levels) == (levels, (0, 0, 1, 1, 1), 0.5 * math.sqrt(left_to_right))
+    assert shape((1, 1, 1, 0, 0)) is shape(levels)
+
+
+def _random_search(rng):
+    """A random objective, box and sense, with some degenerate coordinates."""
+    dim = int(rng.integers(1, 4))
+    lows = rng.uniform(-2.0, 2.0, dim)
+    widths = rng.uniform(0.1, 3.0, dim) * (rng.random(dim) < 0.85)
+    box = SearchBox(
+        tuple(Interval(float(lo), float(lo + w)) for lo, w in zip(lows, widths)),
+        OptimizerSettings(budget=int(rng.integers(1, 160)), tol=float(rng.choice([1e-2, 1e-4]))),
+    )
+    a, b, c = rng.uniform(-1.0, 1.0, (3, dim))
+
+    def objective(v):
+        return sum(ai * x * x + bi * math.sin(3.0 * x + ci) for ai, bi, ci, x in zip(a, b, c, v))
+
+    return objective, box, (MIN, MAX)[int(rng.integers(2))]
+
+
+def test_boxes_stepped_together_equal_one_by_one(rng):
+    # More searches than the window holds, so finished searches make room
+    # for new ones; each round hands over exactly what each search
+    # evaluates next, and at most WINDOW searches at a time.
+    searches = [_random_search(rng) for _ in range(WINDOW + 40)]
+    alone = [optimize_box(objective, box, sense) for objective, box, sense in searches]
+    calls: dict = {}
+    recorded = []
+    wrapped = []
+    for k, (objective, box, sense) in enumerate(searches):
+        calls[k] = []
+
+        def counted(v, objective=objective, k=k):
+            calls[k].append(v)
+            return objective(v)
+
+        wrapped.append((counted, box, sense))
+    number = {id(objective): k for k, (objective, _, _) in enumerate(wrapped)}
+    results = optimize_boxes(wrapped, lambda rounds: recorded.append([(number[id(f)], list(p)) for f, p in rounds]))
+    assert results == alone
+    assert [r.evaluations for r in results] == [len(calls[k]) for k in range(len(searches))]
+    assert max(len(rounds) for rounds in recorded) == WINDOW
+    made = {k: 1 for k in calls}  # each search first evaluates its centre, unannounced
+    for rounds in recorded:
+        assert [k for k, _ in rounds] == sorted(k for k, _ in rounds)
+        for k, points in rounds:
+            assert points and calls[k][made[k] : made[k] + len(points)] == points
+            made[k] += len(points)
+    assert made == {k: len(calls[k]) for k in calls}
+
+
+def test_boxes_stepped_together_raise_the_one_by_one_error():
+    # Search 0 fails in its fourth round, search 2 already in its first.
+    # One by one, search 0 raises first, and so must the window; search 1,
+    # before the later failure, runs on to its end.
+    def rounds_of(objective, box, sense):
+        found = []
+        probe = lambda v: objective(v)
+        probe.prefetch = lambda points: found.append(list(points))
+        optimize_box(probe, box, sense)
+        return found
+
+    box = SearchBox(UNIT2, OptimizerSettings(budget=300, tol=1e-6))
+    bad = {rounds_of(quadratic, box, MIN)[3][1], rounds_of(camel, CAMEL_BOX, MIN)[0][0]}
+    failures = []
+
+    def failing(f):
+        def objective(v):
+            if v in bad:
+                failures.append(v)
+                raise NonFiniteObjective(f"no value at {v}", point=v)
+            return f(v)
+
+        return objective
+
+    searches = [(failing(quadratic), box, MIN), (linear, box, MAX), (failing(camel), CAMEL_BOX, MIN)]
+    with pytest.raises(NonFiniteObjective) as one_by_one:
+        for objective, b, sense in searches:
+            optimize_box(objective, b, sense)
+    failures.clear()
+    with pytest.raises(NonFiniteObjective) as together:
+        optimize_boxes(searches, lambda rounds: None)
+    assert failures[0] != failures[1] == one_by_one.value.point
+    assert (str(together.value), together.value.point) == (str(one_by_one.value), one_by_one.value.point)
+
+
+def test_boxes_without_prefetch_run_one_at_a_time(rng):
+    # With no prefetch there is no round to batch: each search runs to its
+    # end before the next starts, holding one search's state at a time.
+    searches = [_random_search(rng) for _ in range(5)]
+    order = []
+    wrapped = [
+        (lambda v, f=f, k=k: order.append(k) or f(v), box, sense) for k, (f, box, sense) in enumerate(searches)
+    ]
+    assert optimize_boxes(wrapped) == [optimize_box(f, box, sense) for f, box, sense in searches]
+    assert order == sorted(order) and len(set(order)) == 5

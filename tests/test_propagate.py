@@ -22,7 +22,7 @@ from pba.propagate import (
     propagate_pboxes,
     psa_propagate,
 )
-from pba.optimize import MAX, MIN, SearchBox, optimize_box, vertex_extrema
+from pba.optimize import MAX, MIN, SearchBox, optimize_box, optimize_boxes, vertex_extrema
 from pba.slicing import discretize_outer, focal_product
 
 FAST_OPT = OptimizerSettings(budget=300, tol=1e-6)
@@ -424,7 +424,14 @@ def test_each_distinct_box_searched_with_the_run_settings(monkeypatch):
 
         return recorder
 
-    monkeypatch.setattr(propagate, "optimize_box", recording(optimize_box))
+    handed = []
+
+    def recording_boxes(searches, *rest):
+        searches = list(searches)
+        handed.extend(searches)
+        return optimize_boxes(searches, *rest)
+
+    monkeypatch.setattr(propagate, "optimize_boxes", recording_boxes)
     monkeypatch.setattr(propagate, "vertex_extrema", recording(vertex_extrema))
     opt = OptimizerSettings(budget=200, tol=1e-6)
     params = ParameterSet(boxed={"x": min_max_mean(0.0, 1.0, 0.3), "y": min_max(0.0, 1.0)})
@@ -433,12 +440,13 @@ def test_each_distinct_box_searched_with_the_run_settings(monkeypatch):
     assert len(distinct) < 9  # y's min/max slices repeat each box
 
     propagate_pboxes(lambda p: (p["x"] - 0.4) ** 2 + p["y"], params, n=3, opt=opt)
-    lows, highs = seen[::2], seen[1::2]  # a MIN then a MAX search of each box
-    assert [id(b) for b in lows] == [id(b) for b in highs]
-    assert len(lows) == len(distinct) and {b.bounds for b in lows} == distinct
-    assert all(b.settings is opt for b in seen)
+    lows, highs = handed[::2], handed[1::2]  # a MIN then a MAX search of each box
+    assert [sense for _, _, sense in lows] == [MIN] * len(lows)
+    assert [sense for _, _, sense in highs] == [MAX] * len(highs)
+    assert [(id(f), id(b)) for f, b, _ in lows] == [(id(f), id(b)) for f, b, _ in highs]
+    assert len(lows) == len(distinct) and {b.bounds for _, b, _ in lows} == distinct
+    assert all(b.settings is opt for _, b, _ in handed)
 
-    seen.clear()
     propagate_pboxes(monotone(lambda p: p["x"] + p["y"]), params, n=3, opt=opt)
     assert len(seen) == len(distinct) and {b.bounds for b in seen} == distinct
     assert all(b.settings is opt for b in seen)
@@ -467,3 +475,44 @@ def test_prefetch_gets_each_new_point_once_and_changes_nothing():
     # was.  Focal intervals overlap, so a point may recur in another box.
     assert len(announced) == len(calls) - len(distinct)
     assert not Counter(announced) - Counter(calls)
+
+
+def test_model_error_is_the_box_by_box_one():
+    """Two boxes fail, the first in a later round than the second.  Searched
+    one by one (each box's MIN, then its MAX), the first box raises; stepped
+    together, the second box fails first, and the first box's error, message
+    and params, is still the one raised."""
+    params = ParameterSet(fixed={"z": 0.5}, boxed={"x": min_max_mean(0.0, 1.0, 0.3)})
+    sliced = [discretize_outer(build_pbox(params.boxed["x"]), 2)]
+    boxes = list(dict.fromkeys(rect.intervals for rect in focal_product(sliced)))
+    assert len(boxes) == 2
+    f = lambda x: math.sin(7.0 * x)
+
+    def rounds_of(intervals):
+        found = []
+        probe = lambda v: f(v[0])
+        probe.prefetch = lambda points: found.append(list(points))
+        optimize_box(probe, SearchBox(intervals, FAST_OPT), MIN)
+        return found
+
+    bad = {rounds_of(boxes[0])[4][0][0], rounds_of(boxes[1])[1][0][0]}
+    failures = []
+
+    def model(p):
+        if p["x"] in bad:
+            failures.append(p["x"])
+            raise RuntimeError(f"no value at x={p['x']}")
+        return f(p["x"])
+
+    model.prefetch = lambda points: None  # the searches are stepped together only for a prefetch
+    with pytest.raises(ModelEvaluationError) as one_by_one:
+        for intervals in boxes:
+            objective, _ = propagate._box_objective(model, params.fixed, ["x"])
+            for sense in (MIN, MAX):
+                optimize_box(objective, SearchBox(intervals, FAST_OPT), sense)
+    failures.clear()
+    with pytest.raises(ModelEvaluationError) as together:
+        propagate_pboxes(model, params, n=2, opt=FAST_OPT)
+    assert failures[0] != failures[-1] == one_by_one.value.params["x"]
+    assert str(together.value) == str(one_by_one.value)
+    assert together.value.params == one_by_one.value.params
