@@ -49,6 +49,14 @@ def _need(mapping: Mapping, key: str, location: str):
     return mapping[key]
 
 
+def _shaped(value, what: str, location: str, name: str | None = None):
+    """``value`` if it is ``what`` ("an object" or "an array"), else a
+    ``ConfigParseError`` at ``location`` naming the field ``name``."""
+    if not isinstance(value, Mapping if what == "an object" else (list, tuple)):
+        raise ConfigParseError(f"{name or location} must be {what}, got {value!r}", location=location)
+    return value
+
+
 def _number(kind: type, value, location: str, name: str | None = None):
     """``kind(value)`` for the config field ``name`` (by default ``location``),
     or a ``ConfigParseError`` at ``location``.
@@ -81,6 +89,8 @@ def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) ->
 
 
 def _minimal_data_from(cfg: Mapping, location: str) -> MinimalData:
+    cfg = _shaped(cfg, "an object", location)
+
     def stat(key: str, required: bool = False) -> float | None:
         value = _need(cfg, key, location) if required else cfg.get(key)
         return None if value is None else _float_field(value, location, key)
@@ -101,6 +111,7 @@ def _minimal_data_from(cfg: Mapping, location: str) -> MinimalData:
 
 
 def _distribution_from(cfg: Mapping, location: str) -> DistributionSpec:
+    cfg = _shaped(cfg, "an object", location)
     family = _need(cfg, "family", location)
     try:
         if family in ("gamma", "beta"):
@@ -122,14 +133,23 @@ def _distribution_from(cfg: Mapping, location: str) -> DistributionSpec:
 
 
 def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
-    states = tuple(s["name"] for s in _need(cfg, "states", location))
-    absorbing = tuple(bool(s.get("absorbing", False)) for s in cfg["states"])
-    costs = tuple(_float_field(s.get("cost", 0.0), location, f"states[{i}].cost") for i, s in enumerate(cfg["states"]))
+    cfg = _shaped(cfg, "an object", location)
+
+    def array(key: str) -> Sequence:
+        return _shaped(_need(cfg, key, location), "an array", location, f"{location}.{key}")
+
+    def objects(key: str) -> list[Mapping]:
+        return [_shaped(e, "an object", location, f"{location}.{key}[{i}]") for i, e in enumerate(array(key))]
+
+    state_cfgs = objects("states")
+    states = tuple(_need(s, "name", location) for s in state_cfgs)
+    absorbing = tuple(bool(s.get("absorbing", False)) for s in state_cfgs)
+    costs = tuple(_float_field(s.get("cost", 0.0), location, f"states[{i}].cost") for i, s in enumerate(state_cfgs))
     utilities = tuple(
-        _float_field(s.get("utility", 0.0), location, f"states[{i}].utility") for i, s in enumerate(cfg["states"])
+        _float_field(s.get("utility", 0.0), location, f"states[{i}].utility") for i, s in enumerate(state_cfgs)
     )
-    transitions = tuple(_need(cfg, "transitions", location))
-    initial = tuple(_float_field(x, location, f"initial[{i}]") for i, x in enumerate(_need(cfg, "initial", location)))
+    transitions = tuple(objects("transitions"))
+    initial = tuple(_float_field(x, location, f"initial[{i}]") for i, x in enumerate(array("initial")))
     wtp = _float_field(cfg.get("wtp", models.WTP_PER_QALY), location, "wtp")
     outcome = cfg.get("outcome", "nmb")
     if outcome not in ("nmb", "cost", "qaly"):
@@ -173,6 +193,15 @@ class ActionSpec:
     overrides: Mapping[str, float]
 
 
+def _action_from(cfg, location: str) -> ActionSpec:
+    cfg = _shaped(cfg, "an object", location)
+    overrides = _shaped(cfg.get("overrides", {}), "an object", f"{location}.overrides")
+    return ActionSpec(
+        str(_need(cfg, "id", location)),
+        {str(k): _number(float, v, f"{location}.overrides.{k}") for k, v in overrides.items()},
+    )
+
+
 @dataclass(frozen=True)
 class PsaBaseline:
     """Companion Monte Carlo run with each boxed parameter made precise."""
@@ -183,10 +212,9 @@ class PsaBaseline:
 
 
 def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
-    if not isinstance(cfg, Mapping):
-        raise ConfigParseError("psa_baseline must be an object", location="psa_baseline")
+    cfg = _shaped(cfg, "an object", "psa_baseline")
     samples = _count(cfg, "samples", 500, 1, "psa_baseline.samples")
-    families = cfg.get("families", {})
+    families = _shaped(cfg.get("families", {}), "an object", "psa_baseline.families")
     precise = dict(parameters.precise)
     for name, data in parameters.boxed.items():
         try:
@@ -202,8 +230,9 @@ def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
 
 def _rule_from(cfg: Mapping) -> tuple[str, DecisionRule]:
     """The named decision rule, built once; ``alpha`` belongs to ``hurwicz`` alone."""
+    cfg = _shaped(cfg, "an object", "decision")
     name = cfg.get("rule", "dominance")
-    if name not in _RULES:
+    if not isinstance(name, str) or name not in _RULES:
         raise ConfigParseError(f"unknown decision rule {name!r}", location="decision.rule")
     kwargs = {}
     if cfg.get("alpha") is not None:
@@ -254,36 +283,26 @@ class AnalysisConfig:
         else:
             raise ConfigParseError("model must be a registry name or {'cea': ...}", location="model")
 
-        pcfg = _need(cfg, "parameters", "parameters")
-        fixed = {
-            str(k): _number(float, v, f"parameters.fixed.{k}") for k, v in pcfg.get("fixed", {}).items()
-        }
-        precise = {
-            str(k): _distribution_from(v, f"parameters.precise.{k}")
-            for k, v in pcfg.get("precise", {}).items()
-        }
-        boxed = {
-            str(k): _minimal_data_from(v, f"parameters.boxed.{k}")
-            for k, v in pcfg.get("boxed", {}).items()
-        }
+        pcfg = _shaped(_need(cfg, "parameters", "parameters"), "an object", "parameters")
+
+        def group(name: str) -> Mapping:
+            return _shaped(pcfg.get(name, {}), "an object", f"parameters.{name}")
+
+        fixed = {str(k): _number(float, v, f"parameters.fixed.{k}") for k, v in group("fixed").items()}
+        precise = {str(k): _distribution_from(v, f"parameters.precise.{k}") for k, v in group("precise").items()}
+        boxed = {str(k): _minimal_data_from(v, f"parameters.boxed.{k}") for k, v in group("boxed").items()}
         try:
             parameters = ParameterSet(fixed=fixed, precise=precise, boxed=boxed)
         except ValueError as exc:
             raise ConfigParseError(str(exc), location="parameters") from exc
 
         actions = tuple(
-            ActionSpec(
-                str(_need(a, "id", f"actions[{i}]")),
-                {
-                    str(k): _number(float, v, f"actions[{i}].overrides.{k}")
-                    for k, v in a.get("overrides", {}).items()
-                },
-            )
-            for i, a in enumerate(cfg.get("actions", ()))
+            _action_from(a, f"actions[{i}]")
+            for i, a in enumerate(_shaped(cfg.get("actions", []), "an array", "actions"))
         )
         rule_name, rule = _rule_from(cfg.get("decision", {}))
 
-        opt_cfg = cfg.get("optimizer", {})
+        opt_cfg = _shaped(cfg.get("optimizer", {}), "an object", "optimizer")
         try:
             optimizer = OptimizerSettings(
                 **{
@@ -304,14 +323,14 @@ class AnalysisConfig:
             parameters=parameters,
             n=_count(cfg, "n", 50, 1, "n"),
             samples=_count(cfg, "samples", 50, 1, "samples"),
-            seed=_number(int, cfg.get("seed", 0), "seed"),
+            seed=_count(cfg, "seed", 0, 0, "seed"),
             optimizer=optimizer,
             actions=actions,
             rule_name=rule_name,
             rule=rule,
             curve_grid=_count(cfg, "curve_grid", 201, 2, "curve_grid"),
             psa_baseline=psa_baseline,
-            outputs=dict(cfg.get("output", {})),
+            outputs=dict(_shaped(cfg.get("output", {}), "an object", "output")),
         )
         config._validate_names()
         config._validate_pipeline()
@@ -528,12 +547,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int) -> int:
-    if flag_seed is not None:
-        return flag_seed
+    """The run's seed: ``--seed``, else ``PBA_SEED``, else the config's; never negative."""
     env = os.environ.get("PBA_SEED")
-    if env is not None:
-        return _number(int, env, "PBA_SEED")
-    return config_seed
+    if flag_seed is not None:
+        seed, location = flag_seed, "--seed"
+    elif env is not None:
+        seed, location = _number(int, env, "PBA_SEED"), "PBA_SEED"
+    else:
+        return config_seed
+    if seed < 0:
+        raise ConfigParseError(f"seed must be at least 0, got {seed}", location=location)
+    return seed
 
 
 def main(argv: Sequence[str] | None = None) -> int:

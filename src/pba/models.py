@@ -10,6 +10,7 @@ demonstration specification.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from collections import OrderedDict
 from functools import cached_property
@@ -402,6 +403,13 @@ def inmb(
 # ---------------------------------------------------------------------------
 
 
+def _constant(value, entry: Mapping) -> float:
+    """A constant factor of a transition entry: a number, and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"transition {dict(entry)} has {value!r} where a number belongs")
+    return float(value)
+
+
 def compile_transitions(
     states: Sequence[str],
     absorbing: Sequence[bool],
@@ -411,8 +419,10 @@ def compile_transitions(
 
     Each entry has ``from``, ``to`` and one of ``value`` (a constant),
     ``param`` (a named parameter) or ``product`` (a list of names/constants
-    multiplied together, left to right).  Staying probabilities are the row
-    remainders, summed left to right; absorbing states take identity rows.
+    multiplied together, left to right).  A constant is a number; a
+    boolean or anything else raises ``ValueError``.  Staying probabilities
+    are the row remainders, summed left to right; absorbing states take
+    identity rows.
 
     The entries are resolved once, here: state indices, the product of
     each entry's leading constants, and the factors after them.
@@ -432,11 +442,11 @@ def compile_transitions(
         if src is None or dst is None:
             raise ValueError(f"transition {dict(entry)} needs 'from' and 'to' naming declared states")
         if "value" in entry:
-            factors = [float(entry["value"])]
+            factors = [_constant(entry["value"], entry)]
         elif "param" in entry:
             factors = [str(entry["param"])]
         elif "product" in entry:
-            factors = [f if isinstance(f, str) else float(f) for f in entry["product"]]
+            factors = [f if isinstance(f, str) else _constant(f, entry) for f in entry["product"]]
         else:
             raise ValueError(f"transition {dict(entry)} needs a 'value', 'param' or 'product'")
         # Fold the leading constants; multiplying by them at call time, in

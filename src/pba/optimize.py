@@ -5,10 +5,11 @@ evaluate centers, trisect potentially optimal rectangles along their longest
 sides, and select candidates by the lower convex hull of (diameter, value)
 pairs.  Derivative-free and fully deterministic, so repeated runs on the
 same inputs give identical results.  Maximization runs on the negated
-objective.  A search runs round by round, and ``optimize_boxes`` steps many
-searches together, so that the points of one combined round can be handed
-to the objective as one batch.  Vertex enumeration covers coordinate-monotone
-objectives exactly, and is how propagation treats models declared monotone.
+objective.  A search announces each round's points, its first centre too,
+before it evaluates them, and ``optimize_boxes`` steps many searches
+together, so that one combined round can be handed over as one batch.
+Vertex enumeration covers coordinate-monotone objectives exactly, and is
+how propagation treats models declared monotone.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ def _direct_minimize(
     """DIRECT on the unit cube, one round per step of the generator.
 
     ``f`` takes points in the box, and ``to_box`` maps a unit point there.
-    The first step evaluates the centre; each step yields the box points of
-    the next round, fixed before any of them is evaluated, and evaluates
-    them in that order once resumed.  Returns (best box point, its value,
+    Each step yields the box points of the next round, fixed before any of
+    them is evaluated, and evaluates them in that order once resumed; the
+    first round is the centre alone.  Returns (best box point, its value,
     converged, evaluations).
     """
     evals = 0
@@ -185,6 +186,7 @@ def _direct_minimize(
 
     center = tuple(0.5 for _ in range(dim))
     point = to_box(center)
+    yield [point]
     root = _Rect(center, point, shape(tuple(0 for _ in range(dim))), evaluate(point), next(order))
     track(root)
     d0 = root.diameter
@@ -253,7 +255,8 @@ def _finite_value(objective: Callable[[Sequence[float]], float], point: tuple[fl
 def _search(
     objective: Callable[[Sequence[float]], float], box: SearchBox, sense: str
 ) -> Generator[list[tuple[float, ...]], None, OptResult]:
-    """One box search as a generator of DIRECT rounds (see ``_direct_minimize``)."""
+    """One box search as a generator of DIRECT rounds (see ``_direct_minimize``);
+    a box with no width is one round, its pinned point."""
     if sense not in (MIN, MAX):
         raise ValueError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
     sign = 1.0 if sense == MIN else -1.0
@@ -262,6 +265,7 @@ def _search(
     active = [i for i, w in enumerate(widths) if w > 0.0]
     if not active:
         point = tuple(lows)
+        yield [point]
         return OptResult(point, _finite_value(objective, point), True, 1)
 
     def to_box(unit_point: tuple[float, ...]) -> tuple[float, ...]:
@@ -282,20 +286,14 @@ def _search(
 def optimize_box(
     objective: Callable[[Sequence[float]], float], box: SearchBox, sense: str = MIN
 ) -> OptResult:
-    """Global minimum or maximum of ``objective`` over ``box``.
+    """Global minimum or maximum of ``objective`` over ``box``, one search through ``optimize_boxes``.
 
     Degenerate (zero-width) coordinates are pinned and excluded from the
     search.  The converged flag reports whether the best rectangle shrank
     below ``tol`` times the box diameter before the budget ran out; a spent
     budget is reported through the flag, not as an error.
-
-    An ``objective.prefetch`` attribute, if there is one, is handed the
-    points of each DIRECT round after the first centre (in box coordinates)
-    before they are evaluated one by one; it may only speed those calls up.
     """
-    prefetch = getattr(objective, "prefetch", None)
-    announce = None if prefetch is None else lambda rounds: prefetch(rounds[0][1])
-    return optimize_boxes([(objective, box, sense)], announce)[0]
+    return optimize_boxes([(objective, box, sense)])[0]
 
 
 def optimize_boxes(
@@ -306,12 +304,12 @@ def optimize_boxes(
 
     With a ``prefetch``, up to ``WINDOW`` searches run at once, round by
     round; a finished one makes room for the next, drawn from ``searches``
-    only then.  Each search starts by evaluating its first centre.
-    ``prefetch`` is then handed every combined round before any of its
-    points is evaluated, as (objective, points) pairs in search order; each
-    search's points are exactly what it evaluates next.  Without one there
-    is nothing to batch, and the searches run one at a time, so that only
-    one search's rectangles are held.
+    only then.  ``prefetch`` is handed every combined round before any of
+    its points is evaluated, as (objective, points) pairs in search order;
+    each search's points, in box coordinates, are exactly what it evaluates
+    next, so every evaluation is announced.  Without one there is nothing
+    to batch, and the searches run one at a time, so that only one search's
+    rectangles are held.
 
     Results equal those of the searches run one by one, and so does the
     error: when search k raises, the searches after it stop, those before

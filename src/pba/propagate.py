@@ -142,9 +142,9 @@ def _call_model(model: Model, args: Mapping[str, float]) -> float:
 def _box_objective(
     model: Model, fixed: Mapping[str, float], names: list[str], divergent: bool = False
 ):
-    """The model over the boxed parameters, and its cache of evaluated points.
+    """The model over the boxed parameters, calling it once per distinct point.
 
-    The MIN and MAX searches of a box both start from the same centres, so the
+    The MIN and MAX searches of a box both start from the same centres, so its
     cache, keyed on the parameter tuple, saves one search every point the
     other already evaluated.  With ``divergent`` (vertex evaluation), a
     ``SingularSystem`` that carries a direction is cached and raised as it
@@ -180,7 +180,7 @@ def _box_objective(
         return [arguments(key) for key in dict.fromkeys(map(tuple, vectors)) if key not in cache]
 
     fn.missing = missing
-    return fn, cache
+    return fn
 
 
 def _round_prefetch(model: Model):
@@ -228,24 +228,23 @@ def _optimize_rects(
     rects = [(rect.intervals, rect.mass) for rect in focal_product(sliced)]
     boxes = [SearchBox(intervals, opt) for intervals in dict.fromkeys(intervals for intervals, _ in rects)]
     found: dict[tuple[Interval, ...], tuple[float, float, int]] = {}  # (y_min, y_max, unconverged)
+    evals = 0
+
+    def counted(args: Mapping[str, float]) -> float:
+        nonlocal evals
+        evals += 1
+        return model(args)
+
     if getattr(model, "monotone", False):
-        objective, cache = _box_objective(model, fixed, names, divergent=True)
+        objective = _box_objective(counted, fixed, names, divergent=True)
         for box in boxes:
             found[box.bounds] = (*vertex_extrema(objective, box), 0)
-        evals = len(cache)
     else:
-        evals = 0
-
-        def counted(args: Mapping[str, float]) -> float:
-            nonlocal evals
-            evals += 1
-            return model(args)
-
         def searches():
             # Made as the window reaches them, so only the boxes in the
             # window hold an objective and a cache.
             for box in boxes:
-                objective, _ = _box_objective(counted, fixed, names)
+                objective = _box_objective(counted, fixed, names)
                 yield objective, box, MIN
                 yield objective, box, MAX
 

@@ -383,6 +383,12 @@ def _with_boxed_mean(mean) -> dict:
     return config
 
 
+def _with_first_overrides(overrides) -> dict:
+    config = _all_fixed_decide_config(slow_c6=0.8)
+    config["actions"][0]["overrides"] = overrides
+    return config
+
+
 def _decide_config(decision: dict, slow_c6=0.8) -> dict:
     config = _all_fixed_decide_config(slow_c6=slow_c6)
     config["decision"] = decision
@@ -415,6 +421,25 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("optimizer", dict(BASE_CONFIG, optimizer={"tol": True})),
         ("parameters.boxed.p_die", _with_boxed_mean(True)),
         ("model.cea", _with_cea_state_cost(True)),
+        ("seed", dict(BASE_CONFIG, seed=-1)),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, states=[{"cost": 1.0}, {"name": "dead", "absorbing": True}])),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, states=["alive", "dead"])),
+        ("model.cea", _inline_cea_config(["alive->dead"])),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, initial=1.0)),
+        ("parameters", dict(BASE_CONFIG, parameters=[BASE_CONFIG["parameters"]])),
+        ("optimizer", dict(BASE_CONFIG, optimizer=300)),
+        ("actions[0].overrides", _with_first_overrides([["c1", 0.05]])),
+        ("parameters.fixed", dict(BASE_CONFIG, parameters={**BASE_CONFIG["parameters"], "fixed": [0.01]})),
+        ("parameters.precise.c1", dict(BASE_CONFIG, parameters={"precise": {"c1": 0.05}})),
+        ("parameters.boxed.p_die", dict(_inline_cea_config(ALIVE_TO_DEAD), parameters={"boxed": {"p_die": 0.1}})),
+        ("decision", dict(_all_fixed_decide_config(slow_c6=0.8), decision="pessimist")),
+        ("actions[1]", dict(_all_fixed_decide_config(slow_c6=0.8), actions=[{"id": "usual"}, 2])),
+        ("actions", dict(_all_fixed_decide_config(slow_c6=0.8), actions=5)),
+        ("decision.rule", _decide_config({"rule": ["pessimist"]})),
+        ("psa_baseline.families", _minmax_propagate_config(["uniform"])),
+        ("output", dict(BASE_CONFIG, output=5)),
+        ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead", "value": True}])),
+        ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead", "product": ["p_die", None]}])),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -591,6 +616,18 @@ def test_prefetch_only_speeds_up(tmp_path):
     assert sum(announced) > 9000
 
 
+
+def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
+    """Every point of the bundled CEA run, each search's first centre too,
+    reaches the model in a combined round, so no matrix is evaluated alone."""
+    config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
+    sizes = []
+    traces = models._traces
+    monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
+    models._DEMO_SPEC._memo.clear()
+    assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
+    assert sizes and min(sizes) > 1
+
 @pytest.mark.parametrize(
     "location, config",
     [
@@ -620,6 +657,25 @@ def test_integer_field_takes_whole_float():
     assert all(type(v) is int for v in (config.n, config.samples, config.seed, config.optimizer.budget))
     model = AnalysisConfig.from_dict(_inline_cea_config(ALIVE_TO_DEAD, horizon_cycles=20.0)).model.fn
     assert model({"p_die": 0.1}) == AnalysisConfig.from_dict(_inline_cea_config(ALIVE_TO_DEAD)).model.fn({"p_die": 0.1})
+
+
+@pytest.mark.parametrize(
+    "env, flag, location",
+    [("-5", [], "PBA_SEED"), (None, ["--seed", "-3"], "--seed"), ("7", ["--seed", "-3"], "--seed")],
+)
+def test_negative_seed_refused_before_the_run(env, flag, location, tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(BASE_CONFIG))
+    if env is None:
+        monkeypatch.delenv("PBA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PBA_SEED", env)
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), *flag, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", location)
+    assert "at least 0" in record["message"]
+    assert not out.exists()
 
 
 def test_bad_pba_seed_gives_error_record(tmp_path, capsys, monkeypatch):

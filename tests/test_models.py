@@ -613,6 +613,11 @@ def test_row_sums_added_left_to_right():
         ({"from": "a", "to": "gone", "param": "p"}, "naming declared states"),
         ({"to": "a", "value": 0.1}, "naming declared states"),
         ({"from": "a", "to": "b"}, "needs a 'value', 'param' or 'product'"),
+        ({"from": "a", "to": "b", "value": True}, "True where a number belongs"),
+        ({"from": "a", "to": "b", "value": "0.1"}, "'0.1' where a number belongs"),
+        ({"from": "a", "to": "b", "product": ["p", True]}, "True where a number belongs"),
+        ({"from": "a", "to": "b", "product": ["p", None]}, "None where a number belongs"),
+        ({"from": "a", "to": "b", "product": [0.5, [0.2]]}, r"\[0\.2\] where a number belongs"),
     ],
 )
 def test_compile_rejects_bad_entry(entry, message):

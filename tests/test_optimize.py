@@ -200,14 +200,19 @@ class RoundRecorder:
         self.calls.append(tuple(point))
         return self.f(point)
 
-    def prefetch(self, points):
+    def prefetch(self, rounds):
+        ((objective, points),) = rounds
+        assert objective is self
         self.rounds.append((len(self.calls), list(points)))
+
+    def search(self, box, sense):
+        return optimize_boxes([(self, box, sense)], self.prefetch)[0]
 
 
 def _check_rounds(recorder):
     """Each announced list is exactly the points evaluated next, in order,
-    and the rounds cover every evaluation after the first centre."""
-    start = 1
+    and the rounds cover every evaluation."""
+    start = 0
     for made, points in recorder.rounds:
         assert made == start
         assert points and recorder.calls[made : made + len(points)] == points
@@ -226,7 +231,7 @@ def _check_rounds(recorder):
 )
 def test_rounds_announced_before_evaluation(objective, box, sense):
     recorder = RoundRecorder(objective)
-    result = optimize_box(recorder, box, sense)
+    result = recorder.search(box, sense)
     assert result == optimize_box(objective, box, sense)
     assert len(recorder.rounds) > 10
     _check_rounds(recorder)
@@ -237,9 +242,9 @@ def test_round_cut_by_budget_announces_only_what_is_evaluated():
     # round is announced as those 6, and every earlier round as it is
     # announced with the full budget.
     full = RoundRecorder(camel)
-    optimize_box(full, CAMEL_BOX, MIN)
+    full.search(CAMEL_BOX, MIN)
     cut = RoundRecorder(camel)
-    result = optimize_box(cut, SearchBox(CAMEL_BOX.bounds, OptimizerSettings(budget=100, tol=1e-7)), MIN)
+    result = cut.search(SearchBox(CAMEL_BOX.bounds, OptimizerSettings(budget=100, tol=1e-7)), MIN)
     assert (result.evaluations, result.converged) == (99, False)
     _check_rounds(cut)
     last = len(cut.rounds) - 1
@@ -252,11 +257,21 @@ def test_round_cut_by_budget_announces_only_what_is_evaluated():
 def test_announced_points_are_in_box_coordinates():
     box = SearchBox((Interval(2, 4), Interval(5, 5), Interval(-1, 0)), OptimizerSettings(budget=60))
     recorder = RoundRecorder(lambda v: (v[0] - 3.3) ** 2 + v[2] ** 2)
-    optimize_box(recorder, box, MIN)
+    recorder.search(box, MIN)
     _check_rounds(recorder)
     for _, points in recorder.rounds:
         for x, y, z in points:
             assert 2 < x < 4 and y == 5 and -1 < z < 0
+
+
+def test_pinned_point_announced():
+    # A box with no width is searched by evaluating its one point, which is
+    # announced as a round of its own first.
+    recorder = RoundRecorder(lambda v: v[0] + v[1])
+    result = recorder.search(SearchBox((Interval(0.3, 0.3), Interval(0.6, 0.6))), MIN)
+    assert recorder.rounds == [(0, [(0.3, 0.6)])] and recorder.calls == [(0.3, 0.6)]
+    _check_rounds(recorder)
+    assert (result.point, result.evaluations) == ((0.3, 0.6), 1)
 
 
 def test_objective_gets_the_announced_tuples():
@@ -269,10 +284,9 @@ def test_objective_gets_the_announced_tuples():
         called.append(point)
         return camel(point)
 
-    objective.prefetch = announced.extend
-    result = optimize_box(objective, CAMEL_BOX, MIN)
-    assert len(called) == len(announced) + 1 == result.evaluations
-    assert all(a is c for a, c in zip(announced, called[1:]))
+    result = optimize_boxes([(objective, CAMEL_BOX, MIN)], lambda rounds: announced.extend(rounds[0][1]))[0]
+    assert len(called) == len(announced) == result.evaluations
+    assert all(a is c for a, c in zip(announced, called))
     assert any(result.point is c for c in called)
 
 
@@ -329,7 +343,7 @@ def test_boxes_stepped_together_equal_one_by_one(rng):
     assert results == alone
     assert [r.evaluations for r in results] == [len(calls[k]) for k in range(len(searches))]
     assert max(len(rounds) for rounds in recorded) == WINDOW
-    made = {k: 1 for k in calls}  # each search first evaluates its centre, unannounced
+    made = {k: 0 for k in calls}
     for rounds in recorded:
         assert [k for k, _ in rounds] == sorted(k for k, _ in rounds)
         for k, points in rounds:
@@ -339,18 +353,16 @@ def test_boxes_stepped_together_equal_one_by_one(rng):
 
 
 def test_boxes_stepped_together_raise_the_one_by_one_error():
-    # Search 0 fails in its fourth round, search 2 already in its first.
-    # One by one, search 0 raises first, and so must the window; search 1,
-    # before the later failure, runs on to its end.
+    # Search 0 fails in its fourth round after the centre, search 2 already
+    # in its first.  One by one, search 0 raises first, and so must the
+    # window; search 1, before the later failure, runs on to its end.
     def rounds_of(objective, box, sense):
         found = []
-        probe = lambda v: objective(v)
-        probe.prefetch = lambda points: found.append(list(points))
-        optimize_box(probe, box, sense)
+        optimize_boxes([(objective, box, sense)], lambda rounds: found.append(list(rounds[0][1])))
         return found
 
     box = SearchBox(UNIT2, OptimizerSettings(budget=300, tol=1e-6))
-    bad = {rounds_of(quadratic, box, MIN)[3][1], rounds_of(camel, CAMEL_BOX, MIN)[0][0]}
+    bad = {rounds_of(quadratic, box, MIN)[4][1], rounds_of(camel, CAMEL_BOX, MIN)[1][0]}
     failures = []
 
     def failing(f):
