@@ -264,7 +264,7 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "AnalysisConfig":
-        schema = cfg.get("schema")
+        schema = _shaped(cfg, "an object", "config").get("schema")
         if schema != CONFIG_SCHEMA:
             raise ConfigParseError(
                 f"unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}", location="schema"

@@ -446,6 +446,8 @@ def compile_transitions(
         elif "param" in entry:
             factors = [str(entry["param"])]
         elif "product" in entry:
+            if not isinstance(entry["product"], (list, tuple)):
+                raise ValueError(f"transition {dict(entry)} needs 'product' as a list of names and constants")
             factors = [f if isinstance(f, str) else _constant(f, entry) for f in entry["product"]]
         else:
             raise ValueError(f"transition {dict(entry)} needs a 'value', 'param' or 'product'")

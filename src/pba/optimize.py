@@ -5,11 +5,12 @@ evaluate centers, trisect potentially optimal rectangles along their longest
 sides, and select candidates by the lower convex hull of (diameter, value)
 pairs.  Derivative-free and fully deterministic, so repeated runs on the
 same inputs give identical results.  Maximization runs on the negated
-objective.  A search announces each round's points, its first centre too,
-before it evaluates them, and ``optimize_boxes`` steps many searches
-together, so that one combined round can be handed over as one batch.
-Vertex enumeration covers coordinate-monotone objectives exactly, and is
-how propagation treats models declared monotone.
+objective.  A search evaluates nothing itself: it yields each round's
+points, its first centre too, and is sent back their results.
+Vertex enumeration, which covers coordinate-monotone objectives exactly and
+is how propagation treats models declared monotone, is a search of one
+round.  ``optimize_boxes`` steps many searches together and hands each
+combined round to one ``evaluate``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ MIN = "min"
 MAX = "max"
 
 WINDOW = 64  # box searches that ``optimize_boxes`` steps together
+
+Point = tuple[float, ...]
+# What a search is sent back for each point: its value, or what evaluating it raised.
+Result = float | Exception
+Search = Generator[list[Point], list[Result], object]
 
 
 @dataclass(frozen=True)
@@ -145,22 +151,32 @@ def _potentially_optimal(reps: list[_Rect]) -> list[_Rect]:
     return out
 
 
+def _finite(point: Point, result: Result) -> float:
+    """A point's result as a float: an exception is raised, and a NaN or
+    infinity raises ``NonFiniteObjective``."""
+    if isinstance(result, Exception):
+        raise result
+    value = float(result)
+    if not math.isfinite(value):
+        raise NonFiniteObjective(f"objective returned {value}", point=point)
+    return value
+
+
 def _direct_minimize(
-    f: Callable[[tuple[float, ...]], float],
     dim: int,
     budget: int,
     tol: float,
-    to_box: Callable[[tuple[float, ...]], tuple[float, ...]],
-) -> Generator[list[tuple[float, ...]], None, tuple[tuple[float, ...], float, bool, int]]:
+    to_box: Callable[[Point], Point],
+    sign: float,
+) -> Generator[list[Point], list[Result], tuple[Point, float, bool, int]]:
     """DIRECT on the unit cube, one round per step of the generator.
 
-    ``f`` takes points in the box, and ``to_box`` maps a unit point there.
-    Each step yields the box points of the next round, fixed before any of
-    them is evaluated, and evaluates them in that order once resumed; the
-    first round is the centre alone.  Returns (best box point, its value,
-    converged, evaluations).
+    ``to_box`` maps a unit point into the box.  Each step yields the box
+    points of the next round, fixed before any of them is evaluated, and is
+    sent back their results in that order; the first round is the centre
+    alone.  It minimizes ``sign`` times the values.  Returns (best box
+    point, its signed value, converged, evaluations).
     """
-    evals = 0
     order = itertools.count()
     shape = _shaper()
     classes: dict[tuple[int, ...], list] = {}
@@ -169,11 +185,6 @@ def _direct_minimize(
     # longer its rect's is stale.
     f_low = math.inf
     lowest: list = []
-
-    def evaluate(point: tuple[float, ...]) -> float:
-        nonlocal evals
-        evals += 1
-        return f(point)
 
     def track(rect: _Rect) -> None:
         """File a new or just-divided rect under its size class and the best f."""
@@ -186,8 +197,9 @@ def _direct_minimize(
 
     center = tuple(0.5 for _ in range(dim))
     point = to_box(center)
-    yield [point]
-    root = _Rect(center, point, shape(tuple(0 for _ in range(dim))), evaluate(point), next(order))
+    (result,) = yield [point]
+    root = _Rect(center, point, shape(tuple(0 for _ in range(dim))), sign * _finite(point, result), next(order))
+    evals = 1
     track(root)
     d0 = root.diameter
 
@@ -204,7 +216,6 @@ def _direct_minimize(
         # The round's trial points, fixed before any is evaluated: two per
         # longest side of each selected rect, while the budget lasts.
         trials = []
-        planned = evals
         for rect in _potentially_optimal(_representatives(classes)):
             lmin = min(rect.levels)
             delta = 3.0 ** (-(lmin + 1))
@@ -212,9 +223,9 @@ def _direct_minimize(
             for i, level in enumerate(rect.levels):
                 if level != lmin:
                     continue
-                if planned + 2 > budget:
+                if evals + 2 > budget:
                     break
-                planned += 2
+                evals += 2
                 plus = list(rect.center)
                 plus[i] += delta
                 minus = list(rect.center)
@@ -225,13 +236,14 @@ def _direct_minimize(
                 trials.append((rect, sides))
         if not trials:
             return best.point, best.f, False, evals
-        yield [point for _, sides in trials for _, _, p_plus, _, p_minus in sides for point in (p_plus, p_minus)]
+        points = [p for _, sides in trials for _, _, p_plus, _, p_minus in sides for p in (p_plus, p_minus)]
+        results = iter((yield points))
 
         for rect, sides in trials:
             sampled = []
             for i, plus, p_plus, minus, p_minus in sides:
-                f_plus = evaluate(p_plus)
-                f_minus = evaluate(p_minus)
+                f_plus = sign * _finite(p_plus, next(results))
+                f_minus = sign * _finite(p_minus, next(results))
                 sampled.append((min(f_plus, f_minus), i, (plus, p_plus, f_plus), (minus, p_minus, f_minus)))
             sampled.sort(key=lambda s: (s[0], s[1]))
             levels = list(rect.levels)
@@ -244,17 +256,7 @@ def _direct_minimize(
             track(rect)
 
 
-def _finite_value(objective: Callable[[Sequence[float]], float], point: tuple[float, ...]) -> float:
-    """``objective(point)`` as a float; a NaN or infinity raises ``NonFiniteObjective``."""
-    value = float(objective(point))
-    if not math.isfinite(value):
-        raise NonFiniteObjective(f"objective returned {value}", point=point)
-    return value
-
-
-def _search(
-    objective: Callable[[Sequence[float]], float], box: SearchBox, sense: str
-) -> Generator[list[tuple[float, ...]], None, OptResult]:
+def _search(box: SearchBox, sense: str) -> Generator[list[Point], list[Result], OptResult]:
     """One box search as a generator of DIRECT rounds (see ``_direct_minimize``);
     a box with no width is one round, its pinned point."""
     if sense not in (MIN, MAX):
@@ -265,22 +267,53 @@ def _search(
     active = [i for i, w in enumerate(widths) if w > 0.0]
     if not active:
         point = tuple(lows)
-        yield [point]
-        return OptResult(point, _finite_value(objective, point), True, 1)
+        (result,) = yield [point]
+        return OptResult(point, _finite(point, result), True, 1)
 
-    def to_box(unit_point: tuple[float, ...]) -> tuple[float, ...]:
+    def to_box(unit_point: Point) -> Point:
         full = list(lows)
         for axis, u in zip(active, unit_point):
             full[axis] = lows[axis] + u * widths[axis]
         return tuple(full)
 
-    def signed(point: tuple[float, ...]) -> float:
-        return sign * _finite_value(objective, point)
-
     point, f_best, converged, evals = yield from _direct_minimize(
-        signed, len(active), box.settings.budget, box.settings.tol, to_box
+        len(active), box.settings.budget, box.settings.tol, to_box, sign
     )
     return OptResult(point, sign * f_best, converged, evals)
+
+
+def _vertices(box: SearchBox) -> Generator[list[Point], list[Result], tuple[float, float]]:
+    """The extremes over the box's vertices, as a search of one round (see ``vertex_extrema``)."""
+    dim = len(box.bounds)
+    if 2**dim > box.settings.budget:
+        raise DimensionTooLarge(f"2**{dim} vertex evaluations exceed budget {box.settings.budget}")
+    corners = list(itertools.product(*((iv.lo, iv.hi) for iv in box.bounds)))
+    values = [_diverged(r) if isinstance(r, Exception) else _finite(c, r) for c, r in zip(corners, (yield corners))]
+    return min(values), max(values)
+
+
+def _diverged(exc: Exception) -> float:
+    """The signed infinity of a ``SingularSystem`` with a direction, ``exc``
+    or its cause; any other ``exc`` is raised."""
+    cause = exc if isinstance(exc, SingularSystem) else exc.__cause__
+    if isinstance(cause, SingularSystem) and cause.direction:
+        return math.copysign(math.inf, cause.direction)
+    raise exc
+
+
+def _pointwise(rounds: list[tuple[Callable[[Point], float], list[Point]]]) -> list[list[Result]]:
+    """The ``evaluate`` of searches whose handle is their objective: each
+    point is one call, and what a call raises is its result."""
+    results = []
+    for objective, points in rounds:
+        found = []
+        for point in points:
+            try:
+                found.append(objective(point))
+            except Exception as exc:  # the search raises it when it reads it
+                found.append(exc)
+        results.append(found)
+    return results
 
 
 def optimize_box(
@@ -293,23 +326,35 @@ def optimize_box(
     below ``tol`` times the box diameter before the budget ran out; a spent
     budget is reported through the flag, not as an error.
     """
-    return optimize_boxes([(objective, box, sense)])[0]
+    return optimize_boxes([(objective, _search(box, sense))], _pointwise)[0]
+
+
+def vertex_extrema(
+    objective: Callable[[Sequence[float]], float], box: SearchBox
+) -> tuple[float, float]:
+    """Extremes of ``objective`` over all box vertices, one search through ``optimize_boxes``.
+
+    Exact for objectives monotone in every coordinate; 2**dim evaluations.
+    A vertex where the objective raises ``SingularSystem`` with a direction,
+    or an error that one caused, counts as that signed infinity, the limit
+    the outcome diverges to there; so either extreme may be infinite.  A NaN
+    or infinite return value is still rejected.
+    """
+    return optimize_boxes([(objective, _vertices(box))], _pointwise)[0]
 
 
 def optimize_boxes(
-    searches: Iterable[tuple[Callable[[Sequence[float]], float], SearchBox, str]],
-    prefetch: Callable[[list[tuple[Callable, list[tuple[float, ...]]]]], None] | None = None,
-) -> list[OptResult]:
-    """``optimize_box(objective, box, sense)`` for each search, stepped together.
+    searches: Iterable[tuple[object, Search]],
+    evaluate: Callable[[list[tuple[object, list[Point]]]], list[list[Result]]],
+    width: int = WINDOW,
+) -> list:
+    """Each search's return value, with up to ``width`` searches stepped together.
 
-    With a ``prefetch``, up to ``WINDOW`` searches run at once, round by
-    round; a finished one makes room for the next, drawn from ``searches``
-    only then.  ``prefetch`` is handed every combined round before any of
-    its points is evaluated, as (objective, points) pairs in search order;
-    each search's points, in box coordinates, are exactly what it evaluates
-    next, so every evaluation is announced.  Without one there is nothing
-    to batch, and the searches run one at a time, so that only one search's
-    rectangles are held.
+    A search is a (handle, generator) pair: ``_search`` or ``_vertices``.
+    Round by round, ``evaluate`` is handed the next round of every search in
+    the window, as (handle, points) pairs in search order, and returns each
+    point's result, which is sent back to its search.  A finished search
+    makes room for the next, drawn from ``searches`` only then.
 
     Results equal those of the searches run one by one, and so does the
     error: when search k raises, the searches after it stop, those before
@@ -317,68 +362,38 @@ def optimize_boxes(
     raised once they are done.
     """
     pending = iter(searches)
-    results: list[OptResult | None] = []
-    window: list[tuple[int, Callable, Generator, list]] = []  # (search number, objective, search, its next round)
+    results: list = []
+    window: list[tuple[int, object, Search, list[Point]]] = []  # (search number, handle, search, its next round)
     failed: tuple[int, Exception] | None = None
-    width = 1 if prefetch is None else WINDOW
 
-    def step(k: int, objective: Callable, search: Generator) -> None:
+    def step(k: int, handle: object, search: Search, sent: list[Result] | None) -> None:
         nonlocal failed
         try:
-            points = next(search)
+            points = search.send(sent)
         except StopIteration as done:
             results[k] = done.value
         except Exception as exc:  # kept to raise once the earlier searches are done
             failed = (k, exc)
         else:
-            window.append((k, objective, search, points))
+            window.append((k, handle, search, points))
 
     while True:
         while len(window) < width and failed is None:
             try:
-                objective, box, sense = next(pending)
+                handle, search = next(pending)
             except StopIteration:
                 break
             results.append(None)
-            step(len(results) - 1, objective, _search(objective, box, sense))
+            step(len(results) - 1, handle, search, None)
         if failed is not None:
             window = [entry for entry in window if entry[0] < failed[0]]
         if not window:
             break
-        if prefetch is not None:
-            prefetch([(objective, points) for _, objective, _, points in window])
+        sent = evaluate([(handle, points) for _, handle, _, points in window])
         stepping, window = window, []
-        for k, objective, search, _ in stepping:
+        for (k, handle, search, _), values in zip(stepping, sent):
             if failed is None or k < failed[0]:
-                step(k, objective, search)
+                step(k, handle, search, values)
     if failed is not None:
         raise failed[1]
     return results
-
-
-def vertex_extrema(
-    objective: Callable[[Sequence[float]], float], box: SearchBox
-) -> tuple[float, float]:
-    """Extremes of ``objective`` over all box vertices.
-
-    Exact for objectives monotone in every coordinate; 2**dim evaluations.
-    A vertex where the objective raises ``SingularSystem`` with a direction
-    counts as that signed infinity, the limit the outcome diverges to there;
-    so either extreme may be infinite.  A NaN or infinite return value is
-    still rejected.
-    """
-    dim = len(box.bounds)
-    if 2**dim > box.settings.budget:
-        raise DimensionTooLarge(f"2**{dim} vertex evaluations exceed budget {box.settings.budget}")
-    lo = math.inf
-    hi = -math.inf
-    for corner in itertools.product(*((iv.lo, iv.hi) for iv in box.bounds)):
-        try:
-            value = _finite_value(objective, corner)
-        except SingularSystem as exc:
-            if not exc.direction:
-                raise
-            value = math.copysign(math.inf, exc.direction)
-        lo = min(lo, value)
-        hi = max(hi, value)
-    return lo, hi

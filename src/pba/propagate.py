@@ -28,10 +28,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .distributions import DistributionSpec
-from .errors import HyperrectangleCapExceeded, ModelEvaluationError, SingularSystem
+from .errors import HyperrectangleCapExceeded, ModelEvaluationError
 from .interval import Interval
 from .minimal_data import MinimalData
-from .optimize import MAX, MIN, OptimizerSettings, SearchBox, optimize_boxes, vertex_extrema
+from .optimize import MAX, MIN, WINDOW, OptimizerSettings, SearchBox, _search, _vertices, optimize_boxes
 from .pbox import build_pbox
 from .slicing import DiscretizedPBox, count_hyperrectangles, discretize_outer, focal_product
 
@@ -139,69 +139,6 @@ def _call_model(model: Model, args: Mapping[str, float]) -> float:
         raise ModelEvaluationError(f"model raised {exc!r}", params=args) from exc
 
 
-def _box_objective(
-    model: Model, fixed: Mapping[str, float], names: list[str], divergent: bool = False
-):
-    """The model over the boxed parameters, calling it once per distinct point.
-
-    The MIN and MAX searches of a box both start from the same centres, so its
-    cache, keyed on the parameter tuple, saves one search every point the
-    other already evaluated.  With ``divergent`` (vertex evaluation), a
-    ``SingularSystem`` that carries a direction is cached and raised as it
-    is, for ``vertex_extrema`` to read as that infinity; every other failure
-    of the model raises ``ModelEvaluationError``.
-
-    ``fn.missing(vectors)`` gives the vectors not yet in the cache, each
-    once, as full parameter mappings: what a model's ``prefetch`` is handed.
-    """
-    cache: dict[tuple[float, ...], float | SingularSystem] = {}
-
-    def arguments(key: tuple[float, ...]) -> dict[str, float]:
-        args = dict(fixed)
-        args.update(zip(names, key))
-        return args
-
-    def fn(vector) -> float:
-        key = tuple(vector)
-        if key not in cache:
-            try:
-                cache[key] = _call_model(model, arguments(key))
-            except ModelEvaluationError as exc:
-                cause = exc.__cause__
-                if not (divergent and isinstance(cause, SingularSystem) and cause.direction):
-                    raise
-                cache[key] = cause
-        value = cache[key]
-        if isinstance(value, SingularSystem):
-            raise value
-        return value
-
-    def missing(vectors) -> list[dict[str, float]]:
-        return [arguments(key) for key in dict.fromkeys(map(tuple, vectors)) if key not in cache]
-
-    fn.missing = missing
-    return fn
-
-
-def _round_prefetch(model: Model):
-    """The ``prefetch`` of ``optimize_boxes`` for box objectives of ``model``:
-    one ``model.prefetch`` call per combined round, with each box's missing
-    points once; None for a model without ``prefetch``."""
-    model_prefetch = getattr(model, "prefetch", None)
-    if model_prefetch is None:
-        return None
-
-    def prefetch(rounds) -> None:
-        per_box: dict = {}
-        for objective, points in rounds:
-            per_box.setdefault(objective, []).extend(points)
-        points = [args for objective, vectors in per_box.items() for args in objective.missing(vectors)]
-        if points:
-            model_prefetch(points)
-
-    return prefetch
-
-
 def _optimize_rects(
     model: Model,
     fixed: Mapping[str, float],
@@ -212,45 +149,73 @@ def _optimize_rects(
     """(y_min, y_max, mass) per box, distinct model calls and unconverged searches.
 
     With no boxed names the only box is the point ``fixed``: one model call,
-    returned as the degenerate triple (y, y, 1.0).  A model marked monotone
-    takes each box's extrema from ``vertex_extrema``, through one cache for
-    all boxes, since neighbouring boxes share vertices: at most (2n)**d model
-    calls, and nothing left unconverged.  Any other model is searched by
-    DIRECT: a MIN and a MAX search per box, sharing the box's cache, all
-    stepped together by ``optimize_boxes``.  Equal focal intervals (a
+    returned as the degenerate triple (y, y, 1.0).  Otherwise every box is
+    searched through one ``optimize_boxes`` call.  A model marked monotone
+    takes each box's extrema from a vertex search, which may read an
+    infinity where the outcome diverges; all of them share one cache, since
+    neighbouring boxes share vertices: at most (2n)**d model calls, and
+    nothing left unconverged.  Any other model gets a DIRECT MIN and MAX
+    search per box, sharing the box's cache.  Equal focal intervals (a
     min/max-only p-box slices into n of them) give identical boxes; each
     distinct box is searched once, and every box still contributes its own
     triple and unconverged count.
+
+    A cache maps a point to its value or the ``ModelEvaluationError`` it
+    raised, and is the handle of its searches: ``evaluate`` builds each
+    point new to a cache into a parameter mapping once, hands a model's
+    ``prefetch`` those mappings as one batch per combined round, then calls
+    the model once per point.  Without a ``prefetch`` there is nothing to
+    batch, and the searches run one at a time, so that only one search's
+    rectangles are held.
     """
     if not names:
         y = _call_model(model, fixed)
         return [(y, y, 1.0)], 1, 0
     rects = [(rect.intervals, rect.mass) for rect in focal_product(sliced)]
     boxes = [SearchBox(intervals, opt) for intervals in dict.fromkeys(intervals for intervals, _ in rects)]
-    found: dict[tuple[Interval, ...], tuple[float, float, int]] = {}  # (y_min, y_max, unconverged)
+    prefetch = getattr(model, "prefetch", None)
+    monotone = getattr(model, "monotone", False)
     evals = 0
 
-    def counted(args: Mapping[str, float]) -> float:
+    def evaluate(rounds):
         nonlocal evals
-        evals += 1
-        return model(args)
+        new = []
+        for cache, points in rounds:
+            for point in points:
+                if point not in cache:
+                    cache[point] = None  # set below, once per cache
+                    args = dict(fixed)
+                    args.update(zip(names, point))
+                    new.append((cache, point, args))
+        if new and prefetch is not None:
+            prefetch([args for _, _, args in new])
+        for cache, point, args in new:
+            try:
+                cache[point] = _call_model(model, args)
+            except ModelEvaluationError as exc:
+                cache[point] = exc
+        evals += len(new)
+        return [[cache[point] for point in points] for cache, points in rounds]
 
-    if getattr(model, "monotone", False):
-        objective = _box_objective(counted, fixed, names, divergent=True)
+    def searches():
+        # Made as the window reaches them, so only the boxes in the window hold a cache.
+        shared: dict = {}
         for box in boxes:
-            found[box.bounds] = (*vertex_extrema(objective, box), 0)
-    else:
-        def searches():
-            # Made as the window reaches them, so only the boxes in the
-            # window hold an objective and a cache.
-            for box in boxes:
-                objective = _box_objective(counted, fixed, names)
-                yield objective, box, MIN
-                yield objective, box, MAX
+            if monotone:
+                yield shared, _vertices(box)
+            else:
+                cache: dict = {}
+                yield cache, _search(box, MIN)
+                yield cache, _search(box, MAX)
 
-        results = optimize_boxes(searches(), _round_prefetch(model))
-        for box, lo, hi in zip(boxes, results[::2], results[1::2]):
-            found[box.bounds] = (lo.value, hi.value, (not lo.converged) + (not hi.converged))
+    results = optimize_boxes(searches(), evaluate, 1 if prefetch is None else WINDOW)
+    if monotone:
+        found = {box.bounds: (lo, hi, 0) for box, (lo, hi) in zip(boxes, results)}
+    else:
+        found = {
+            box.bounds: (lo.value, hi.value, (not lo.converged) + (not hi.converged))
+            for box, lo, hi in zip(boxes, results[::2], results[1::2])
+        }
     triples = []
     bad = 0
     for intervals, mass in rects:

@@ -440,6 +440,10 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("output", dict(BASE_CONFIG, output=5)),
         ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead", "value": True}])),
         ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead", "product": ["p_die", None]}])),
+        ("model.cea", _inline_cea_config([{"from": "alive", "to": "dead", "product": "p_die"}])),
+        ("config", "x"),
+        ("config", 3),
+        ("config", [BASE_CONFIG]),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):

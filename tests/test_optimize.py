@@ -11,6 +11,8 @@ from pba.optimize import (
     WINDOW,
     OptimizerSettings,
     SearchBox,
+    _pointwise,
+    _search,
     _shaper,
     optimize_box,
     optimize_boxes,
@@ -188,6 +190,16 @@ def test_vertex_extrema_reads_a_signed_divergence_as_infinity():
         optimize_box(lambda v: diverges_at_origin(v, 1), SearchBox((Interval(0, 0),) * 2), MAX)
 
 
+def recording(record):
+    """An ``evaluate`` that hands each combined round to ``record``, then calls each point."""
+
+    def evaluate(rounds):
+        record(rounds)
+        return _pointwise(rounds)
+
+    return evaluate
+
+
 class RoundRecorder:
     """An objective that records each announced round and every point it evaluates."""
 
@@ -200,13 +212,13 @@ class RoundRecorder:
         self.calls.append(tuple(point))
         return self.f(point)
 
-    def prefetch(self, rounds):
+    def announce(self, rounds):
         ((objective, points),) = rounds
         assert objective is self
         self.rounds.append((len(self.calls), list(points)))
 
     def search(self, box, sense):
-        return optimize_boxes([(self, box, sense)], self.prefetch)[0]
+        return optimize_boxes([(self, _search(box, sense))], recording(self.announce))[0]
 
 
 def _check_rounds(recorder):
@@ -284,7 +296,9 @@ def test_objective_gets_the_announced_tuples():
         called.append(point)
         return camel(point)
 
-    result = optimize_boxes([(objective, CAMEL_BOX, MIN)], lambda rounds: announced.extend(rounds[0][1]))[0]
+    result = optimize_boxes(
+        [(objective, _search(CAMEL_BOX, MIN))], recording(lambda rounds: announced.extend(rounds[0][1]))
+    )[0]
     assert len(called) == len(announced) == result.evaluations
     assert all(a is c for a, c in zip(announced, called))
     assert any(result.point is c for c in called)
@@ -339,7 +353,10 @@ def test_boxes_stepped_together_equal_one_by_one(rng):
 
         wrapped.append((counted, box, sense))
     number = {id(objective): k for k, (objective, _, _) in enumerate(wrapped)}
-    results = optimize_boxes(wrapped, lambda rounds: recorded.append([(number[id(f)], list(p)) for f, p in rounds]))
+    results = optimize_boxes(
+        [(f, _search(box, sense)) for f, box, sense in wrapped],
+        recording(lambda rounds: recorded.append([(number[id(f)], list(p)) for f, p in rounds])),
+    )
     assert results == alone
     assert [r.evaluations for r in results] == [len(calls[k]) for k in range(len(searches))]
     assert max(len(rounds) for rounds in recorded) == WINDOW
@@ -358,7 +375,7 @@ def test_boxes_stepped_together_raise_the_one_by_one_error():
     # window; search 1, before the later failure, runs on to its end.
     def rounds_of(objective, box, sense):
         found = []
-        optimize_boxes([(objective, box, sense)], lambda rounds: found.append(list(rounds[0][1])))
+        optimize_boxes([(objective, _search(box, sense))], recording(lambda rounds: found.append(list(rounds[0][1]))))
         return found
 
     box = SearchBox(UNIT2, OptimizerSettings(budget=300, tol=1e-6))
@@ -380,18 +397,20 @@ def test_boxes_stepped_together_raise_the_one_by_one_error():
             optimize_box(objective, b, sense)
     failures.clear()
     with pytest.raises(NonFiniteObjective) as together:
-        optimize_boxes(searches, lambda rounds: None)
+        optimize_boxes([(f, _search(b, sense)) for f, b, sense in searches], _pointwise)
     assert failures[0] != failures[1] == one_by_one.value.point
     assert (str(together.value), together.value.point) == (str(one_by_one.value), one_by_one.value.point)
 
 
 def test_boxes_without_prefetch_run_one_at_a_time(rng):
-    # With no prefetch there is no round to batch: each search runs to its
-    # end before the next starts, holding one search's state at a time.
+    # With no prefetch there is no round to batch, and propagation steps a
+    # window of one: each search runs to its end before the next starts,
+    # holding one search's state at a time.
     searches = [_random_search(rng) for _ in range(5)]
     order = []
     wrapped = [
         (lambda v, f=f, k=k: order.append(k) or f(v), box, sense) for k, (f, box, sense) in enumerate(searches)
     ]
-    assert optimize_boxes(wrapped) == [optimize_box(f, box, sense) for f, box, sense in searches]
+    together = optimize_boxes([(f, _search(box, sense)) for f, box, sense in wrapped], _pointwise, 1)
+    assert together == [optimize_box(f, box, sense) for f, box, sense in searches]
     assert order == sorted(order) and len(set(order)) == 5

@@ -10,7 +10,7 @@ import pba.propagate as propagate
 from conftest import assert_within_envelope
 from pba.decision import expected_interval
 from pba.distributions import DistributionSpec
-from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError
+from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError, SingularSystem
 from pba.minimal_data import min_max, min_max_mean, min_max_mean_std, min_max_median
 from pba.models import REGISTRY, monotone
 from pba.pbox import build_pbox
@@ -22,7 +22,17 @@ from pba.propagate import (
     propagate_pboxes,
     psa_propagate,
 )
-from pba.optimize import MAX, MIN, SearchBox, optimize_box, optimize_boxes, vertex_extrema
+from pba.optimize import (
+    MAX,
+    MIN,
+    SearchBox,
+    _pointwise,
+    _search,
+    _vertices,
+    optimize_box,
+    optimize_boxes,
+    vertex_extrema,
+)
 from pba.slicing import discretize_outer, focal_product
 
 FAST_OPT = OptimizerSettings(budget=300, tol=1e-6)
@@ -414,25 +424,28 @@ def test_monotone_mark_survives_wraps_not_lambda():
 
 
 def test_each_distinct_box_searched_with_the_run_settings(monkeypatch):
-    """One ``SearchBox`` per distinct box, carrying the run's settings object whole."""
+    """One ``SearchBox`` per distinct box, carrying the run's settings object
+    whole, and vertex searches driven by the same ``optimize_boxes`` call."""
     seen = []
 
     def recording(search):
-        def recorder(objective, box, *rest):
-            seen.append(box)
-            return search(objective, box, *rest)
+        def recorder(box, *rest):
+            seen.append((box, *rest))
+            return search(box, *rest)
 
         return recorder
 
-    handed = []
+    handed, widths = [], []
 
-    def recording_boxes(searches, *rest):
+    def recording_boxes(searches, evaluate, width):
         searches = list(searches)
-        handed.extend(searches)
-        return optimize_boxes(searches, *rest)
+        handed.append(searches)
+        widths.append(width)
+        return optimize_boxes(searches, evaluate, width)
 
     monkeypatch.setattr(propagate, "optimize_boxes", recording_boxes)
-    monkeypatch.setattr(propagate, "vertex_extrema", recording(vertex_extrema))
+    monkeypatch.setattr(propagate, "_search", recording(_search))
+    monkeypatch.setattr(propagate, "_vertices", recording(_vertices))
     opt = OptimizerSettings(budget=200, tol=1e-6)
     params = ParameterSet(boxed={"x": min_max_mean(0.0, 1.0, 0.3), "y": min_max(0.0, 1.0)})
     sliced = [discretize_outer(build_pbox(params.boxed[k]), 3) for k in ("x", "y")]
@@ -440,16 +453,24 @@ def test_each_distinct_box_searched_with_the_run_settings(monkeypatch):
     assert len(distinct) < 9  # y's min/max slices repeat each box
 
     propagate_pboxes(lambda p: (p["x"] - 0.4) ** 2 + p["y"], params, n=3, opt=opt)
-    lows, highs = handed[::2], handed[1::2]  # a MIN then a MAX search of each box
-    assert [sense for _, _, sense in lows] == [MIN] * len(lows)
-    assert [sense for _, _, sense in highs] == [MAX] * len(highs)
-    assert [(id(f), id(b)) for f, b, _ in lows] == [(id(f), id(b)) for f, b, _ in highs]
-    assert len(lows) == len(distinct) and {b.bounds for _, b, _ in lows} == distinct
-    assert all(b.settings is opt for _, b, _ in handed)
+    (searches,) = handed
+    lows, highs = seen[::2], seen[1::2]  # a MIN then a MAX search of each box
+    assert [sense for _, sense in lows] == [MIN] * len(lows)
+    assert [sense for _, sense in highs] == [MAX] * len(highs)
+    caches = [id(cache) for cache, _ in searches]  # a search's handle is its cache
+    assert caches[::2] == caches[1::2]
+    assert [id(b) for b, _ in lows] == [id(b) for b, _ in highs]
+    assert len(lows) == len(distinct) and {b.bounds for b, _ in lows} == distinct
+    assert all(b.settings is opt for b, _ in seen)
 
+    seen.clear()
     propagate_pboxes(monotone(lambda p: p["x"] + p["y"]), params, n=3, opt=opt)
-    assert len(seen) == len(distinct) and {b.bounds for b in seen} == distinct
-    assert all(b.settings is opt for b in seen)
+    _, vertex_searches = handed
+    boxes = [box for box, *_ in seen]
+    assert len(boxes) == len(vertex_searches) == len(distinct) and {b.bounds for b in boxes} == distinct
+    assert len({id(cache) for cache, _ in vertex_searches}) == 1  # one cache for the draw
+    assert all(b.settings is opt for b in boxes)
+    assert widths == [1, 1]  # no prefetch: one search at a time
 
 
 def test_prefetch_gets_each_new_point_once_and_changes_nothing():
@@ -488,9 +509,12 @@ def test_model_error_is_the_box_by_box_one():
 
     def rounds_of(intervals):
         found = []
-        probe = lambda v: f(v[0])
-        search = (probe, SearchBox(intervals, FAST_OPT), MIN)
-        optimize_boxes([search], lambda rounds: found.append(list(rounds[0][1])))
+
+        def evaluate(rounds):
+            found.append(list(rounds[0][1]))
+            return _pointwise(rounds)
+
+        optimize_boxes([(lambda v: f(v[0]), _search(SearchBox(intervals, FAST_OPT), MIN))], evaluate)
         return found
 
     bad = {rounds_of(boxes[0])[5][0][0], rounds_of(boxes[1])[2][0][0]}
@@ -502,15 +526,38 @@ def test_model_error_is_the_box_by_box_one():
             raise RuntimeError(f"no value at x={p['x']}")
         return f(p["x"])
 
+    with pytest.raises(ModelEvaluationError) as one_by_one:  # no prefetch: one search at a time
+        propagate_pboxes(lambda p: model(p), params, n=2, opt=FAST_OPT)
     model.prefetch = lambda points: None  # the searches are stepped together only for a prefetch
-    with pytest.raises(ModelEvaluationError) as one_by_one:
-        for intervals in boxes:
-            objective = propagate._box_objective(model, params.fixed, ["x"])
-            for sense in (MIN, MAX):
-                optimize_box(objective, SearchBox(intervals, FAST_OPT), sense)
     failures.clear()
     with pytest.raises(ModelEvaluationError) as together:
         propagate_pboxes(model, params, n=2, opt=FAST_OPT)
     assert failures[0] != failures[-1] == one_by_one.value.params["x"]
     assert str(together.value) == str(one_by_one.value)
     assert together.value.params == one_by_one.value.params
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["pointwise", "prefetch"])
+@pytest.mark.parametrize("marked", [False, True], ids=["direct", "monotone"])
+def test_signed_divergence_fails_a_search_and_bounds_a_vertex(marked, batched):
+    """A model that diverges upwards near x = 0 (``SingularSystem`` with
+    direction +1).  DIRECT reaches such a point and fails with
+    ``ModelEvaluationError`` caused by it; marked monotone, the x = 0
+    vertices make the upper end of every box +inf."""
+
+    def model(p):
+        if p["x"] < 0.1:
+            raise SingularSystem("no absorption path", direction=+1)
+        return p["x"] + p["y"]
+
+    if batched:
+        model.prefetch = lambda points: None
+    params = ParameterSet(boxed={"x": min_max(0.0, 1.0), "y": min_max(0.0, 1.0)})
+    if not marked:
+        with pytest.raises(ModelEvaluationError) as failed:
+            propagate_pboxes(model, params, n=2, opt=FAST_OPT)
+        assert isinstance(failed.value.__cause__, SingularSystem) and failed.value.__cause__.direction == 1
+        return
+    out = propagate_pboxes(monotone(model), params, n=2, opt=FAST_OPT)
+    assert out.extrema == ((1.0, math.inf, 0.25),) * 4
+    assert out.unbounded_boxes == 4 and out.model_evaluations == 4
