@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from . import models
 from .decision import INDETERMINATE, DecisionRule, Dominance, Hurwicz, Optimist, Pessimist, UtilityInterval, choose, expected_interval
 from .distributions import DistributionSpec

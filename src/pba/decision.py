@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
+from ._lazy import np
 from .errors import NonMonotoneUtility, TooFewActions
 from .interval import Interval
 from .propagate import EmpiricalPBox

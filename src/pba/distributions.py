@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InfeasibleMoments, InvalidDistributionSpec
 from .minimal_data import MinimalData
 

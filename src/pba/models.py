@@ -17,8 +17,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import RowSumViolation, SingularSystem
 
 WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
@@ -374,14 +373,18 @@ def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray
 def _discounted(spec: CohortCeaSpec, traces: np.ndarray) -> list[tuple[float, float]]:
     """Discounted (total cost, total QALY) of each trace of the (B, rows, n) ``traces``.
 
-    The per-cycle rewards are one product for the stack; the discounting
-    dot stays one per trace, since a product over the stack rounds differently.
+    The per-cycle rewards are one product for the stack, and so are the
+    discounted totals: a stack of (1 x cycles) @ (cycles x 1) products, each
+    one dot of the same operands in the same order as ``discount @ c`` per
+    trace.  A stacked matrix-vector product would round differently.
     """
     occupancy = traces[:, : spec.horizon_cycles]
     cost_per_cycle = occupancy @ spec._costs * spec.cycle_length_years
     qaly_per_cycle = occupancy @ spec._utilities * spec.cycle_length_years
-    discount = spec._discount
-    return [(float(discount @ c), float(discount @ q)) for c, q in zip(cost_per_cycle, qaly_per_cycle)]
+    row = spec._discount[None, None, :]
+    costs = (row @ cost_per_cycle[:, :, None]).ravel().tolist()
+    qalys = (row @ qaly_per_cycle[:, :, None]).ravel().tolist()
+    return list(zip(costs, qalys))
 
 
 def discounted_outcomes(trace: np.ndarray, spec: CohortCeaSpec) -> tuple[float, float]:

@@ -10,8 +10,7 @@ costs only grid resolution.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import np
 from .interval import Interval
 from .minimal_data import (
     KIND_MEAN,

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import numpy as np
-
+from ._lazy import np
 from .distributions import DistributionSpec
 from .errors import HyperrectangleCapExceeded, ModelEvaluationError
 from .interval import Interval

@@ -384,6 +384,21 @@ def test_discount_monotone():
     assert all(a[0] >= b[0] and a[1] >= b[1] for a, b in zip(values, values[1:]))
 
 
+def test_stacked_discounting_matches_one_dot_per_trace():
+    # The totals of a stack are bit for bit the per-trace ``discount @ c``.
+    from pba.models import _discounted
+
+    spec = demo_cea_spec()
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 7, 64, 256, 300):
+        traces = rng.random((size, spec.horizon_cycles + 1, len(spec.states))) * 10.0 ** rng.integers(-8, 7)
+        occupancy = traces[:, : spec.horizon_cycles]
+        costs = occupancy @ spec._costs * spec.cycle_length_years
+        qalys = occupancy @ spec._utilities * spec.cycle_length_years
+        expected = [(float(spec._discount @ c), float(spec._discount @ q)) for c, q in zip(costs, qalys)]
+        assert _discounted(spec, traces) == expected
+
+
 def test_zero_utilities_zero_qaly():
     spec = two_state_spec(stay=0.9)
     spec = CohortCeaSpec(

@@ -1,7 +1,13 @@
-"""Start-up cost: scipy stays unloaded until a gamma or beta quantile is drawn.
+"""Start-up cost: numpy and scipy stay unloaded until a command computes with them.
+
+numpy is imported on its first numeric use, so importing ``pba``, ``pba --help``,
+``pba pbox`` and a config that fails at load never load it.  The lazy module
+is registered as ``sys.modules["numpy"]`` at import, so the checks look for
+``numpy._core``, which only numpy's own import brings in.  scipy stays
+unloaded until a gamma or beta quantile is drawn.
 
 Each check runs in a fresh interpreter, since this test session itself has
-imported scipy.
+imported numpy and scipy.
 """
 
 import json
@@ -61,17 +67,21 @@ print(json.dumps(loaded))
 """
 
 
-def _probe(steps: list) -> dict:
-    """scipy modules loaded after importing pba.cli and after each CLI step."""
+def _fresh(script: str):
+    """The JSON that ``script`` prints last, run in a fresh interpreter on ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("PBA_SEED", None)
-    script = f"import json\nARGV = {json.dumps(steps)}\n" + PROBE
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", "import json\n" + script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _probe(steps: list) -> dict:
+    """scipy modules loaded after importing pba.cli and after each CLI step."""
+    return _fresh(f"ARGV = {json.dumps(steps)}\n" + PROBE)
 
 
 def test_pbox_and_uniform_runs_never_load_scipy(tmp_path):
@@ -92,3 +102,76 @@ def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
     assert loaded["import"] == []
     assert "scipy.special" in loaded["gamma-psa"]
     assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in loaded["gamma-psa"])
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+
+import pba
+import pba.models
+loaded = {"import": [0, "numpy._core" in sys.modules, ""]}
+import pba.cli
+for step, argv in ARGV:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = pba.cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    loaded[step] = [code, "numpy._core" in sys.modules, err.getvalue()]
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_on_first_numeric_use(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**PBOX_ONLY, "model": "no_such_model"}))
+    good = tmp_path / "pbox-only.json"
+    good.write_text(json.dumps(PBOX_ONLY))
+    pbox = ["pbox", "--min", "0", "--max", "1", "--mean", "0.3", "--out", str(tmp_path / "box.csv")]
+    steps = [
+        ["help", ["--help"]],
+        ["pbox", pbox],
+        ["bad-config", ["run", str(bad), "--out", str(tmp_path / "bad")]],
+        ["run", ["run", str(good), "--out", str(tmp_path / "good")]],
+    ]
+    loaded = _fresh(f"ARGV = {json.dumps(steps)}\n" + NUMPY_PROBE)
+    assert {step: (code, numpy) for step, (code, numpy, _) in loaded.items()} == {
+        "import": (0, False),
+        "help": (0, False),
+        "pbox": (0, False),
+        "bad-config": (2, False),
+        "run": (0, True),
+    }
+    error = json.loads(loaded["bad-config"][2])["error"]
+    assert error["type"] == "ConfigParseError" and error["location"] == "model"
+    assert (tmp_path / "box.csv").exists()
+
+
+def test_numpy_imported_before_pba_is_used_as_is():
+    plain = _fresh(
+        "import sys, types\nimport numpy\nimport pba.models\n"
+        "print(json.dumps([pba.models.np is sys.modules['numpy'] is numpy, type(numpy) is types.ModuleType]))"
+    )
+    assert plain == [True, True]
+
+
+HIDE_NUMPY = """
+import sys
+
+class Hide:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, Hide())
+try:
+    import pba
+except ModuleNotFoundError as error:
+    print(json.dumps([error.name, "pba" in sys.modules]))
+"""
+
+
+def test_missing_numpy_fails_at_import():
+    assert _fresh(HIDE_NUMPY) == ["numpy", False]
