@@ -79,6 +79,19 @@ def _float_field(value, location: str, key: str) -> float:
     return _number(float, value, location, f"{location}.{key}")
 
 
+_SEPARATORS = frozenset(filter(None, ("/", os.sep, os.altsep)))
+
+
+def _file_name(value, location: str) -> str:
+    """``value`` if it names a file in the output directory: a string with no
+    path separator, and not ``""``, ``.`` or ``..``."""
+    if not isinstance(value, str) or value in ("", ".", "..") or _SEPARATORS & set(value):
+        raise ConfigParseError(
+            f"{location} must be a file name without a path separator, got {value!r}", location=location
+        )
+    return value
+
+
 def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) -> int:
     """An integer run size of at least ``minimum``, checked when the config loads."""
     value = _number(int, cfg.get(key, default), location)
@@ -142,7 +155,16 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
 
     state_cfgs = objects("states")
     states = tuple(_need(s, "name", location) for s in state_cfgs)
-    absorbing = tuple(bool(s.get("absorbing", False)) for s in state_cfgs)
+    absorbing = tuple(s.get("absorbing", False) for s in state_cfgs)
+    for i, (name, flag) in enumerate(zip(states, absorbing)):
+        if not isinstance(name, str) or name in states[:i]:
+            raise ConfigParseError(
+                f"{location}.states[{i}].name must be a string naming no other state, got {name!r}", location=location
+            )
+        if not isinstance(flag, bool):
+            raise ConfigParseError(
+                f"{location}.states[{i}].absorbing must be true or false, got {flag!r}", location=location
+            )
     costs = tuple(_float_field(s.get("cost", 0.0), location, f"states[{i}].cost") for i, s in enumerate(state_cfgs))
     utilities = tuple(
         _float_field(s.get("utility", 0.0), location, f"states[{i}].utility") for i, s in enumerate(state_cfgs)
@@ -150,6 +172,8 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
     transitions = tuple(objects("transitions"))
     initial = tuple(_float_field(x, location, f"initial[{i}]") for i, x in enumerate(array("initial")))
     wtp = _float_field(cfg.get("wtp", models.WTP_PER_QALY), location, "wtp")
+    if not 0.0 <= wtp < math.inf:
+        raise ConfigParseError(f"{location}.wtp must be finite and at least 0, got {wtp}", location=location)
     outcome = cfg.get("outcome", "nmb")
     if outcome not in ("nmb", "cost", "qaly"):
         raise ConfigParseError(f"unknown outcome {outcome!r}", location=location)
@@ -195,8 +219,13 @@ class ActionSpec:
 def _action_from(cfg, location: str) -> ActionSpec:
     cfg = _shaped(cfg, "an object", location)
     overrides = _shaped(cfg.get("overrides", {}), "an object", f"{location}.overrides")
+    action_id = str(_need(cfg, "id", location))
+    if _SEPARATORS & set(action_id):
+        raise ConfigParseError(
+            f"{location}.id must have no path separator, got {action_id!r}", location=f"{location}.id"
+        )
     return ActionSpec(
-        str(_need(cfg, "id", location)),
+        action_id,
         {str(k): _number(float, v, f"{location}.overrides.{k}") for k, v in overrides.items()},
     )
 
@@ -223,8 +252,17 @@ def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
     return PsaBaseline(
         ParameterSet(fixed=parameters.fixed, precise=precise),
         samples,
-        str(cfg.get("file", "baseline.csv")),
+        _file_name(cfg.get("file", "baseline.csv"), "psa_baseline.file"),
     )
+
+
+def _outputs_from(cfg) -> dict:
+    """The ``output`` object, its ``curve`` and ``summary`` checked as file names."""
+    outputs = dict(_shaped(cfg, "an object", "output"))
+    for key in ("curve", "summary"):
+        if key in outputs:
+            _file_name(outputs[key], f"output.{key}")
+    return outputs
 
 
 def _rule_from(cfg: Mapping) -> tuple[str, DecisionRule]:
@@ -299,6 +337,10 @@ class AnalysisConfig:
             _action_from(a, f"actions[{i}]")
             for i, a in enumerate(_shaped(cfg.get("actions", []), "an array", "actions"))
         )
+        ids = [a.id for a in actions]
+        for i, action_id in enumerate(ids):
+            if action_id in ids[:i]:
+                raise ConfigParseError(f"action id {action_id!r} is used twice", location=f"actions[{i}].id")
         rule_name, rule = _rule_from(cfg.get("decision", {}))
 
         opt_cfg = _shaped(cfg.get("optimizer", {}), "an object", "optimizer")
@@ -329,7 +371,7 @@ class AnalysisConfig:
             rule=rule,
             curve_grid=_count(cfg, "curve_grid", 201, 2, "curve_grid"),
             psa_baseline=psa_baseline,
-            outputs=dict(_shaped(cfg.get("output", {}), "an object", "output")),
+            outputs=_outputs_from(cfg.get("output", {})),
         )
         config._validate_names()
         config._validate_pipeline()

@@ -24,8 +24,8 @@ WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
 ANNUAL_DISCOUNT_RATE = 0.035
 
 _ROW_TOL = 1e-10
-_MEMO_SIZE = 8_192  # (cost, QALY) pairs one cohort spec remembers
-_STACK_SLICE = 256  # matrices ``prefetch`` evaluates as one stack, which bounds its buffers
+_MEMO_SIZE = 8_192  # outcomes, or errors, one cohort spec remembers
+_STACK_SLICE = 256  # matrices evaluated as one stack, which bounds the buffers
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +123,9 @@ class CohortCeaSpec:
     The arrays every evaluation needs (costs, utilities, initial
     distribution, discount factors and the entry bounds of the matrix
     check) are built once per spec; ``dataclasses.replace`` makes a new spec and
-    so builds them afresh.  Each spec also remembers the outcomes of up to
-    8,192 parameter points, oldest out first: see ``outcomes`` and
-    ``prefetch``.
+    so builds them afresh.  Each spec also remembers the outcome, or the
+    error, of up to 8,192 parameter points, oldest out first; ``outcomes``
+    and ``prefetch`` both compute them through ``_evaluate``.
 
     A ``transition_builder`` with a ``stack`` attribute (as
     ``compile_transitions`` makes) builds many matrices at once:
@@ -216,56 +216,50 @@ class CohortCeaSpec:
             return lambda params: ()
         return itemgetter(*sorted(names))
 
-    def _remember(self, key: Hashable, outcome: tuple[float, float]) -> None:
+    def _evaluate(self, batch: Mapping[Hashable, Mapping[str, float]]) -> None:
+        """Remember, under each key of ``batch`` (memo key -> parameters), its
+        point's (cost, QALY) or ``RowSumViolation``.  The stack is built
+        once, raising as the builder does, and run in slices of 256."""
+        keys = list(batch)
+        stack = _transition_stack(self, list(batch.values()))
         memo = self._memo
-        memo[key] = outcome
-        if len(memo) > _MEMO_SIZE:
-            memo.popitem(last=False)
+        for start in range(0, len(keys), _STACK_SLICE):
+            traces, faults = _traces(self, stack[start : start + _STACK_SLICE])
+            for key, fault, outcome in zip(keys[start : start + _STACK_SLICE], faults, _discounted(self, traces)):
+                memo[key] = outcome if fault is None else fault
+                if len(memo) > _MEMO_SIZE:
+                    memo.popitem(last=False)
 
     def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
         """Discounted (total cost, total QALY) at ``params``, remembered.
 
         The same as ``discounted_outcomes(cohort_trace(self, params), self)``,
-        and raises as that does.
+        and raises as that does; a remembered error is raised again.
         """
         key = self._key(params)
         found = self._memo.get(key)
         if found is None:
-            found = discounted_outcomes(cohort_trace(self, params), self)
-            self._remember(key, found)
+            self._evaluate({key: params})
+            found = self._memo[key]
+        if isinstance(found, RowSumViolation):
+            # Each raise would otherwise add its frames to the stored error's traceback.
+            raise found.with_traceback(None)
         return found
 
     def prefetch(self, points: Iterable[Mapping[str, float]]) -> None:
-        """Evaluate ``points`` together, as one stack, into the memo.
+        """Evaluate the ``points`` the memo lacks together, as one stack.
 
-        Only a speed-up for the ``outcomes`` calls that follow.  A point
-        already remembered is skipped, and so is one that ``outcomes`` would
-        reject (its matrix or its occupancy): that call then raises the error
-        itself.  So is every point if the inputs of one cannot be built into
-        a matrix.  The stack is evaluated in slices of at most 256 matrices,
-        which bounds the buffers.
+        Only a speed-up for the ``outcomes`` calls that follow.  It raises
+        nothing: a batch that cannot be keyed, or built into one stack, is
+        left to the calls, which raise their own errors.
         """
         memo = self._memo
-        batch: dict[Hashable, Mapping[str, float]] = {}
-        for params in points:
-            try:
-                key = self._key(params)
-            except Exception:
-                continue  # left for the per-point call to raise
-            if key not in memo:
-                batch.setdefault(key, params)
-        if not batch:
-            return
         try:
-            stack = _transition_stack(self, list(batch.values()))
+            batch = {key: params for params in points if (key := self._key(params)) not in memo}
+            if batch:
+                self._evaluate(batch)
         except Exception:
-            return  # left for the per-point calls to raise
-        keys = list(batch)
-        for start in range(0, len(keys), _STACK_SLICE):
-            traces, faults = _traces(self, stack[start : start + _STACK_SLICE])
-            for key, fault, outcome in zip(keys[start : start + _STACK_SLICE], faults, _discounted(self, traces)):
-                if fault is None:
-                    self._remember(key, outcome)
+            pass  # left for the per-point calls to raise
 
 
 def _transition_stack(spec: CohortCeaSpec, points: Sequence[Mapping[str, float]]) -> np.ndarray:

@@ -395,6 +395,19 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
     return config
 
 
+DEAD = {"name": "dead", "absorbing": True}
+
+
+def _with_cea_states(*states) -> dict:
+    return _inline_cea_config(ALIVE_TO_DEAD, states=list(states), initial=[1.0] + [0.0] * (len(states) - 1))
+
+
+def _with_second_action_id(action_id) -> dict:
+    config = _all_fixed_decide_config(slow_c6=0.8)
+    config["actions"][1]["id"] = action_id
+    return config
+
+
 @pytest.mark.parametrize(
     "location, config",
     [
@@ -444,6 +457,23 @@ def _decide_config(decision: dict, slow_c6=0.8) -> dict:
         ("config", "x"),
         ("config", 3),
         ("config", [BASE_CONFIG]),
+        ("model.cea", _with_cea_states({"name": "alive", "utility": 0.9, "absorbing": "false"}, DEAD)),
+        ("model.cea", _with_cea_states({"name": "alive", "utility": 0.9}, DEAD, {"name": "dead", "utility": 1.0})),
+        (
+            "model.cea",
+            _inline_cea_config(
+                [{"from": 5, "to": "dead", "param": "p_die"}], states=[{"name": 5, "utility": 0.9}, DEAD]
+            ),
+        ),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, wtp=-5)),
+        ("model.cea", _inline_cea_config(ALIVE_TO_DEAD, wtp=math.inf)),
+        ("actions[1].id", _with_second_action_id("usual")),
+        ("actions[1].id", _with_second_action_id("a/b")),
+        ("output.curve", dict(BASE_CONFIG, output={"curve": 5})),
+        ("output.summary", dict(BASE_CONFIG, output={"summary": 5})),
+        ("output.curve", dict(BASE_CONFIG, output={"curve": "../curve.csv"})),
+        ("psa_baseline.file", dict(_minmax_propagate_config({}), psa_baseline={"file": "x/b.csv"})),
+        ("output.summary", dict(BASE_CONFIG, output={"summary": ".."})),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):

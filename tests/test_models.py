@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -752,7 +753,8 @@ def test_prefetch_then_call_matches_call_alone(monkeypatch):
     """On 1,500 random tables of 2-6 states, a point evaluated in a stack by
     ``prefetch`` and then called gives the value, or the RowSumViolation
     (message, cycle, state), of the call alone; the memo stays in its bound,
-    and a prefetched point is not built again when it is called."""
+    and a prefetched point, failing or not, is not built again when it is
+    called."""
     monkeypatch.setattr("pba.models._MEMO_SIZE", 64)
     rng = np.random.default_rng(20261019)
     kinds = set()
@@ -777,7 +779,7 @@ def test_prefetch_then_call_matches_call_alone(monkeypatch):
                 del built[:]
                 got = _outcome_or_error(stacked, {"k": i})
                 assert got == expected[i], (n, i)
-                assert built == ([] if isinstance(got[0], float) else [i])
+                assert built == []
                 kinds.add(got[0].split(" ")[0] if isinstance(got[0], str) else "value")
             k = chunk.stop
     assert kinds == {"value", "row", "absorbing", "occupancy"}
@@ -796,3 +798,61 @@ def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
     sliced.prefetch(points)
     assert len(sliced._memo) == 50
     assert [sliced._memo[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]
+
+
+def _outcome_or_raised(spec, params):
+    try:
+        return spec.outcomes(params)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None), getattr(exc, "state", None)
+
+
+def test_prefetch_raises_nothing_and_leaves_errors_to_the_calls():
+    """``prefetch`` raises nothing for a batch with a point that lacks an
+    input, or one whose matrix the builder cannot build; each call after it
+    gives the value, or the error, of a fresh spec's call."""
+    lacking = {k: v for k, v in DEMO_PARAMS.items() if k != "rr"}
+    demo_points = [{**DEMO_PARAMS, "rr": rr} for rr in (0.5, 0.75, 200.0)] + [lacking]
+    spec = demo_cea_spec()
+    spec.prefetch(demo_points)
+    got = [_outcome_or_raised(spec, p) for p in demo_points]
+    assert got == [_outcome_or_raised(demo_cea_spec(), p) for p in demo_points]
+    assert [g[0] if isinstance(g[0], type) else float for g in got] == [float, float, RowSumViolation, KeyError]
+
+    fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, 40)
+
+    def builder(params):
+        if params["k"] == 7:
+            raise ValueError("no matrix at k=7")
+        return tables[params["k"]]
+
+    points = [{"k": k} for k in range(len(tables))]
+    prefetched = CohortCeaSpec(transition_builder=builder, **fields)
+    prefetched.prefetch(points)
+    got = [_outcome_or_raised(prefetched, p) for p in points]
+    assert got == [_outcome_or_raised(CohortCeaSpec(transition_builder=builder, **fields), p) for p in points]
+    assert got[7] == (ValueError, "no matrix at k=7", None, None)
+    assert {g[0] for g in got} >= {RowSumViolation, ValueError} and any(isinstance(g[0], float) for g in got)
+
+
+def test_remembered_error_keeps_a_short_traceback():
+    """A remembered ``RowSumViolation`` is the same error at every call, and
+    raising it again does not lengthen its traceback."""
+    spec = CohortCeaSpec(
+        states=("alive", "dead"),
+        absorbing=(False, True),
+        transition_builder=lambda params: np.array([[0.5, 0.6], [0.0, 1.0]]),
+        costs=(1.0, 0.0),
+        utilities=(1.0, 0.0),
+        cycle_length_years=1.0,
+        horizon_cycles=3,
+        discount_rate_annual=0.0,
+        initial=(1.0, 0.0),
+    )
+    raised = []
+    for _ in range(5):
+        with pytest.raises(RowSumViolation) as err:
+            spec.outcomes({})
+        raised.append(err.value)
+    assert all(exc is raised[0] for exc in raised)
+    assert len(traceback.extract_tb(raised[0].__traceback__)) <= 2
