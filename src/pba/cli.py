@@ -375,6 +375,7 @@ class AnalysisConfig:
         )
         config._validate_names()
         config._validate_pipeline()
+        config._validate_files()
         return config
 
     def _validate_names(self):
@@ -413,6 +414,25 @@ class AnalysisConfig:
             raise ConfigParseError("pipeline 'psa' forbids boxed parameters", location="parameters.boxed")
         if self.pipeline == "decide" and len(self.actions) < 2:
             raise ConfigParseError("decide needs at least two actions", location="actions")
+
+    def _validate_files(self):
+        """The files ``run_analysis`` writes, in its order, each a plain file
+        name of its own; a repeated one is reported at the later key."""
+        if self.pipeline == "decide":
+            files = [(f"curve-{a.id}.csv", f"actions[{i}].id") for i, a in enumerate(self.actions)]
+        elif self.pipeline == "pbox-curve" and len(self.parameters.boxed) > 1:
+            files = [(f"curve-{name}.csv", f"parameters.boxed.{name}") for name in sorted(self.parameters.boxed)]
+        else:
+            files = [(self.outputs.get("curve", "curve.csv"), "output.curve")]
+        if self.psa_baseline and self.pipeline not in ("decide", "pbox-curve"):
+            files.append((self.psa_baseline.file, "psa_baseline.file"))
+        files.append((self.outputs.get("summary", "summary.json"), "output.summary"))
+        seen: dict[str, str] = {}
+        for name, location in files:
+            _file_name(name, location)
+            if name in seen:
+                raise ConfigParseError(f"{location} writes {name!r}, as {seen[name]} does", location=location)
+            seen[name] = location
 
 
 def load_config(path: str | Path) -> AnalysisConfig:

@@ -249,13 +249,21 @@ class CohortCeaSpec:
     def prefetch(self, points: Iterable[Mapping[str, float]]) -> None:
         """Evaluate the ``points`` the memo lacks together, as one stack.
 
-        Only a speed-up for the ``outcomes`` calls that follow.  It raises
-        nothing: a batch that cannot be keyed, or built into one stack, is
-        left to the calls, which raise their own errors.
+        The points it already holds are moved to the new end of the memo,
+        so the batch's own entries cannot push them out before their calls
+        read them.  Only a speed-up for the ``outcomes`` calls that follow.
+        It raises nothing: a batch that cannot be keyed, or built into one
+        stack, is left to the calls, which raise their own errors.
         """
         memo = self._memo
         try:
-            batch = {key: params for params in points if (key := self._key(params)) not in memo}
+            batch = {}
+            for params in points:
+                key = self._key(params)
+                if key in memo:
+                    memo.move_to_end(key)
+                else:
+                    batch[key] = params
             if batch:
                 self._evaluate(batch)
         except Exception:

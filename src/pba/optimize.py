@@ -15,6 +15,7 @@ combined round to one ``evaluate``.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -80,24 +81,17 @@ class _Rect:
         self.levels, self.key, self.diameter = shape
 
 
-def _shaper() -> Callable[[tuple[int, ...]], tuple]:
-    """``shape(levels)``: (levels, size class, diameter), one shared tuple per levels tuple.
+@functools.lru_cache(maxsize=None)
+def _shape(levels: tuple[int, ...]) -> tuple:
+    """(levels, size class, diameter) of a rect, one shared tuple per levels tuple.
 
     The diameter's squares are added left to right, so it does not depend on
     whether ``sum`` compensates its float additions (Python 3.12 does).
     """
-    shapes: dict[tuple[int, ...], tuple] = {}
-
-    def shape(levels: tuple[int, ...]) -> tuple:
-        found = shapes.get(levels)
-        if found is None:
-            squares = 0.0
-            for level in levels:
-                squares += 9.0 ** (-level)
-            found = shapes[levels] = (levels, tuple(sorted(levels)), 0.5 * math.sqrt(squares))
-        return found
-
-    return shape
+    squares = 0.0
+    for level in levels:
+        squares += 9.0 ** (-level)
+    return levels, tuple(sorted(levels)), 0.5 * math.sqrt(squares)
 
 
 def _representatives(classes: dict[tuple[int, ...], list]) -> list[_Rect]:
@@ -123,7 +117,8 @@ def _potentially_optimal(reps: list[_Rect]) -> list[_Rect]:
 
     Levels within a rect differ by at most one, so distinct size classes have
     diameters at least a factor 1 + 8/(9 dim) apart: no two representatives
-    tie on diameter, and the sort fixes their order completely.
+    tie on diameter, the sort fixes their order completely, and the only
+    point of a rect's own diameter is the rect itself.
     """
     reps = sorted(reps, key=lambda r: r.diameter)
     points = [(r.diameter, r.f) for r in reps]
@@ -140,14 +135,11 @@ def _potentially_optimal(reps: list[_Rect]) -> list[_Rect]:
                 slope = (fj - fi) / (dj - di)
                 if slope > k_lo:
                     k_lo = slope
-            elif fi < fj:
-                break  # an equally large rect with a lower value dominates
-        else:
-            if k_lo > k_hi:
-                continue
-            # With the most favorable slope the rect must still undercut f_min.
-            if math.isinf(k_hi) or fj - k_hi * dj <= f_min + 1e-13 * max(1.0, abs(f_min)):
-                out.append(rj)
+        if k_lo > k_hi:
+            continue
+        # With the most favorable slope the rect must still undercut f_min.
+        if math.isinf(k_hi) or fj - k_hi * dj <= f_min + 1e-13 * max(1.0, abs(f_min)):
+            out.append(rj)
     return out
 
 
@@ -175,48 +167,36 @@ def _direct_minimize(
     points of the next round, fixed before any of them is evaluated, and is
     sent back their results in that order; the first round is the centre
     alone.  It minimizes ``sign`` times the values.  Returns (best box
-    point, its signed value, converged, evaluations).
+    point, its signed value, converged, evaluations).  The size-class
+    heaps are the only index of the rects: no two classes tie on diameter
+    (see ``_potentially_optimal``), so the best rect, by f, then diameter,
+    then creation, is a class representative.
     """
     order = itertools.count()
-    shape = _shaper()
     classes: dict[tuple[int, ...], list] = {}
-    # Rects holding the lowest f, as a heap of (diameter, index, rect).  A
-    # division always shrinks the diameter, so an entry whose diameter is no
-    # longer its rect's is stale.
-    f_low = math.inf
-    lowest: list = []
 
     def track(rect: _Rect) -> None:
-        """File a new or just-divided rect under its size class and the best f."""
-        nonlocal f_low, lowest
+        """File a new or just-divided rect under its size class."""
         heapq.heappush(classes.setdefault(rect.key, []), (rect.f, rect.index, rect))
-        if rect.f < f_low:
-            f_low, lowest = rect.f, []
-        if rect.f == f_low:
-            heapq.heappush(lowest, (rect.diameter, rect.index, rect))
 
     center = tuple(0.5 for _ in range(dim))
     point = to_box(center)
     (result,) = yield [point]
-    root = _Rect(center, point, shape(tuple(0 for _ in range(dim))), sign * _finite(point, result), next(order))
+    root = _Rect(center, point, _shape(tuple(0 for _ in range(dim))), sign * _finite(point, result), next(order))
     evals = 1
     track(root)
     d0 = root.diameter
 
     while True:
-        # The best rect: lowest f, then smallest diameter, then earliest.
-        while lowest[0][0] != lowest[0][2].diameter:
-            heapq.heappop(lowest)
-        best = lowest[0][2]
+        reps = _representatives(classes)
+        best = min(reps, key=lambda r: (r.f, r.diameter, r.index))
         if best.diameter < tol * d0:
             return best.point, best.f, True, evals
-        if evals + 2 > budget:
-            return best.point, best.f, False, evals
 
         # The round's trial points, fixed before any is evaluated: two per
         # longest side of each selected rect, while the budget lasts.
         trials = []
-        for rect in _potentially_optimal(_representatives(classes)):
+        for rect in _potentially_optimal(reps):
             lmin = min(rect.levels)
             delta = 3.0 ** (-(lmin + 1))
             sides = []
@@ -249,7 +229,7 @@ def _direct_minimize(
             levels = list(rect.levels)
             for _, i, *children in sampled:
                 levels[i] += 1
-                divided = shape(tuple(levels))
+                divided = _shape(tuple(levels))
                 for center, point, value in children:
                     track(_Rect(center, point, divided, value, next(order)))
             rect.levels, rect.key, rect.diameter = divided  # center keeps the shrunken rect

@@ -100,7 +100,4 @@ def focal_product(ds: Sequence[DiscretizedPBox]) -> Iterator[Hyperrectangle]:
 
 
 def count_hyperrectangles(ds: Sequence[DiscretizedPBox]) -> int:
-    out = 1
-    for d in ds:
-        out *= len(d)
-    return out
+    return math.prod(len(d) for d in ds)

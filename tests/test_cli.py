@@ -408,6 +408,14 @@ def _with_second_action_id(action_id) -> dict:
     return config
 
 
+def _two_boxed_curve_config(name) -> dict:
+    """A pbox-curve run of an inline CEA model whose second boxed input is ``name``."""
+    config = _inline_cea_config([{"from": "alive", "to": "dead", "product": ["p_die", name]}])
+    config["pipeline"] = "pbox-curve"
+    config["parameters"]["boxed"][name] = {"min": 0.5, "max": 1.0, "mean": 0.8}
+    return config
+
+
 @pytest.mark.parametrize(
     "location, config",
     [
@@ -474,6 +482,10 @@ def _with_second_action_id(action_id) -> dict:
         ("output.curve", dict(BASE_CONFIG, output={"curve": "../curve.csv"})),
         ("psa_baseline.file", dict(_minmax_propagate_config({}), psa_baseline={"file": "x/b.csv"})),
         ("output.summary", dict(BASE_CONFIG, output={"summary": ".."})),
+        ("psa_baseline.file", dict(_minmax_propagate_config({}), psa_baseline={"file": "curve.csv"})),
+        ("output.summary", dict(_all_fixed_decide_config(slow_c6=0.8), output={"summary": "curve-usual.csv"})),
+        ("output.summary", dict(BASE_CONFIG, output={"curve": "summary.json"})),
+        ("parameters.boxed.a/b", _two_boxed_curve_config("a/b")),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -661,6 +673,24 @@ def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     models._DEMO_SPEC._memo.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
     assert sizes and min(sizes) > 1
+
+
+def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
+    """With ``p_minor`` boxed too, the points a round finds in the memo are
+    still there when their calls read them, though the round's own new
+    points fill it: no matrix is evaluated alone."""
+    raw = json.loads((CONFIG_DIR / "demo-cea-inmb.json").read_text())
+    parameters = raw["parameters"]
+    del parameters["precise"]["p_minor"]
+    parameters["boxed"]["p_minor"] = {"min": 0.01, "max": 0.03, "mean": 0.02}
+    config = AnalysisConfig.from_dict(dict(raw, n=3, samples=1))
+    sizes = []
+    traces = models._traces
+    monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
+    models._DEMO_SPEC._memo.clear()
+    assert run_analysis(config, tmp_path)["model_evaluations"] == 12391
+    assert sizes and min(sizes) > 1
+
 
 @pytest.mark.parametrize(
     "location, config",

@@ -800,6 +800,30 @@ def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
     assert [sliced._memo[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]
 
 
+def test_prefetch_keeps_the_entries_it_found(monkeypatch):
+    """The points of a batch that the memo already holds are still in it
+    after the batch, though the batch's new points alone would push the
+    oldest entries out; their calls build nothing."""
+    monkeypatch.setattr("pba.models._MEMO_SIZE", 8)
+    fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, 20)
+    built = []
+
+    def builder(params):
+        built.append(params["k"])
+        return tables[params["k"]]
+
+    spec = CohortCeaSpec(transition_builder=builder, **fields)
+    spec.prefetch([{"k": k} for k in range(8)])
+    found = [{"k": k} for k in (0, 1, 2)]
+    spec.prefetch(found + [{"k": k} for k in range(8, 13)])
+    assert len(spec._memo) == 8
+    assert all(spec._key(p) in spec._memo for p in found)
+    del built[:]
+    for p in found:
+        _outcome_or_error(spec, p)
+    assert built == []
+
+
 def _outcome_or_raised(spec, params):
     try:
         return spec.outcomes(params)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from pba.optimize import (
     SearchBox,
     _pointwise,
     _search,
-    _shaper,
+    _shape,
     optimize_box,
     optimize_boxes,
     vertex_extrema,
@@ -94,6 +96,50 @@ def test_search_trajectory_pinned(objective, box, sense, evaluations, converged,
     assert result.converged is converged
     assert result.value.hex() == value
     assert tuple(x.hex() for x in result.point) == point
+
+
+def _seeded_search(r):
+    """A random polynomial objective, box, settings and sense drawn from
+    ``random.Random`` ``r``, with some zero-width coordinates; a third of
+    the objectives are rounded down to a step.  The objective uses only
+    adds, multiplies and ``floor``, summed left to right."""
+    dim = r.randint(1, 4)
+    bounds = []
+    for _ in range(dim):
+        lo = r.uniform(-2.0, 2.0)
+        width = 0.0 if r.random() < 0.15 else r.uniform(0.1, 3.0)
+        bounds.append(Interval(lo, lo + width))
+    settings = OptimizerSettings(budget=r.randint(1, 400), tol=r.choice([1e-2, 1e-4, 1e-6]))
+    coefs = [tuple(r.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(dim)]
+    coupling = r.uniform(-1.0, 1.0)
+    step = r.choice([0.0, 0.0, 0.125])  # a step > 0 gives plateaus, so ties in value
+
+    def objective(v):
+        total = 0.0
+        for (a, b, c, d), x in zip(coefs, v):
+            total += ((a * x + b) * x + c) * x * x + d * x
+        total += coupling * v[0] * v[-1]
+        return math.floor(total / step) * step if step else total
+
+    return objective, SearchBox(tuple(bounds), settings), r.choice([MIN, MAX])
+
+
+def test_random_searches_pinned():
+    # Exact results of 300 seeded searches (dims 1-4, budgets 1-400, three
+    # tolerances, some pinned coordinates, some plateaus), folded into one
+    # digest: a change to any sampled point, tie-break or exit of the
+    # search moves it.
+    r = random.Random(20260419)
+    digest = hashlib.sha256()
+    converged = 0
+    for _ in range(300):
+        objective, box, sense = _seeded_search(r)
+        result = optimize_box(objective, box, sense)
+        converged += result.converged
+        record = (result.evaluations, result.converged, result.value.hex(), tuple(x.hex() for x in result.point))
+        digest.update(repr(record).encode())
+    assert 0 < converged < 300
+    assert digest.hexdigest() == "8d32c106bd550663abfc278b8ca23776698f21535396bcf61f49f8ef16bd3550"
 
 
 def test_determinism():
@@ -313,9 +359,8 @@ def test_diameter_squares_added_left_to_right():
     squares = [9.0 ** (-level) for level in levels]
     left_to_right = (((squares[0] + squares[1]) + squares[2]) + squares[3]) + squares[4]
     assert 0.5 * math.sqrt(left_to_right) != 0.5 * math.sqrt(math.fsum(squares))
-    shape = _shaper()
-    assert shape(levels) == (levels, (0, 0, 1, 1, 1), 0.5 * math.sqrt(left_to_right))
-    assert shape((1, 1, 1, 0, 0)) is shape(levels)
+    assert _shape(levels) == (levels, (0, 0, 1, 1, 1), 0.5 * math.sqrt(left_to_right))
+    assert _shape((1, 1, 1, 0, 0)) is _shape(levels)
 
 
 def _random_search(rng):
