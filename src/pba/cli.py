@@ -243,6 +243,10 @@ def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
     cfg = _shaped(cfg, "an object", "psa_baseline")
     samples = _count(cfg, "samples", 500, 1, "psa_baseline.samples")
     families = _shaped(cfg.get("families", {}), "an object", "psa_baseline.families")
+    for name in families:
+        if name not in parameters.boxed:
+            location = f"psa_baseline.families.{name}"
+            raise ConfigParseError(f"{location} names no boxed parameter", location=location)
     precise = dict(parameters.precise)
     for name, data in parameters.boxed.items():
         try:
@@ -344,13 +348,12 @@ class AnalysisConfig:
         rule_name, rule = _rule_from(cfg.get("decision", {}))
 
         opt_cfg = _shaped(cfg.get("optimizer", {}), "an object", "optimizer")
+        kinds = {"budget": int, "tol": float}
+        if unknown := sorted(set(opt_cfg) - set(kinds)):
+            raise ConfigParseError(f"unknown optimizer settings {unknown}", location="optimizer")
         try:
             optimizer = OptimizerSettings(
-                **{
-                    key: _number(kind, opt_cfg[key], "optimizer", f"optimizer.{key}")
-                    for key, kind in (("budget", int), ("tol", float))
-                    if key in opt_cfg
-                }
+                **{key: _number(kinds[key], value, "optimizer", f"optimizer.{key}") for key, value in opt_cfg.items()}
             )
         except ValueError as exc:
             raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc

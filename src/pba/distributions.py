@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
+from ._lazy import np, special_ufuncs
 from .errors import InfeasibleMoments, InvalidDistributionSpec
 from .minimal_data import MinimalData
 
@@ -103,24 +103,22 @@ class DistributionSpec:
     def ppf(self, u):
         """Quantile function; ``u`` may be a scalar or an array in [0, 1].
 
-        Gamma and beta quantiles come from the ``scipy.special`` functions
-        that ``scipy.stats`` evaluates itself, imported on the first such
-        draw so that runs without them never load scipy.  They equal
-        ``scipy.stats`` bit for bit, edge cases included: 0 at u = 0, the
-        upper end of the support at u = 1, nan outside [0, 1].  The one
-        exception lies where the samplers never draw (their u is 0 or at
-        least 2**-53): below about u = 1e-30, ``betaincinv`` may return nan
-        where ``scipy.stats.beta.ppf`` returns a value.
+        Gamma and beta quantiles come from the compiled ``scipy.special``
+        ufuncs that ``scipy.stats`` evaluates itself, loaded on the first
+        such draw (``_lazy.special_ufuncs``) so that runs without them never
+        load scipy, and runs with them skip the ``scipy.special`` package's
+        array-API import.  They equal ``scipy.stats`` bit for bit, edge cases
+        included: 0 at u = 0, the upper end of the support at u = 1, nan
+        outside [0, 1].  The one exception lies where the samplers never
+        draw (their u is 0 or at least 2**-53): below about u = 1e-30,
+        ``betaincinv`` may return nan where ``scipy.stats.beta.ppf`` returns
+        a value.
         """
         u = np.asarray(u, dtype=float)
         if self.family == GAMMA:
-            from scipy.special import gammaincinv
-
-            return gammaincinv(self._p("shape"), u) * (1.0 / self._p("rate"))
+            return special_ufuncs().gammaincinv(self._p("shape"), u) * (1.0 / self._p("rate"))
         if self.family == BETA:
-            from scipy.special import betaincinv
-
-            return betaincinv(self._p("alpha"), self._p("beta"), u)
+            return special_ufuncs().betaincinv(self._p("alpha"), self._p("beta"), u)
         if self.family == UNIFORM:
             return self._p("low") + u * (self._p("high") - self._p("low"))
         if self.family == TABULATED:

@@ -486,6 +486,9 @@ def _two_boxed_curve_config(name) -> dict:
         ("output.summary", dict(_all_fixed_decide_config(slow_c6=0.8), output={"summary": "curve-usual.csv"})),
         ("output.summary", dict(BASE_CONFIG, output={"curve": "summary.json"})),
         ("parameters.boxed.a/b", _two_boxed_curve_config("a/b")),
+        ("psa_baseline.families.C6", _minmax_propagate_config({"c1": "uniform", "C6": "uniform"})),
+        ("psa_baseline.families.c9", _minmax_propagate_config({"c9": "uniform"})),
+        ("optimizer", dict(BASE_CONFIG, optimizer={"tols": 0.1})),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):

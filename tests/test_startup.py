@@ -4,7 +4,8 @@ numpy is imported on its first numeric use, so importing ``pba``, ``pba --help``
 ``pba pbox`` and a config that fails at load never load it.  The lazy module
 is registered as ``sys.modules["numpy"]`` at import, so the checks look for
 ``numpy._core``, which only numpy's own import brings in.  scipy stays
-unloaded until a gamma or beta quantile is drawn.
+unloaded until a gamma or beta quantile is drawn, and then only its compiled
+special-function modules load, not the ``scipy.special`` package.
 
 Each check runs in a fresh interpreter, since this test session itself has
 imported numpy and scipy.
@@ -15,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -55,14 +58,14 @@ UNIFORM_PSA = {
 PROBE = """
 import sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def watched_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "numpy.f2py", "numpy.testing")))
 
 import pba.cli
-loaded = {"import": scipy_modules()}
+loaded = {"import": watched_modules()}
 for step, argv in ARGV:
     assert pba.cli.main(argv) == 0, step
-    loaded[step] = scipy_modules()
+    loaded[step] = watched_modules()
 print(json.dumps(loaded))
 """
 
@@ -80,7 +83,8 @@ def _fresh(script: str):
 
 
 def _probe(steps: list) -> dict:
-    """scipy modules loaded after importing pba.cli and after each CLI step."""
+    """scipy, numpy.f2py and numpy.testing modules loaded after importing
+    pba.cli and after each CLI step."""
     return _fresh(f"ARGV = {json.dumps(steps)}\n" + PROBE)
 
 
@@ -96,12 +100,72 @@ def test_pbox_and_uniform_runs_never_load_scipy(tmp_path):
     assert (tmp_path / "pbox-only" / "baseline.csv").exists()
 
 
+# Never loaded by a draw: scipy.stats, and the array-API layer that the
+# ``scipy.special`` package's own import builds.
+ARRAY_API_AND_STATS = (
+    "scipy.stats",
+    "scipy._lib._array_api",
+    "scipy._lib.array_api_compat",
+    "numpy.f2py",
+    "numpy.testing",
+)
+
+
+def _under(modules: list, *packages: str) -> list:
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
 def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
-    config = CONFIG_DIR / "case1-psa-gamma.json"
-    loaded = _probe([["gamma-psa", ["run", str(config), "--out", str(tmp_path)]]])
+    cea = json.loads((CONFIG_DIR / "demo-cea-inmb.json").read_text())
+    cea.update(samples=1, n=1)
+    (tmp_path / "cea.json").write_text(json.dumps(cea))
+    loaded = _probe(
+        [
+            ["gamma-psa", ["run", str(CONFIG_DIR / "case1-psa-gamma.json"), "--out", str(tmp_path / "gamma")]],
+            ["beta-cea", ["run", str(tmp_path / "cea.json"), "--out", str(tmp_path / "beta")]],
+        ]
+    )
     assert loaded["import"] == []
-    assert "scipy.special" in loaded["gamma-psa"]
-    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in loaded["gamma-psa"])
+    for step in ("gamma-psa", "beta-cea"):
+        assert "scipy.special._ufuncs" in loaded[step], step
+        assert "scipy.special" not in loaded[step], step
+        assert _under(loaded[step], *ARRAY_API_AND_STATS) == [], step
+
+
+ORDER_PROBE = """
+from pba import _lazy
+from pba.distributions import DistributionSpec
+
+if SCIPY_FIRST:
+    import scipy.special
+u = _lazy.np.array([0.0, 2.0**-53, 1e-3, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 1.0])
+gamma = DistributionSpec.gamma(2.5, 3.0).ppf(u)
+beta = DistributionSpec.beta(2.0, 5.0).ppf(u)
+ufuncs = _lazy.special_ufuncs()
+import scipy.special
+from scipy import stats
+
+print(json.dumps({
+    "real package": hasattr(scipy.special, "logsumexp") and hasattr(scipy.special, "__file__"),
+    "package reused": ufuncs is scipy.special,
+    "same ufuncs": ufuncs.betaincinv is scipy.special.betaincinv and ufuncs.gammaincinv is scipy.special.gammaincinv,
+    "gamma bits": gamma.tobytes() == stats.gamma.ppf(u, a=2.5, scale=1.0 / 3.0).tobytes(),
+    "beta bits": beta.tobytes() == stats.beta.ppf(u, 2.0, 5.0).tobytes(),
+}))
+"""
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["pba-first", "scipy-first"])
+def test_special_ufuncs_are_scipy_specials_own(scipy_first):
+    """Draws made before or after ``import scipy.special`` use its ufuncs and leave it a working package."""
+    checks = _fresh(f"SCIPY_FIRST = {scipy_first}\n" + ORDER_PROBE)
+    assert checks == {
+        "real package": True,
+        "package reused": scipy_first,
+        "same ufuncs": True,
+        "gamma bits": True,
+        "beta bits": True,
+    }
 
 
 NUMPY_PROBE = """
