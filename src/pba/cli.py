@@ -14,14 +14,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._lazy import np
 from . import models
 from .decision import INDETERMINATE, DecisionRule, Dominance, Hurwicz, Optimist, Pessimist, UtilityInterval, choose, expected_interval
-from .distributions import DistributionSpec
+from .distributions import BETA, GAMMA, MOMENT_FAMILIES, TABULATED, UNIFORM, DistributionSpec
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
 from .models import REGISTRY, CohortCeaSpec, RegisteredModel, compile_transitions
@@ -38,165 +38,133 @@ _RULES = {"dominance": Dominance, "pessimist": Pessimist, "optimist": Optimist, 
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config schema
 # ---------------------------------------------------------------------------
 
 
-def _need(mapping: Mapping, key: str, location: str):
-    if key not in mapping:
-        raise ConfigParseError(f"missing required key {key!r}", location=location)
-    return mapping[key]
+@dataclass(frozen=True)
+class Kind:
+    """What a value of a ``pba-analysis/1`` document must be, for ``_walk``.
 
-
-def _shaped(value, what: str, location: str, name: str | None = None):
-    """``value`` if it is ``what`` ("an object" or "an array"), else a
-    ``ConfigParseError`` at ``location`` naming the field ``name``."""
-    if not isinstance(value, Mapping if what == "an object" else (list, tuple)):
-        raise ConfigParseError(f"{name or location} must be {what}, got {value!r}", location=location)
-    return value
-
-
-def _number(kind: type, value, location: str, name: str | None = None):
-    """``kind(value)`` for the config field ``name`` (by default ``location``),
-    or a ``ConfigParseError`` at ``location``.
-
-    A JSON boolean is refused for any number field, and an integer field
-    takes whole numbers only: a float with a fractional part is refused
-    rather than truncated.
+    ``name`` is ``number``, ``whole`` (at least ``minimum``, if set),
+    ``choice`` (one of ``choices``), ``bool``, ``file`` (a file name in the
+    output directory), ``array`` or ``map`` (names to values) of ``item``,
+    ``object``, ``either`` (``item[0]`` for a string, else ``item[1]``) or
+    ``removed``.  An object's ``keys`` map to (kind, default): ``_REQUIRED``
+    must be given, ``None`` may be absent, and any other default is read as
+    if given.  A JSON null is absent; a kind of ``None`` takes any value.
+    ``build`` makes the checked value into what the config holds, and a
+    ``PbaError`` or ``ValueError`` it raises is reported at the value.  A
+    ``pinned`` value reports every error inside it at its own location.
     """
-    name = name or location
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
-        what = "a whole number" if kind is int else "a number"
-        raise ConfigParseError(f"{name} must be {what}, got {value!r}", location=location)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"{name} must be {kind.__name__}: {exc}", location=location) from exc
+
+    name: str
+    keys: Mapping[str, tuple] | None = None
+    item: "Kind | tuple | None" = None
+    choices: tuple = ()
+    minimum: int | None = None
+    build: Callable | None = None
+    pinned: bool = False
 
 
-def _float_field(value, location: str, key: str) -> float:
-    """The float field ``key`` of the config object at ``location``."""
-    return _number(float, value, location, f"{location}.{key}")
-
-
+_REQUIRED = object()
 _SEPARATORS = frozenset(filter(None, ("/", os.sep, os.altsep)))
 
 
-def _file_name(value, location: str) -> str:
-    """``value`` if it names a file in the output directory: a string with no
-    path separator, and not ``""``, ``.`` or ``..``."""
-    if not isinstance(value, str) or value in ("", ".", "..") or _SEPARATORS & set(value):
-        raise ConfigParseError(
-            f"{location} must be a file name without a path separator, got {value!r}", location=location
-        )
-    return value
+def _fail(path: str, pin: str | None, message: str):
+    raise ConfigParseError(f"{path or 'config'} {message}", location=pin or path or "config")
 
 
-def _count(cfg: Mapping, key: str, default: int, minimum: int, location: str) -> int:
-    """An integer run size of at least ``minimum``, checked when the config loads."""
-    value = _number(int, cfg.get(key, default), location)
-    if value < minimum:
-        raise ConfigParseError(f"{key} must be at least {minimum}, got {value}", location=location)
-    return value
-
-
-def _minimal_data_from(cfg: Mapping, location: str) -> MinimalData:
-    cfg = _shaped(cfg, "an object", location)
-
-    def stat(key: str, required: bool = False) -> float | None:
-        value = _need(cfg, key, location) if required else cfg.get(key)
-        return None if value is None else _float_field(value, location, key)
-
+def _walk(kind: Kind | None, value, path: str = "", pin: str | None = None):
+    """``value``, found at ``path``, checked against ``kind``, its defaults
+    filled in, and built; a ``ConfigParseError`` at the first bad or unknown
+    key, located at ``pin`` when that is set."""
+    if kind is None:
+        return value
+    what = kind.name
+    pin = pin or (path if kind.pinned else None)
+    if what == "either":
+        return _walk(kind.item[isinstance(value, Mapping)], value, path, pin)
+    if what == "removed":
+        _fail(path, pin, "was removed; delete it")
+    if what in ("number", "whole"):
+        whole = what == "whole"
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or whole and isinstance(value, float) and not value.is_integer()
+        ):
+            _fail(path, pin, f"must be {'a whole number' if whole else 'a number'}, got {value!r}")
+        value = int(value) if whole else float(value)
+        if kind.minimum is not None and value < kind.minimum:
+            _fail(path, pin, f"must be at least {kind.minimum}, got {value}")
+    elif what == "choice" and (not isinstance(value, str) or value not in kind.choices):
+        _fail(path, pin, f"must be one of {list(kind.choices)}, got {value!r}")
+    elif what == "bool" and not isinstance(value, bool):
+        _fail(path, pin, f"must be true or false, got {value!r}")
+    elif what == "file" and (not isinstance(value, str) or value in ("", ".", "..") or _SEPARATORS & set(value)):
+        _fail(path, pin, f"must be a file name without a path separator, got {value!r}")
+    elif what == "array":
+        if not isinstance(value, (list, tuple)):
+            _fail(path, pin, f"must be an array, got {value!r}")
+        value = [_walk(kind.item, v, f"{path}[{i}]", pin) for i, v in enumerate(value)]
+    elif what in ("map", "object"):
+        if not isinstance(value, Mapping):
+            _fail(path, pin, f"must be an object, got {value!r}")
+        if what == "map":
+            value = {k: _walk(kind.item, v, f"{path}.{k}", pin) for k, v in value.items()}
+        else:
+            value = _walk_keys(kind, value, path, pin)
+    if kind.build is None:
+        return value
     try:
-        d = MinimalData(
-            minimum=stat("min", required=True),
-            maximum=stat("max", required=True),
-            median=stat("median"),
-            mean=stat("mean"),
-            std=stat("std"),
-        )
-        return validate_minimal_data(d)
-    except PbaError as exc:
-        if isinstance(exc, ConfigParseError):
-            raise
-        raise ConfigParseError(str(exc), location=location) from exc
+        return kind.build(value)
+    except ConfigParseError:
+        raise
+    except (PbaError, ValueError) as exc:
+        raise ConfigParseError(str(exc), location=pin or path) from exc
 
 
-def _distribution_from(cfg: Mapping, location: str) -> DistributionSpec:
-    cfg = _shaped(cfg, "an object", location)
-    family = _need(cfg, "family", location)
-    try:
-        if family in ("gamma", "beta"):
-            if "mean" in cfg:
-                mean, std = _float_field(cfg["mean"], location, "mean"), _float_field(cfg["std"], location, "std")
-                return DistributionSpec.from_moments(family, MinimalData(-math.inf, math.inf, mean=mean, std=std))
-            native = {k: _float_field(v, location, k) for k, v in cfg.items() if k != "family"}
-            return getattr(DistributionSpec, family)(**native)
-        if family == "uniform":
-            low, high = (_float_field(_need(cfg, k, location), location, k) for k in ("min", "max"))
-            return DistributionSpec.uniform(low, high)
-        if family == "tabulated":
-            return DistributionSpec.tabulated(_need(cfg, "values", location), _need(cfg, "cum_probs", location))
-    except (PbaError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigParseError):
-            raise
-        raise ConfigParseError(f"bad distribution: {exc}", location=location) from exc
-    raise ConfigParseError(f"unknown distribution family {family!r}", location=location)
+def _walk_keys(kind: Kind, value: Mapping, path: str, pin: str | None) -> dict:
+    """The object ``value`` with each of ``kind.keys`` walked in order, or
+    given its default; then its first unknown key, if any, is refused."""
+    out = {}
+    for key, (sub, default) in kind.keys.items():
+        child = f"{path}.{key}" if path else key
+        given = default if value.get(key) is None else value[key]
+        if given is _REQUIRED:
+            _fail(child, pin, "is required")
+        out[key] = None if given is None else _walk(sub, given, child, pin)
+    for key in value:
+        if key not in kind.keys:
+            known = ", ".join(k for k, (sub, _) in kind.keys.items() if sub is not _REMOVED)
+            _fail(f"{path}.{key}" if path else key, pin, f"is not a key of {path or 'the config'}, which takes {known}")
+    return out
 
 
-def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
-    cfg = _shaped(cfg, "an object", location)
-
-    def array(key: str) -> Sequence:
-        return _shaped(_need(cfg, key, location), "an array", location, f"{location}.{key}")
-
-    def objects(key: str) -> list[Mapping]:
-        return [_shaped(e, "an object", location, f"{location}.{key}[{i}]") for i, e in enumerate(array(key))]
-
-    state_cfgs = objects("states")
-    states = tuple(_need(s, "name", location) for s in state_cfgs)
-    absorbing = tuple(s.get("absorbing", False) for s in state_cfgs)
-    for i, (name, flag) in enumerate(zip(states, absorbing)):
+def _inline_cea_model(cfg: Mapping) -> RegisteredModel:
+    """The model of a checked ``model.cea`` object."""
+    state_cfgs = cfg["states"]
+    states = tuple(s["name"] for s in state_cfgs)
+    for i, name in enumerate(states):
         if not isinstance(name, str) or name in states[:i]:
-            raise ConfigParseError(
-                f"{location}.states[{i}].name must be a string naming no other state, got {name!r}", location=location
-            )
-        if not isinstance(flag, bool):
-            raise ConfigParseError(
-                f"{location}.states[{i}].absorbing must be true or false, got {flag!r}", location=location
-            )
-    costs = tuple(_float_field(s.get("cost", 0.0), location, f"states[{i}].cost") for i, s in enumerate(state_cfgs))
-    utilities = tuple(
-        _float_field(s.get("utility", 0.0), location, f"states[{i}].utility") for i, s in enumerate(state_cfgs)
-    )
-    transitions = tuple(objects("transitions"))
-    initial = tuple(_float_field(x, location, f"initial[{i}]") for i, x in enumerate(array("initial")))
-    wtp = _float_field(cfg.get("wtp", models.WTP_PER_QALY), location, "wtp")
+            raise ValueError(f"model.cea.states[{i}].name must be a string naming no other state, got {name!r}")
+    outcome, wtp = cfg["outcome"], cfg["wtp"]
     if not 0.0 <= wtp < math.inf:
-        raise ConfigParseError(f"{location}.wtp must be finite and at least 0, got {wtp}", location=location)
-    outcome = cfg.get("outcome", "nmb")
-    if outcome not in ("nmb", "cost", "qaly"):
-        raise ConfigParseError(f"unknown outcome {outcome!r}", location=location)
-
-    try:
-        builder = compile_transitions(states, absorbing, transitions)
-        spec = CohortCeaSpec(
-            states=states,
-            absorbing=absorbing,
-            transition_builder=builder,
-            costs=costs,
-            utilities=utilities,
-            cycle_length_years=_float_field(_need(cfg, "cycle_length_years", location), location, "cycle_length_years"),
-            horizon_cycles=_number(
-                int, _need(cfg, "horizon_cycles", location), location, f"{location}.horizon_cycles"
-            ),
-            discount_rate_annual=_float_field(
-                _need(cfg, "discount_rate_annual", location), location, "discount_rate_annual"
-            ),
-            initial=initial,
-        )
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), location=location) from exc
+        raise ValueError(f"model.cea.wtp must be finite and at least 0, got {wtp}")
+    absorbing = tuple(s["absorbing"] for s in state_cfgs)
+    builder = compile_transitions(states, absorbing, cfg["transitions"])
+    spec = CohortCeaSpec(
+        states=states,
+        absorbing=absorbing,
+        transition_builder=builder,
+        costs=tuple(s["cost"] for s in state_cfgs),
+        utilities=tuple(s["utility"] for s in state_cfgs),
+        cycle_length_years=cfg["cycle_length_years"],
+        horizon_cycles=cfg["horizon_cycles"],
+        discount_rate_annual=cfg["discount_rate_annual"],
+        initial=tuple(cfg["initial"]),
+    )
 
     def model(params: Mapping[str, float]) -> float:
         cost, qaly = spec.outcomes(params)
@@ -210,24 +178,33 @@ def _inline_cea_model(cfg: Mapping, location: str) -> RegisteredModel:
     return RegisteredModel(model, builder.param_names)
 
 
+# The key sets of each precise family, each in its constructor's argument
+# order; a precise parameter gives exactly one set of its family's.
+_FAMILY_KEYS = {
+    GAMMA: (("mean", "std"), ("shape", "rate")),
+    BETA: (("mean", "std"), ("alpha", "beta")),
+    UNIFORM: (("min", "max"),),
+    TABULATED: (("values", "cum_probs"),),
+}
+
+
+def _distribution(cfg: Mapping) -> DistributionSpec:
+    """The distribution of a checked precise parameter: mean and std are
+    moment-matched, another key set goes to the family's constructor."""
+    family = cfg["family"]
+    given = {k: v for k, v in cfg.items() if k != "family" and v is not None}
+    if not any(set(given) == set(keys) for keys in _FAMILY_KEYS[family]):
+        options = " or ".join("+".join(keys) for keys in _FAMILY_KEYS[family])
+        raise ValueError(f"{family} takes {options}, got {'+'.join(given) or 'no parameters'}")
+    if "mean" in given:
+        return DistributionSpec.from_moments(family, MinimalData(-math.inf, math.inf, **given))
+    return getattr(DistributionSpec, family)(*given.values())
+
+
 @dataclass(frozen=True)
 class ActionSpec:
     id: str
     overrides: Mapping[str, float]
-
-
-def _action_from(cfg, location: str) -> ActionSpec:
-    cfg = _shaped(cfg, "an object", location)
-    overrides = _shaped(cfg.get("overrides", {}), "an object", f"{location}.overrides")
-    action_id = str(_need(cfg, "id", location))
-    if _SEPARATORS & set(action_id):
-        raise ConfigParseError(
-            f"{location}.id must have no path separator, got {action_id!r}", location=f"{location}.id"
-        )
-    return ActionSpec(
-        action_id,
-        {str(k): _number(float, v, f"{location}.overrides.{k}") for k, v in overrides.items()},
-    )
 
 
 @dataclass(frozen=True)
@@ -239,10 +216,10 @@ class PsaBaseline:
     file: str
 
 
-def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
-    cfg = _shaped(cfg, "an object", "psa_baseline")
-    samples = _count(cfg, "samples", 500, 1, "psa_baseline.samples")
-    families = _shaped(cfg.get("families", {}), "an object", "psa_baseline.families")
+def _psa_baseline_from(cfg: Mapping, parameters: ParameterSet) -> PsaBaseline:
+    """The checked ``psa_baseline`` object, with each boxed parameter
+    moment-matched to its family; each family must name a boxed parameter."""
+    families = cfg["families"]
     for name in families:
         if name not in parameters.boxed:
             location = f"psa_baseline.families.{name}"
@@ -250,40 +227,101 @@ def _psa_baseline_from(cfg, parameters: ParameterSet) -> PsaBaseline:
     precise = dict(parameters.precise)
     for name, data in parameters.boxed.items():
         try:
-            precise[name] = DistributionSpec.from_moments(families.get(name, "uniform"), data)
+            precise[name] = DistributionSpec.from_moments(families.get(name, UNIFORM), data)
         except PbaError as exc:
             raise ConfigParseError(str(exc), location=f"psa_baseline.families.{name}") from exc
     return PsaBaseline(
         ParameterSet(fixed=parameters.fixed, precise=precise),
-        samples,
-        _file_name(cfg.get("file", "baseline.csv"), "psa_baseline.file"),
+        cfg["samples"],
+        cfg["file"],
     )
 
 
-def _outputs_from(cfg) -> dict:
-    """The ``output`` object, its ``curve`` and ``summary`` checked as file names."""
-    outputs = dict(_shaped(cfg, "an object", "output"))
-    for key in ("curve", "summary"):
-        if key in outputs:
-            _file_name(outputs[key], f"output.{key}")
-    return outputs
-
-
 def _rule_from(cfg: Mapping) -> tuple[str, DecisionRule]:
-    """The named decision rule, built once; ``alpha`` belongs to ``hurwicz`` alone."""
-    cfg = _shaped(cfg, "an object", "decision")
-    name = cfg.get("rule", "dominance")
-    if not isinstance(name, str) or name not in _RULES:
-        raise ConfigParseError(f"unknown decision rule {name!r}", location="decision.rule")
-    kwargs = {}
-    if cfg.get("alpha") is not None:
-        if name != "hurwicz":
-            raise ConfigParseError(f"rule {name!r} takes no alpha", location="decision.alpha")
-        kwargs["alpha"] = _number(float, cfg["alpha"], "decision.alpha")
+    """The checked ``decision`` object's rule, built once; ``alpha`` belongs
+    to ``hurwicz`` alone."""
+    name, alpha = cfg["rule"], cfg["alpha"]
+    if alpha is None:
+        return name, _RULES[name]()
+    if name != "hurwicz":
+        raise ConfigParseError(f"rule {name!r} takes no alpha", location="decision.alpha")
     try:
-        return name, _RULES[name](**kwargs)
+        return name, Hurwicz(alpha)
     except ValueError as exc:
         raise ConfigParseError(str(exc), location="decision.alpha") from exc
+
+
+_NUMBER = Kind("number")
+_NUMBERS = Kind("array", item=_NUMBER)
+_FILE = Kind("file")
+_REMOVED = Kind("removed")
+_SEED = Kind("whole", minimum=0)
+_STAT_KEYS = {"minimum": "min", "maximum": "max"}  # MinimalData fields named otherwise in a config
+
+_CEA = Kind("object", pinned=True, build=_inline_cea_model, keys={
+    "states": (Kind("array", item=Kind("object", keys={
+        "name": (None, _REQUIRED),  # a string naming no other state, checked by _inline_cea_model
+        "absorbing": (Kind("bool"), False),
+        "cost": (_NUMBER, 0.0),
+        "utility": (_NUMBER, 0.0),
+    })), _REQUIRED),
+    "transitions": (Kind("array", item=Kind("map")), _REQUIRED),  # an entry's keys: compile_transitions
+    "initial": (_NUMBERS, _REQUIRED),
+    "cycle_length_years": (_NUMBER, _REQUIRED),
+    "horizon_cycles": (Kind("whole"), _REQUIRED),
+    "discount_rate_annual": (_NUMBER, _REQUIRED),
+    "wtp": (_NUMBER, models.WTP_PER_QALY),
+    "outcome": (Kind("choice", choices=("nmb", "cost", "qaly")), "nmb"),
+})
+
+_PRECISE = Kind("object", pinned=True, build=_distribution, keys={
+    "family": (Kind("choice", choices=tuple(_FAMILY_KEYS)), _REQUIRED),
+    **{key: (_NUMBER, None) for sets in _FAMILY_KEYS.values() for keys in sets for key in keys},
+    **{key: (_NUMBERS, None) for key in _FAMILY_KEYS[TABULATED][0]},
+})
+
+_BOXED = Kind("object", pinned=True, build=lambda stats: validate_minimal_data(MinimalData(*stats.values())), keys={
+    _STAT_KEYS.get(f.name, f.name): (_NUMBER, _REQUIRED if f.default is MISSING else None) for f in fields(MinimalData)
+})
+
+# The pba-analysis/1 document.  README.md lists every key, and a test keeps
+# that table in step with this one.
+DOCUMENT = Kind("object", keys={
+    "schema": (Kind("choice", choices=(CONFIG_SCHEMA,)), _REQUIRED),
+    "pipeline": (Kind("choice", choices=PIPELINES), _REQUIRED),
+    "model": (Kind("either", item=(
+        Kind("choice", choices=tuple(REGISTRY), build=REGISTRY.__getitem__),
+        Kind("object", build=lambda model: model["cea"], keys={"cea": (_CEA, _REQUIRED)}),
+    )), _REQUIRED),
+    "parameters": (Kind("object", build=lambda groups: ParameterSet(**groups), keys={
+        "fixed": (Kind("map", item=_NUMBER), {}),
+        "precise": (Kind("map", item=_PRECISE), {}),
+        "boxed": (Kind("map", item=_BOXED), {}),
+    }), _REQUIRED),
+    "n": (Kind("whole", minimum=1), 50),
+    "samples": (Kind("whole", minimum=1), 50),
+    "seed": (_SEED, 0),
+    "curve_grid": (Kind("whole", minimum=2), 201),
+    "optimizer": (Kind("object", pinned=True, build=lambda settings: OptimizerSettings(**settings), keys={
+        "budget": (Kind("whole"), OptimizerSettings.budget),
+        "tol": (_NUMBER, OptimizerSettings.tol),
+    }), {}),
+    "actions": (Kind("array", item=Kind("object", build=lambda action: ActionSpec(**action), keys={
+        "id": (_FILE, _REQUIRED),
+        "overrides": (Kind("map", item=_NUMBER), {}),
+    })), []),
+    "decision": (Kind("object", build=_rule_from, keys={
+        "rule": (Kind("choice", choices=tuple(_RULES)), "dominance"),
+        "alpha": (_NUMBER, None),
+    }), {}),
+    "psa_baseline": (Kind("object", keys={
+        "samples": (Kind("whole", minimum=1), 500),
+        "families": (Kind("map", item=Kind("choice", choices=MOMENT_FAMILIES)), {}),
+        "file": (_FILE, "baseline.csv"),
+    }), None),
+    "output": (Kind("object", keys={"curve": (_FILE, "curve.csv"), "summary": (_FILE, "summary.json")}), {}),
+    "threads": (_REMOVED, None),
+})
 
 
 @dataclass(frozen=True)
@@ -305,76 +343,28 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "AnalysisConfig":
-        schema = _shaped(cfg, "an object", "config").get("schema")
-        if schema != CONFIG_SCHEMA:
-            raise ConfigParseError(
-                f"unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}", location="schema"
-            )
-        pipeline = _need(cfg, "pipeline", "pipeline")
-        if pipeline not in PIPELINES:
-            raise ConfigParseError(f"unknown pipeline {pipeline!r}", location="pipeline")
-
-        model_cfg = _need(cfg, "model", "model")
-        if isinstance(model_cfg, str):
-            if model_cfg not in REGISTRY:
-                raise ConfigParseError(f"unknown model {model_cfg!r}", location="model")
-            model_name, model = model_cfg, REGISTRY[model_cfg]
-        elif isinstance(model_cfg, Mapping) and "cea" in model_cfg:
-            model_name, model = "inline-cea", _inline_cea_model(model_cfg["cea"], "model.cea")
-        else:
-            raise ConfigParseError("model must be a registry name or {'cea': ...}", location="model")
-
-        pcfg = _shaped(_need(cfg, "parameters", "parameters"), "an object", "parameters")
-
-        def group(name: str) -> Mapping:
-            return _shaped(pcfg.get(name, {}), "an object", f"parameters.{name}")
-
-        fixed = {str(k): _number(float, v, f"parameters.fixed.{k}") for k, v in group("fixed").items()}
-        precise = {str(k): _distribution_from(v, f"parameters.precise.{k}") for k, v in group("precise").items()}
-        boxed = {str(k): _minimal_data_from(v, f"parameters.boxed.{k}") for k, v in group("boxed").items()}
-        try:
-            parameters = ParameterSet(fixed=fixed, precise=precise, boxed=boxed)
-        except ValueError as exc:
-            raise ConfigParseError(str(exc), location="parameters") from exc
-
-        actions = tuple(
-            _action_from(a, f"actions[{i}]")
-            for i, a in enumerate(_shaped(cfg.get("actions", []), "an array", "actions"))
-        )
-        ids = [a.id for a in actions]
-        for i, action_id in enumerate(ids):
-            if action_id in ids[:i]:
-                raise ConfigParseError(f"action id {action_id!r} is used twice", location=f"actions[{i}].id")
-        rule_name, rule = _rule_from(cfg.get("decision", {}))
-
-        opt_cfg = _shaped(cfg.get("optimizer", {}), "an object", "optimizer")
-        kinds = {"budget": int, "tol": float}
-        if unknown := sorted(set(opt_cfg) - set(kinds)):
-            raise ConfigParseError(f"unknown optimizer settings {unknown}", location="optimizer")
-        try:
-            optimizer = OptimizerSettings(
-                **{key: _number(kinds[key], value, "optimizer", f"optimizer.{key}") for key, value in opt_cfg.items()}
-            )
-        except ValueError as exc:
-            raise ConfigParseError(f"bad optimizer settings: {exc}", location="optimizer") from exc
-        psa_baseline = cfg.get("psa_baseline")
-        if psa_baseline:
-            psa_baseline = _psa_baseline_from(psa_baseline, parameters)
+        doc = _walk(DOCUMENT, cfg)
+        pipeline = doc["pipeline"]
+        for key in ("actions", "decision"):
+            if pipeline != "decide" and cfg.get(key) is not None:
+                raise ConfigParseError(f"{key} belongs to the 'decide' pipeline, not {pipeline!r}", location=key)
+        rule_name, rule = doc["decision"]
+        psa_baseline = doc["psa_baseline"]
         config = cls(
             pipeline=pipeline,
-            model_name=model_name,
-            model=model,
-            parameters=parameters,
-            n=_count(cfg, "n", 50, 1, "n"),
-            samples=_count(cfg, "samples", 50, 1, "samples"),
-            seed=_count(cfg, "seed", 0, 0, "seed"),
-            optimizer=optimizer,
-            actions=actions,
+            model_name=cfg["model"] if isinstance(cfg["model"], str) else "inline-cea",
+            model=doc["model"],
+            parameters=doc["parameters"],
+            n=doc["n"],
+            samples=doc["samples"],
+            seed=doc["seed"],
+            optimizer=doc["optimizer"],
+            actions=tuple(doc["actions"]),
             rule_name=rule_name,
             rule=rule,
-            curve_grid=_count(cfg, "curve_grid", 201, 2, "curve_grid"),
-            psa_baseline=psa_baseline,
-            outputs=_outputs_from(cfg.get("output", {})),
+            curve_grid=doc["curve_grid"],
+            psa_baseline=None if psa_baseline is None else _psa_baseline_from(psa_baseline, doc["parameters"]),
+            outputs=doc["output"],
         )
         config._validate_names()
         config._validate_pipeline()
@@ -426,13 +416,13 @@ class AnalysisConfig:
         elif self.pipeline == "pbox-curve" and len(self.parameters.boxed) > 1:
             files = [(f"curve-{name}.csv", f"parameters.boxed.{name}") for name in sorted(self.parameters.boxed)]
         else:
-            files = [(self.outputs.get("curve", "curve.csv"), "output.curve")]
+            files = [(self.outputs["curve"], "output.curve")]
         if self.psa_baseline and self.pipeline not in ("decide", "pbox-curve"):
             files.append((self.psa_baseline.file, "psa_baseline.file"))
-        files.append((self.outputs.get("summary", "summary.json"), "output.summary"))
+        files.append((self.outputs["summary"], "output.summary"))
         seen: dict[str, str] = {}
         for name, location in files:
-            _file_name(name, location)
+            _walk(_FILE, name, location)
             if name in seen:
                 raise ConfigParseError(f"{location} writes {name!r}, as {seen[name]} does", location=location)
             seen[name] = location
@@ -518,7 +508,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
         "n": config.n,
         "samples": config.samples,
     }
-    curve_name = config.outputs.get("curve", "curve.csv")
+    curve_name = config.outputs["curve"]
 
     if config.pipeline == "pbox-curve":
         multiple = len(config.parameters.boxed) > 1
@@ -579,7 +569,7 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
 
     summary["runtime_seconds"] = time.perf_counter() - started
     summary["outputs"] = outputs
-    summary_path = out_dir / config.outputs.get("summary", "summary.json")
+    summary_path = out_dir / config.outputs["summary"]
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     summary["summary_path"] = str(summary_path)
     return summary
@@ -614,14 +604,14 @@ def _resolve_seed(flag_seed: int | None, config_seed: int) -> int:
     """The run's seed: ``--seed``, else ``PBA_SEED``, else the config's; never negative."""
     env = os.environ.get("PBA_SEED")
     if flag_seed is not None:
-        seed, location = flag_seed, "--seed"
-    elif env is not None:
-        seed, location = _number(int, env, "PBA_SEED"), "PBA_SEED"
-    else:
+        return _walk(_SEED, flag_seed, "--seed")
+    if env is None:
         return config_seed
-    if seed < 0:
-        raise ConfigParseError(f"seed must be at least 0, got {seed}", location=location)
-    return seed
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise ConfigParseError(f"PBA_SEED must be a whole number, got {env!r}", location="PBA_SEED") from exc
+    return _walk(_SEED, seed, "PBA_SEED")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -20,6 +20,7 @@ GAMMA = "gamma"
 BETA = "beta"
 UNIFORM = "uniform"
 TABULATED = "tabulated"
+MOMENT_FAMILIES = (GAMMA, BETA, UNIFORM)  # the families ``moment_match`` fits
 
 
 def moment_match(family: str, data: MinimalData) -> dict[str, float]:
@@ -32,7 +33,7 @@ def moment_match(family: str, data: MinimalData) -> dict[str, float]:
     The keys are the argument names of ``DistributionSpec``'s constructor
     for ``family``.  An unknown family is rejected before anything else.
     """
-    if family not in (GAMMA, BETA, UNIFORM):
+    if family not in MOMENT_FAMILIES:
         raise InvalidDistributionSpec(f"unknown family {family!r}")
     if family == UNIFORM:
         return {"low": data.minimum, "high": data.maximum}

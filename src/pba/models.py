@@ -415,6 +415,9 @@ def _constant(value, entry: Mapping) -> float:
     return float(value)
 
 
+_ENTRY_KINDS = ("value", "param", "product")  # a transition entry has exactly one
+
+
 def compile_transitions(
     states: Sequence[str],
     absorbing: Sequence[bool],
@@ -422,12 +425,13 @@ def compile_transitions(
 ) -> Callable[[Mapping[str, float]], np.ndarray]:
     """A transition builder for declarative transition entries.
 
-    Each entry has ``from``, ``to`` and one of ``value`` (a constant),
-    ``param`` (a named parameter) or ``product`` (a list of names/constants
-    multiplied together, left to right).  A constant is a number; a
-    boolean or anything else raises ``ValueError``.  Staying probabilities
-    are the row remainders, summed left to right; absorbing states take
-    identity rows.
+    Each entry has ``from``, ``to`` and exactly one of ``value`` (a
+    constant), ``param`` (a named parameter) or ``product`` (a list of
+    names/constants multiplied together, left to right), and no other key.
+    A constant is a number; a boolean or anything else raises
+    ``ValueError``, as does an entry with another key or two of the three.
+    Staying probabilities are the row remainders, summed left to right;
+    absorbing states take identity rows.
 
     The entries are resolved once, here: state indices, the product of
     each entry's leading constants, and the factors after them.
@@ -443,9 +447,15 @@ def compile_transitions(
     entries = []
     names: set[str] = set()
     for entry in transitions:
-        src, dst = index.get(entry.get("from")), index.get(entry.get("to"))
+        ends = entry.get("from"), entry.get("to")
+        src, dst = (index.get(end) if isinstance(end, str) else None for end in ends)
         if src is None or dst is None:
             raise ValueError(f"transition {dict(entry)} needs 'from' and 'to' naming declared states")
+        if unknown := sorted(set(entry) - {"from", "to", *_ENTRY_KINDS}):
+            raise ValueError(f"transition {dict(entry)} has unknown keys {unknown}")
+        kinds = [key for key in _ENTRY_KINDS if key in entry]
+        if len(kinds) > 1:
+            raise ValueError(f"transition {dict(entry)} has {' and '.join(map(repr, kinds))}; give one of them")
         if "value" in entry:
             factors = [_constant(entry["value"], entry)]
         elif "param" in entry:

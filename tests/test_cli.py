@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pba.cli import AnalysisConfig, export_curve, load_config, main, run_analysis
+from pba.cli import DOCUMENT, AnalysisConfig, export_curve, load_config, main, run_analysis
 from pba.errors import ConfigParseError
 from pba.minimal_data import min_max
 from pba import models
@@ -808,3 +808,141 @@ def test_run_with_std_at_or_just_below_the_cap(box, tmp_path):
     assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 0
     lo, hi = json.loads((tmp_path / "out" / "summary.json").read_text())["expected_interval"]
     assert 0 < lo <= hi < math.inf
+
+
+ROOT = CONFIG_DIR.parent.parent.parent
+CEA_CONFIG = CONFIG_DIR / "demo-cea-inmb.json"
+DECIDE_CONFIG = ROOT / "perfbench" / "configs" / "case1-decide.json"
+SHIPPED_CONFIGS = [*sorted(CONFIG_DIR.glob("*.json")), DECIDE_CONFIG]
+
+
+def _edited(path: Path, edit) -> dict:
+    """The config at ``path`` after ``edit`` changed it in place."""
+    config = json.loads(path.read_text())
+    edit(config)
+    return config
+
+
+@pytest.mark.parametrize(
+    "location, config",
+    [
+        ("parameters.boxed.rr", _edited(CEA_CONFIG, lambda c: c["parameters"]["boxed"]["rr"].update(meen=0.7))),
+        ("sample", _edited(CEA_CONFIG, lambda c: c.update(sample=3))),
+        ("outputs", _edited(CEA_CONFIG, lambda c: c.update(outputs={"curve": "x.csv"}))),
+        ("optimiser", _edited(CEA_CONFIG, lambda c: c.update(optimiser={"budget": 50}))),
+        ("threads", _edited(CEA_CONFIG, lambda c: c.update(threads=4))),
+        ("decision", _edited(CEA_CONFIG, lambda c: c.update(decision={"rule": "pessimist"}))),
+        ("actions", _edited(CEA_CONFIG, lambda c: c.update(actions=[{"id": "a"}, {"id": "b"}]))),
+        (
+            "parameters.precise.p_minor",
+            _edited(CEA_CONFIG, lambda c: c["parameters"]["precise"]["p_minor"].update(sdt=0.004)),
+        ),
+        ("parameters.fixd", _edited(CEA_CONFIG, lambda c: c["parameters"].update(fixd={"p_die": 0.002}))),
+        ("output.curv", _edited(CEA_CONFIG, lambda c: c["output"].update(curv="x.csv"))),
+        ("psa_baseline.sample", _edited(CEA_CONFIG, lambda c: c.update(psa_baseline={"sample": 100}))),
+        ("decision.alpah", _edited(DECIDE_CONFIG, lambda c: c["decision"].update(alpah=0.3))),
+        ("actions[0].overide", _edited(DECIDE_CONFIG, lambda c: c["actions"][0].update(overide={"c2": 0.02}))),
+    ],
+)
+def test_misspelt_or_misplaced_key_refused_at_load(location, config, tmp_path, capsys):
+    """Each of these once loaded, its key ignored; a ``propagate-mixed`` run
+    once ignored ``actions`` and ``decision`` too."""
+    with pytest.raises(ConfigParseError) as err:
+        AnalysisConfig.from_dict(config)
+    assert err.value.location == location
+    if location == "threads":
+        assert "removed" in str(err.value)
+    if location in ("actions", "decision"):
+        assert "'decide'" in str(err.value)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", location)
+
+
+# Name -> value maps take any name (the model's inputs are checked apart);
+# every other object of a config takes only its schema's keys.
+MAPS = ("parameters.fixed", "parameters.precise", "parameters.boxed", "psa_baseline.families", ".overrides")
+PINNED = ("optimizer", "parameters.boxed.", "parameters.precise.", "model.cea")
+
+
+def _objects(value, path=""):
+    """(path, object) for every JSON object in ``value``, outermost first."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, item in value.items():
+            yield from _objects(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _objects(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_unknown_key_refused_in_every_object(path):
+    base = json.loads(path.read_text())
+    AnalysisConfig.from_dict(base)
+    checked = 0
+    for location, _ in _objects(base):
+        if location.endswith(MAPS):
+            continue
+        config = json.loads(path.read_text())
+        target = dict(_objects(config))[location]
+        target["unknown_key"] = 1
+        with pytest.raises(ConfigParseError, match="is not a key of") as err:
+            AnalysisConfig.from_dict(config)
+        pinned = location.startswith(PINNED)
+        assert err.value.location == (location if pinned else f"{location}.unknown_key".lstrip(".")), location
+        checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("baseline", [False, 0, "", []])
+def test_psa_baseline_must_be_an_object(baseline):
+    with pytest.raises(ConfigParseError, match="must be an object") as err:
+        AnalysisConfig.from_dict(dict(_minmax_propagate_config({}), psa_baseline=baseline))
+    assert err.value.location == "psa_baseline"
+
+
+def test_empty_psa_baseline_takes_every_default(tmp_path):
+    baseline = AnalysisConfig.from_dict(dict(_minmax_propagate_config({}), psa_baseline={})).psa_baseline
+    assert (baseline.samples, baseline.file) == (500, "baseline.csv")
+    assert {name: spec.family for name, spec in baseline.parameters.precise.items()} == {"c1": "uniform", "c6": "uniform"}
+    assert AnalysisConfig.from_dict(dict(_minmax_propagate_config({}), psa_baseline=None)).psa_baseline is None
+
+
+@pytest.mark.parametrize("action_id", [5, None, ""])
+def test_action_id_must_be_a_non_empty_string(action_id):
+    with pytest.raises(ConfigParseError) as err:
+        AnalysisConfig.from_dict(_with_second_action_id(action_id))
+    assert err.value.location == "actions[1].id"
+
+
+def _schema_paths(kind, path=""):
+    """The dotted path of every key in the schema ``kind``: ``[]`` stands for
+    any array element and ``<name>`` for any name of a map."""
+    if kind is None:
+        return
+    if kind.name == "either":
+        for alternative in kind.item:
+            yield from _schema_paths(alternative, path)
+    elif kind.name == "object":
+        for key, (sub, _) in kind.keys.items():
+            child = f"{path}.{key}" if path else key
+            yield child
+            yield from _schema_paths(sub, child)
+    elif kind.name == "array":
+        yield from _schema_paths(kind.item, f"{path}[]")
+    elif kind.name == "map" and kind.item is not None:
+        yield f"{path}.<name>"
+        yield from _schema_paths(kind.item, f"{path}.<name>")
+
+
+def test_readme_key_table_lists_every_schema_key():
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("| key | kind | default | read by |") :].split("\n\n")[0]
+    listed = {line.split("`")[1] for line in table.splitlines()[2:]}
+    paths = list(_schema_paths(DOCUMENT))
+    assert len(paths) == len(set(paths)) > 50
+    assert [p for p in paths if p not in listed] == []
+    assert sorted(listed - set(paths)) == []

@@ -634,6 +634,10 @@ def test_row_sums_added_left_to_right():
         ({"from": "a", "to": "b", "product": ["p", True]}, "True where a number belongs"),
         ({"from": "a", "to": "b", "product": ["p", None]}, "None where a number belongs"),
         ({"from": "a", "to": "b", "product": [0.5, [0.2]]}, r"\[0\.2\] where a number belongs"),
+        ({"from": "a", "to": "b", "param": "p", "value": 0.5}, "has 'value' and 'param'; give one"),
+        ({"from": "a", "to": "b", "product": ["p"], "param": "p"}, "has 'param' and 'product'; give one"),
+        ({"from": "a", "to": "b", "value": 0.5, "prob": 0.5}, r"unknown keys \['prob'\]"),
+        ({"from": ["a"], "to": "b", "value": 0.5}, "naming declared states"),
     ],
 )
 def test_compile_rejects_bad_entry(entry, message):
