@@ -754,6 +754,24 @@ def test_bad_pba_seed_gives_error_record(tmp_path, capsys, monkeypatch):
     assert (record["type"], record["location"]) == ("ConfigParseError", "PBA_SEED")
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-4"])
+def test_pbox_grid_below_two_refused_before_the_box(grid, tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("pba.cli.build_pbox", lambda data: built.append(data))
+    out = tmp_path / "box.csv"
+    assert main(["pbox", "--min", "0", "--max", "1", "--grid", grid, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", "--grid")
+    assert "at least 2" in record["message"]
+    assert built == [] and not out.exists()
+
+
+def test_pbox_grid_of_two_accepted(tmp_path):
+    out = tmp_path / "box.csv"
+    assert main(["pbox", "--min", "0", "--max", "1", "--grid", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "triples, first, last",
     [

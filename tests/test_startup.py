@@ -13,6 +13,7 @@ imported numpy and scipy.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,3 +240,142 @@ except ModuleNotFoundError as error:
 
 def test_missing_numpy_fails_at_import():
     assert _fresh(HIDE_NUMPY) == ["numpy", False]
+
+
+# pba's own analysis stack: ``pba --help`` and ``pba pbox`` load none of it.
+ANALYSIS_MODULES = [
+    "pba.decision",
+    "pba.distributions",
+    "pba.models",
+    "pba.optimize",
+    "pba.oracle",
+    "pba.propagate",
+    "pba.slicing",
+]
+
+MODULES_PROBE = """
+import contextlib, io, sys
+
+def analysis_loaded():
+    return sorted(m for m in sys.modules if m in ANALYSIS)
+
+import pba
+loaded = {"import pba": [0, analysis_loaded()]}
+import pba.cli
+loaded["import pba.cli"] = [0, analysis_loaded()]
+for step, argv in ARGV:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = pba.cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    loaded[step] = [code, analysis_loaded()]
+print(json.dumps(loaded))
+"""
+
+
+def test_help_and_pbox_load_no_analysis_module(tmp_path):
+    pbox = ["pbox", "--min", "0", "--max", "1", "--median", "0.4", "--out", str(tmp_path / "box.csv")]
+    run = ["run", str(CONFIG_DIR / "case1-minmax-vs-uniform.json"), "--out", str(tmp_path / "run")]
+    steps = [["help", ["--help"]], ["pbox", pbox], ["run", run]]
+    loaded = _fresh(f"ANALYSIS = {ANALYSIS_MODULES!r}\nARGV = {json.dumps(steps)}\n" + MODULES_PROBE)
+    assert loaded == {
+        "import pba": [0, []],
+        "import pba.cli": [0, []],
+        "help": [0, []],
+        "pbox": [0, []],
+        "run": [0, [m for m in ANALYSIS_MODULES if m != "pba.oracle"]],
+    }
+
+
+EXPORTS_PROBE = """
+import sys
+
+import pba
+
+listed = dir(pba)
+values = {name: getattr(pba, name) for name in pba.__all__}
+modules = {name: module for name, module in sys.modules.items() if name.startswith("pba.")}
+problems = []
+for name, value in values.items():
+    owners = [m for m, module in modules.items() if vars(module).get(name) is value]
+    home = getattr(value, "__module__", None)
+    if not owners or home in modules and home not in owners:
+        problems.append(f"{name}: defined in {home}, found in {owners}")
+    if name not in listed:
+        problems.append(f"{name}: not in dir(pba)")
+try:
+    pba.no_such_name
+    problems.append("no_such_name resolved")
+except AttributeError:
+    pass
+print(json.dumps([len(values), problems]))
+"""
+
+
+def test_every_public_name_resolves_after_a_bare_import():
+    """Each name of ``pba.__all__`` is the object its defining module binds, and ``dir(pba)`` lists it."""
+    count, problems = _fresh(EXPORTS_PROBE)
+    assert problems == []
+    assert count > 40
+
+
+# The names ``perfbench/child.py`` patches on ``pba.cli``; it skips a name
+# that does not resolve, so a name lost here would silently drop its span.
+PATCH_POINTS = ["load_config", "export_curve", "build_pbox", "psa_propagate", "propagate_mixed", "expected_interval", "choose"]
+
+PATCH_PROBE = """
+import pba.cli as cli
+import pba.decision, pba.propagate
+
+calls = {}
+
+def stand_in(name, original):
+    def called(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+    return called
+
+# Set before pba.cli binds its analysis names: the stand-ins must be kept.
+stand_ins = {
+    "load_config": stand_in("load_config", cli.load_config),
+    "export_curve": stand_in("export_curve", cli.export_curve),
+    "propagate_mixed": stand_in("propagate_mixed", pba.propagate.propagate_mixed),
+    "expected_interval": stand_in("expected_interval", pba.decision.expected_interval),
+}
+for name, fn in stand_ins.items():
+    setattr(cli, name, fn)
+resolved = {name: callable(getattr(cli, name, None)) for name in PATCH_POINTS}
+try:
+    cli.propagate_pboxes
+    never_had = "resolved"
+except AttributeError:
+    never_had = "AttributeError"
+code = cli.main(ARGV)
+kept = {name: getattr(cli, name) is fn for name, fn in stand_ins.items()}
+print(json.dumps({"resolved": resolved, "never had": never_had, "code": code, "kept": kept, "calls": sorted(calls)}))
+"""
+
+
+def test_benchmark_patch_points_resolve_and_stand_ins_are_called(tmp_path):
+    argv = ["run", str(CONFIG_DIR / "case1-minmax-vs-uniform.json"), "--out", str(tmp_path / "run")]
+    probe = _fresh(f"PATCH_POINTS = {PATCH_POINTS!r}\nARGV = {json.dumps(argv)}\n" + PATCH_PROBE)
+    assert probe == {
+        "resolved": dict.fromkeys(PATCH_POINTS, True),
+        "never had": "AttributeError",
+        "code": 0,
+        "kept": dict.fromkeys(["load_config", "export_curve", "propagate_mixed", "expected_interval"], True),
+        "calls": ["expected_interval", "export_curve", "load_config", "propagate_mixed"],
+    }
+
+
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    assert _fresh(block + "\nprint(json.dumps('done'))") == "done"
+
+
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) >= 2
