@@ -24,8 +24,9 @@ WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
 ANNUAL_DISCOUNT_RATE = 0.035
 
 _ROW_TOL = 1e-10
-_MEMO_SIZE = 8_192  # outcomes, or errors, one cohort spec remembers
-_STACK_SLICE = 256  # matrices evaluated as one stack, which bounds the buffers
+_MEMO_SIZE = 4_096  # outcomes, or errors, a cohort spec keeps; a bigger batch keeps all its own
+_SLICE_MATRICES = 64  # at most this many matrices go through the kernel as one stack,
+_SLICE_BYTES = 1 << 20  # and their trace buffer takes at most this many bytes
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,9 @@ class CohortCeaSpec:
     distribution, discount factors and the entry bounds of the matrix
     check) are built once per spec; ``dataclasses.replace`` makes a new spec and
     so builds them afresh.  Each spec also remembers the outcome, or the
-    error, of up to 8,192 parameter points, oldest out first; ``outcomes``
-    and ``prefetch`` both compute them through ``_evaluate``.
+    error, of up to 4,096 parameter points, oldest out first, and never
+    drops a point of the batch it is storing; ``outcomes`` and ``prefetch``
+    both compute them through ``_evaluate``.
 
     A ``transition_builder`` with a ``stack`` attribute (as
     ``compile_transitions`` makes) builds many matrices at once:
@@ -216,19 +218,30 @@ class CohortCeaSpec:
             return lambda params: ()
         return itemgetter(*sorted(names))
 
-    def _evaluate(self, batch: Mapping[Hashable, Mapping[str, float]]) -> None:
+    def _evaluate(self, batch: Mapping[Hashable, Mapping[str, float]], found: int = 0) -> None:
         """Remember, under each key of ``batch`` (memo key -> parameters), its
         point's (cost, QALY) or ``RowSumViolation``.  The stack is built
-        once, raising as the builder does, and run in slices of 256."""
+        once, raising as the builder does, and run in slices of at most
+        ``_slice_size`` matrices.
+
+        The memo then drops its oldest entries down to ``_MEMO_SIZE``, but
+        only those older than the batch and than the ``found`` entries moved
+        to its end just before: a batch bigger than the memo keeps all of
+        its own points until the next batch.
+        """
         keys = list(batch)
         stack = _transition_stack(self, list(batch.values()))
         memo = self._memo
-        for start in range(0, len(keys), _STACK_SLICE):
-            traces, faults = _traces(self, stack[start : start + _STACK_SLICE])
-            for key, fault, outcome in zip(keys[start : start + _STACK_SLICE], faults, _discounted(self, traces)):
+        keep = max(_MEMO_SIZE, found + len(keys))
+        # As few slices as the size allows, their lengths within one of each other.
+        slices = -(-len(keys) // _slice_size(self))
+        ends = [len(keys) * i // slices for i in range(slices + 1)]
+        for start, end in zip(ends, ends[1:]):
+            traces, faults = _traces(self, stack[start:end])
+            for key, fault, outcome in zip(keys[start:end], faults, _discounted(self, traces)):
                 memo[key] = outcome if fault is None else fault
-                if len(memo) > _MEMO_SIZE:
-                    memo.popitem(last=False)
+            while len(memo) > keep:
+                memo.popitem(last=False)
 
     def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
         """Discounted (total cost, total QALY) at ``params``, remembered.
@@ -257,17 +270,28 @@ class CohortCeaSpec:
         """
         memo = self._memo
         try:
-            batch = {}
+            batch, found = {}, set()
             for params in points:
                 key = self._key(params)
                 if key in memo:
                     memo.move_to_end(key)
+                    found.add(key)
                 else:
                     batch[key] = params
             if batch:
-                self._evaluate(batch)
+                self._evaluate(batch, len(found))
         except Exception:
             pass  # left for the per-point calls to raise
+
+
+def _slice_size(spec: CohortCeaSpec) -> int:
+    """Matrices per stack: as many as fit ``_SLICE_BYTES`` of trace buffer,
+    8 * n * (n + horizon + 1) bytes each, but at most ``_SLICE_MATRICES``
+    and at least one.  The product of a doubling step is no bigger, so a
+    slice's working set stays in cache: 64 matrices for the demo spec, 9
+    for 12 states and 1,200 cycles."""
+    n = len(spec.states)
+    return max(1, min(_SLICE_MATRICES, _SLICE_BYTES // (8 * n * (n + spec.horizon_cycles + 1))))
 
 
 def _transition_stack(spec: CohortCeaSpec, points: Sequence[Mapping[str, float]]) -> np.ndarray:

@@ -668,7 +668,9 @@ def test_prefetch_only_speeds_up(tmp_path):
 
 def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     """Every point of the bundled CEA run, each search's first centre too,
-    reaches the model in a combined round, so no matrix is evaluated alone."""
+    reaches the model in a combined round, so no matrix is evaluated alone.
+    The number of matrices evaluated is pinned: a memo too small for the
+    comparator arms that recur across rounds would compute them again."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     sizes = []
     traces = models._traces
@@ -676,6 +678,55 @@ def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     models._DEMO_SPEC._memo.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
     assert sizes and min(sizes) > 1
+    assert sum(sizes) == 10972
+
+
+def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
+    """The bundled CEA run at two samples gives the same summary values and
+    curve bytes with the stacks cut into slices of one matrix, of seven,
+    and of the default size."""
+    config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
+    results = []
+    for most in (1, 7, models._SLICE_MATRICES):
+        monkeypatch.setattr(models, "_SLICE_MATRICES", most)
+        models._DEMO_SPEC._memo.clear()
+        out = tmp_path / str(most)
+        summary = run_analysis(config, out)
+        for key in ("runtime_seconds", "outputs", "summary_path"):
+            del summary[key]
+        results.append((summary, (out / "curve.csv").read_bytes()))
+    assert results[0] == results[1] == results[2]
+
+
+def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
+    """A 12-state, 1,200-cycle inline model hands the kernel slices whose
+    trace buffers fit ``_SLICE_BYTES``: at most 9 matrices, not 64, and each
+    point's outcome is that of its matrix evaluated alone."""
+    chain = [f"s{i}" for i in range(11)]
+    transitions = [{"from": a, "to": b, "param": "p"} for a, b in zip(chain, chain[1:])]
+    transitions += [{"from": a, "to": "dead", "param": "p_die"} for a in chain]
+    document = _inline_cea_config(
+        transitions,
+        states=[{"name": name, "cost": 100.0 * i, "utility": 0.9} for i, name in enumerate(chain)]
+        + [{"name": "dead", "absorbing": True}],
+        initial=[1.0] + [0.0] * 11,
+        horizon_cycles=1200,
+        cycle_length_years=1.0 / 12.0,
+    )
+    document["parameters"]["fixed"] = {"p": 0.01}
+    model = AnalysisConfig.from_dict(document).model.fn
+    spec = model.prefetch.__self__
+    sizes = []
+    traces = models._traces
+    monkeypatch.setattr(models, "_traces", lambda s, stack: sizes.append(len(stack)) or traces(s, stack))
+    points = [{"p": 0.001 * k, "p_die": 0.01 + 0.0005 * k} for k in range(40)]
+    model.prefetch(points)
+    assert models._slice_size(spec) == 9 and 9 * 8 * 12 * (12 + 1200 + 1) <= models._SLICE_BYTES
+    assert sizes == [8] * 5  # 40 points in the fewest slices of at most 9, evened out
+    assert all(
+        spec._memo[spec._key(p)] == models.discounted_outcomes(models.cohort_trace(spec, p), spec)
+        for p in points
+    )
 
 
 def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):

@@ -792,7 +792,7 @@ def test_prefetch_then_call_matches_call_alone(monkeypatch):
 def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
     """A stack longer than a slice is evaluated slice by slice, with the
     outcomes of the points evaluated one by one."""
-    monkeypatch.setattr("pba.models._STACK_SLICE", 7)
+    monkeypatch.setattr("pba.models._SLICE_MATRICES", 7)
     rng = np.random.default_rng(20261022)
     points = [
         {**DEMO_PARAMS, "p_serious": float(rng.uniform(0.001, 0.02)), "rr": float(rng.uniform(0.45, 1.05))}
@@ -826,6 +826,31 @@ def test_prefetch_keeps_the_entries_it_found(monkeypatch):
     for p in found:
         _outcome_or_error(spec, p)
     assert built == []
+
+
+def test_batch_bigger_than_the_memo_keeps_its_own_points(monkeypatch):
+    """A prefetched round bigger than the memo keeps all of its points, the
+    new ones and those the memo already held, until their calls read them,
+    so those calls build nothing; a smaller round shrinks the memo back to
+    its size."""
+    monkeypatch.setattr("pba.models._MEMO_SIZE", 8)
+    fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, 29)
+    built = []
+
+    def builder(params):
+        built.append(params["k"])
+        return tables[params["k"]]
+
+    spec = CohortCeaSpec(transition_builder=builder, **fields)
+    for points in ([{"k": k} for k in range(20)], [{"k": k} for k in (0, 1, 2, *range(20, 28))]):
+        spec.prefetch(points)
+        assert len(spec._memo) == len(points)
+        del built[:]
+        for p in points:
+            _outcome_or_error(spec, p)
+        assert built == []
+    spec.prefetch([{"k": 28}])
+    assert len(spec._memo) == 8
 
 
 def _outcome_or_raised(spec, params):
