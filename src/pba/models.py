@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from collections import OrderedDict
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -24,7 +23,6 @@ WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
 ANNUAL_DISCOUNT_RATE = 0.035
 
 _ROW_TOL = 1e-10
-_MEMO_SIZE = 4_096  # outcomes, or errors, a cohort spec keeps; a bigger batch keeps all its own
 _SLICE_MATRICES = 64  # at most this many matrices go through the kernel as one stack,
 _SLICE_BYTES = 1 << 20  # and their trace buffer takes at most this many bytes
 
@@ -124,10 +122,10 @@ class CohortCeaSpec:
     The arrays every evaluation needs (costs, utilities, initial
     distribution, discount factors and the entry bounds of the matrix
     check) are built once per spec; ``dataclasses.replace`` makes a new spec and
-    so builds them afresh.  Each spec also remembers the outcome, or the
-    error, of up to 4,096 parameter points, oldest out first, and never
-    drops a point of the batch it is storing; ``outcomes`` and ``prefetch``
-    both compute them through ``_evaluate``.
+    so builds them afresh.  Each spec also keeps a table of the outcome, or
+    the error, of each point of the last round handed to ``prefetch``, and
+    of nothing else; ``outcomes`` and ``prefetch`` both compute them through
+    ``_evaluate``.
 
     A ``transition_builder`` with a ``stack`` attribute (as
     ``compile_transitions`` makes) builds many matrices at once:
@@ -203,12 +201,12 @@ class CohortCeaSpec:
         return offset, upper
 
     @cached_property
-    def _memo(self) -> OrderedDict:
-        return OrderedDict()
+    def _memo(self) -> dict:
+        return {}
 
     @cached_property
     def _key(self) -> Callable[[Mapping[str, float]], Hashable]:
-        """The memo key of a parameter mapping: the values of the builder's
+        """The table key of a parameter mapping: the values of the builder's
         inputs, or every (name, value) pair for a builder that does not name
         its inputs."""
         names = getattr(self.transition_builder, "param_names", None)
@@ -218,70 +216,63 @@ class CohortCeaSpec:
             return lambda params: ()
         return itemgetter(*sorted(names))
 
-    def _evaluate(self, batch: Mapping[Hashable, Mapping[str, float]], found: int = 0) -> None:
-        """Remember, under each key of ``batch`` (memo key -> parameters), its
-        point's (cost, QALY) or ``RowSumViolation``.  The stack is built
-        once, raising as the builder does, and run in slices of at most
-        ``_slice_size`` matrices.
-
-        The memo then drops its oldest entries down to ``_MEMO_SIZE``, but
-        only those older than the batch and than the ``found`` entries moved
-        to its end just before: a batch bigger than the memo keeps all of
-        its own points until the next batch.
-        """
+    def _evaluate(self, batch: Mapping[Hashable, Mapping[str, float]]) -> dict:
+        """The (cost, QALY), or the ``RowSumViolation``, of each point of
+        ``batch`` (table key -> parameters), under its key.  The stack is
+        built once, raising as the builder does, and run in slices of at
+        most ``_slice_size`` matrices."""
         keys = list(batch)
         stack = _transition_stack(self, list(batch.values()))
-        memo = self._memo
-        keep = max(_MEMO_SIZE, found + len(keys))
+        outcomes = {}
         # As few slices as the size allows, their lengths within one of each other.
         slices = -(-len(keys) // _slice_size(self))
         ends = [len(keys) * i // slices for i in range(slices + 1)]
         for start, end in zip(ends, ends[1:]):
             traces, faults = _traces(self, stack[start:end])
             for key, fault, outcome in zip(keys[start:end], faults, _discounted(self, traces)):
-                memo[key] = outcome if fault is None else fault
-            while len(memo) > keep:
-                memo.popitem(last=False)
+                outcomes[key] = outcome if fault is None else fault
+        return outcomes
 
     def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
-        """Discounted (total cost, total QALY) at ``params``, remembered.
+        """Discounted (total cost, total QALY) at ``params``.
 
         The same as ``discounted_outcomes(cohort_trace(self, params), self)``,
-        and raises as that does; a remembered error is raised again.
+        and raises as that does.  A point of the last prefetched round is
+        read from the table, its error raised again; any other point is
+        evaluated alone and stored nowhere.
         """
         key = self._key(params)
         found = self._memo.get(key)
         if found is None:
-            self._evaluate({key: params})
-            found = self._memo[key]
+            found = self._evaluate({key: params})[key]
         if isinstance(found, RowSumViolation):
             # Each raise would otherwise add its frames to the stored error's traceback.
             raise found.with_traceback(None)
         return found
 
     def prefetch(self, points: Iterable[Mapping[str, float]]) -> None:
-        """Evaluate the ``points`` the memo lacks together, as one stack.
+        """Make the table hold the outcomes of exactly the ``points``.
 
-        The points it already holds are moved to the new end of the memo,
-        so the batch's own entries cannot push them out before their calls
-        read them.  Only a speed-up for the ``outcomes`` calls that follow.
-        It raises nothing: a batch that cannot be keyed, or built into one
-        stack, is left to the calls, which raise their own errors.
+        The points the table already holds are carried over; the rest are
+        evaluated together, as one stack.  Only a speed-up for the
+        ``outcomes`` calls that follow.  It raises nothing: a batch that
+        cannot be keyed, or built into one stack, leaves the table as it
+        was, and its calls raise their own errors.
         """
-        memo = self._memo
+        held = self._memo
         try:
-            batch, found = {}, set()
+            table, batch = {}, {}
             for params in points:
                 key = self._key(params)
-                if key in memo:
-                    memo.move_to_end(key)
-                    found.add(key)
+                if key in held:
+                    table[key] = held[key]
                 else:
                     batch[key] = params
             if batch:
-                self._evaluate(batch, len(found))
+                table.update(self._evaluate(batch))
         except Exception:
-            pass  # left for the per-point calls to raise
+            return  # left for the per-point calls to raise
+        self.__dict__["_memo"] = table  # where cached_property keeps it; the dataclass is frozen
 
 
 def _slice_size(spec: CohortCeaSpec) -> int:

@@ -669,8 +669,9 @@ def test_prefetch_only_speeds_up(tmp_path):
 def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     """Every point of the bundled CEA run, each search's first centre too,
     reaches the model in a combined round, so no matrix is evaluated alone.
-    The number of matrices evaluated is pinned: a memo too small for the
-    comparator arms that recur across rounds would compute them again."""
+    The number of matrices evaluated is pinned: it guards the carry-over of
+    the comparator arms that a round repeats from the round before, which
+    would otherwise be computed again."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     sizes = []
     traces = models._traces
@@ -678,7 +679,32 @@ def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     models._DEMO_SPEC._memo.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
     assert sizes and min(sizes) > 1
-    assert sum(sizes) == 10972
+    assert sum(sizes) == 11226
+
+
+def test_bundled_cea_table_holds_the_last_round(tmp_path, monkeypatch):
+    """After the bundled CEA run at two samples, the demo spec's table holds
+    one entry per distinct arm of the last round handed to ``prefetch``, and
+    calls made without a ``prefetch`` leave its size as it is."""
+    config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
+    spec, rounds = models._DEMO_SPEC, []
+    prefetch = models.CohortCeaSpec.prefetch
+
+    def recorded(self, points):
+        points = list(points)
+        if self is spec:
+            rounds.append(points)
+        prefetch(self, points)
+
+    monkeypatch.setattr(models.CohortCeaSpec, "prefetch", recorded)
+    spec._memo.clear()
+    run_analysis(config, tmp_path)
+    size = len({spec._key(arm) for arm in rounds[-1]})
+    assert size > 1 and len(spec._memo) == size
+    rng = np.random.default_rng(20261019)
+    for _ in range(1000):
+        models.demo_cea_inmb({**rounds[-1][0], "rr": float(rng.uniform(0.5, 1.0))})
+    assert len(spec._memo) == size
 
 
 def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
@@ -730,9 +756,9 @@ def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
 
 
 def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
-    """With ``p_minor`` boxed too, the points a round finds in the memo are
-    still there when their calls read them, though the round's own new
-    points fill it: no matrix is evaluated alone."""
+    """With ``p_minor`` boxed too, the points a round carries over from the
+    round before are still in the table when their calls read them: no
+    matrix is evaluated alone."""
     raw = json.loads((CONFIG_DIR / "demo-cea-inmb.json").read_text())
     parameters = raw["parameters"]
     del parameters["precise"]["p_minor"]

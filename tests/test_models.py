@@ -753,13 +753,11 @@ def _outcome_or_error(spec, params):
         return str(exc), exc.cycle, exc.state
 
 
-def test_prefetch_then_call_matches_call_alone(monkeypatch):
+def test_prefetch_then_call_matches_call_alone():
     """On 1,500 random tables of 2-6 states, a point evaluated in a stack by
     ``prefetch`` and then called gives the value, or the RowSumViolation
-    (message, cycle, state), of the call alone; the memo stays in its bound,
-    and a prefetched point, failing or not, is not built again when it is
-    called."""
-    monkeypatch.setattr("pba.models._MEMO_SIZE", 64)
+    (message, cycle, state), of the call alone; a prefetched point, failing
+    or not, is not built again when it is called."""
     rng = np.random.default_rng(20261019)
     kinds = set()
     for n in range(2, 7):
@@ -773,12 +771,10 @@ def test_prefetch_then_call_matches_call_alone(monkeypatch):
         alone = CohortCeaSpec(transition_builder=lambda params, tables=tables: tables[params["k"]], **fields)
         stacked = CohortCeaSpec(transition_builder=builder, **fields)
         expected = [_outcome_or_error(alone, {"k": k}) for k in range(len(tables))]
-        assert len(alone._memo) <= 64
         k = 0
         while k < len(tables):
             chunk = range(k, min(k + int(rng.integers(1, 21)), len(tables)))
             stacked.prefetch([{"k": i} for i in chunk])
-            assert len(stacked._memo) <= 64
             for i in chunk:
                 del built[:]
                 got = _outcome_or_error(stacked, {"k": i})
@@ -804,53 +800,63 @@ def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
     assert [sliced._memo[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]
 
 
-def test_prefetch_keeps_the_entries_it_found(monkeypatch):
-    """The points of a batch that the memo already holds are still in it
-    after the batch, though the batch's new points alone would push the
-    oldest entries out; their calls build nothing."""
-    monkeypatch.setattr("pba.models._MEMO_SIZE", 8)
-    fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, 20)
+def _counted_spec(count):
+    """A random 3-state spec over ``count`` tables, and the list of the
+    table indices its builder is asked for."""
+    fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, count)
     built = []
 
     def builder(params):
         built.append(params["k"])
         return tables[params["k"]]
 
-    spec = CohortCeaSpec(transition_builder=builder, **fields)
+    return CohortCeaSpec(transition_builder=builder, **fields), built
+
+
+def test_prefetch_table_holds_exactly_its_round():
+    """After ``prefetch``, the table's keys are the round's distinct keys,
+    however many times a point is repeated, and whatever the round before
+    held."""
+    spec, _ = _counted_spec(30)
+    assert spec._memo == {}
+    for ks in ((0, 1, 2, 1, 0), tuple(range(3, 25)), (7, 24, 25, 7), (29,)):
+        spec.prefetch([{"k": k} for k in ks])
+        assert set(spec._memo) == {spec._key({"k": k}) for k in ks}
+
+
+def test_prefetch_carries_over_what_the_round_repeats():
+    """A point of the previous round that the new round repeats is taken
+    from the table, not built again; a point the new round does not repeat
+    is gone, and a call on it builds its matrix afresh."""
+    spec, built = _counted_spec(20)
     spec.prefetch([{"k": k} for k in range(8)])
-    found = [{"k": k} for k in (0, 1, 2)]
-    spec.prefetch(found + [{"k": k} for k in range(8, 13)])
-    assert len(spec._memo) == 8
-    assert all(spec._key(p) in spec._memo for p in found)
+    kept = spec._memo[spec._key({"k": 1})]
     del built[:]
-    for p in found:
-        _outcome_or_error(spec, p)
+    spec.prefetch([{"k": k} for k in (0, 1, 2, *range(8, 13))])
+    assert sorted(built) == list(range(8, 13))
+    assert spec._memo[spec._key({"k": 1})] is kept
+    assert spec._key({"k": 5}) not in spec._memo
+    del built[:]
+    for k in (0, 1, 2, *range(8, 13)):
+        _outcome_or_error(spec, {"k": k})
     assert built == []
+    _outcome_or_error(spec, {"k": 5})
+    assert built == [5]
 
 
-def test_batch_bigger_than_the_memo_keeps_its_own_points(monkeypatch):
-    """A prefetched round bigger than the memo keeps all of its points, the
-    new ones and those the memo already held, until their calls read them,
-    so those calls build nothing; a smaller round shrinks the memo back to
-    its size."""
-    monkeypatch.setattr("pba.models._MEMO_SIZE", 8)
-    fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, 29)
-    built = []
-
-    def builder(params):
-        built.append(params["k"])
-        return tables[params["k"]]
-
-    spec = CohortCeaSpec(transition_builder=builder, **fields)
-    for points in ([{"k": k} for k in range(20)], [{"k": k} for k in (0, 1, 2, *range(20, 28))]):
-        spec.prefetch(points)
-        assert len(spec._memo) == len(points)
+def test_call_outside_the_table_is_evaluated_alone_and_stored_nowhere():
+    """A call on a point the table lacks builds its matrix alone and leaves
+    the table as it was; a spec never prefetched keeps no table at all."""
+    spec, built = _counted_spec(20)
+    fresh, _ = _counted_spec(20)
+    spec.prefetch([{"k": k} for k in range(5)])
+    table = dict(spec._memo)
+    for k in (12, 12, 17):
         del built[:]
-        for p in points:
-            _outcome_or_error(spec, p)
-        assert built == []
-    spec.prefetch([{"k": 28}])
-    assert len(spec._memo) == 8
+        assert _outcome_or_error(spec, {"k": k}) == _outcome_or_error(fresh, {"k": k})
+        assert built == [k]
+        assert spec._memo == table
+    assert fresh._memo == {}
 
 
 def _outcome_or_raised(spec, params):
@@ -889,8 +895,8 @@ def test_prefetch_raises_nothing_and_leaves_errors_to_the_calls():
 
 
 def test_remembered_error_keeps_a_short_traceback():
-    """A remembered ``RowSumViolation`` is the same error at every call, and
-    raising it again does not lengthen its traceback."""
+    """A prefetched point's ``RowSumViolation`` is the same error at every
+    call on it, and raising it again does not lengthen its traceback."""
     spec = CohortCeaSpec(
         states=("alive", "dead"),
         absorbing=(False, True),
@@ -902,6 +908,7 @@ def test_remembered_error_keeps_a_short_traceback():
         discount_rate_annual=0.0,
         initial=(1.0, 0.0),
     )
+    spec.prefetch([{}])
     raised = []
     for _ in range(5):
         with pytest.raises(RowSumViolation) as err:
