@@ -1,4 +1,4 @@
-"""numpy and scipy's special functions, loaded on first use rather than when ``pba`` is imported.
+"""numpy, and the compiled numpy and scipy modules a draw calls, loaded on first use.
 
 ``pba pbox``, ``pba --help`` and a config that fails at load never compute
 with numpy, and its import is a large share of their start-up.  ``np`` is the
@@ -8,16 +8,33 @@ which runs numpy's import on first touch.  A missing numpy still raises
 ``ModuleNotFoundError`` here, at import time.  Before Python 3.12 that first
 touch is not thread-safe; ``pba`` runs single-threaded.
 
-``special_ufuncs()`` loads scipy's compiled special-function module on the
-first gamma or beta draw, without the ``scipy.special`` package around it:
-that package's ``__init__`` builds an array-API copy of numpy (loading
-``numpy.f2py`` and ``numpy.testing``) and takes about ten times as long as
-the compiled module.  For the load, a bare stand-in package is swapped into
-``sys.modules["scipy.special"]`` and taken out again, so this, like the
-numpy loader, is not thread-safe.
+A draw names five objects, each bound here on its first use (PEP 562):
+``SeedSequence``, ``Generator`` and ``PCG64`` from ``numpy.random``'s
+compiled ``bit_generator``, ``_generator`` and ``_pcg64``, and the
+quantile ufuncs ``gammaincinv`` from ``scipy.special._special_ufuncs`` (from
+``_ufuncs`` on a scipy that lacks it there) and ``betaincinv`` from
+``scipy.special._ufuncs``.  ``compiled`` imports such a module without the
+package around it, if that package is not yet imported: ``numpy.random``'s
+``__init__`` also loads the legacy ``mtrand`` and three more bit generators,
+about 1.0 MiB resident, and ``scipy.special``'s builds an array-API copy of
+numpy (loading ``numpy.f2py`` and ``numpy.testing``) and takes about ten
+times as long as the compiled modules.  ``_special_ufuncs`` in turn spares a
+gamma draw ``_ufuncs``, which also loads ``_ellip_harm_2`` and scipy's own
+OpenBLAS, about 2.6 MiB resident.  For the load, a bare stand-in package is
+swapped into ``sys.modules`` and taken out again, so this, like the numpy
+loader, is not thread-safe.  ``numpy`` and ``scipy`` themselves are always
+imported for real.
+
+A package already imported is used as it is.  Either way the objects are the
+package's own, so draws are the same bit for bit.  The compiled modules stay
+loaded, and a later ``import numpy.random`` or ``import scipy.special``
+reuses them and works, but leaves them unbound as attributes of the package:
+after ``pba`` draws first, ``numpy.random.bit_generator``,
+``numpy.random._generator`` and ``numpy.random._pcg64`` raise
+``AttributeError`` (their names, such as ``numpy.random.PCG64``, are bound),
+as does ``scipy.special._special_ufuncs``.
 """
 
-import functools
 import importlib
 import importlib.util
 import sys
@@ -40,27 +57,51 @@ def _lazy(name: str):
 np = _lazy("numpy")
 
 
-@functools.cache
-def special_ufuncs():
-    """A module holding scipy's ``betaincinv`` and ``gammaincinv`` ufuncs.
+def compiled(name: str):
+    """The module ``name``, a compiled submodule of a package such as
+    ``numpy.random``, loaded without that package's ``__init__`` unless the
+    package is already imported.
 
-    ``scipy.special`` itself if it is already imported; otherwise
-    ``scipy.special._ufuncs``, loaded under a stand-in parent package that is
-    removed again afterwards.  The compiled modules stay loaded, and a later
-    ``import scipy.special`` reuses them, so both paths give the same ufunc
-    objects.
+    Such a load puts a stand-in for the package, with its ``__path__``, in
+    ``sys.modules`` and removes it again afterwards.
     """
-    name = "scipy.special"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+    package = name.rpartition(".")[0]
+    # Finding the package imports its parent for real, and that may import the package.
+    spec = importlib.util.find_spec(package)
+    if package in sys.modules:
+        return importlib.import_module(name)
     if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    stand_in = types.ModuleType(name)
+        raise ModuleNotFoundError(f"No module named {package!r}", name=package)
+    stand_in = types.ModuleType(package)
     stand_in.__path__ = spec.submodule_search_locations
-    sys.modules[name] = stand_in
+    sys.modules[package] = stand_in
     try:
-        return importlib.import_module(f"{name}._ufuncs")
+        return importlib.import_module(name)
     finally:
-        if sys.modules.get(name) is stand_in:
-            del sys.modules[name]
+        if sys.modules.get(package) is stand_in:
+            del sys.modules[package]
+
+
+# The compiled modules that may define each name, in the order tried.
+_COMPILED = {
+    "SeedSequence": ("numpy.random.bit_generator",),
+    "Generator": ("numpy.random._generator",),
+    "PCG64": ("numpy.random._pcg64",),
+    "gammaincinv": ("scipy.special._special_ufuncs", "scipy.special._ufuncs"),
+    "betaincinv": ("scipy.special._ufuncs",),
+}
+
+
+def __getattr__(name: str):
+    modules = _COMPILED.get(name)
+    if modules is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module in modules:
+        try:
+            value = getattr(compiled(module), name)
+        except (AttributeError, ModuleNotFoundError):
+            if module == modules[-1]:
+                raise
+        else:
+            globals()[name] = value
+            return value

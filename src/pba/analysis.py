@@ -211,6 +211,14 @@ DOCUMENT = Kind("object", keys={
 })
 
 
+# The keys only some pipelines read, with those pipelines; any other refuses them.
+_PIPELINE_KEYS = {
+    "actions": ("decide",),
+    "decision": ("decide",),
+    "psa_baseline": ("propagate", "propagate-mixed", "psa"),
+}
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     pipeline: str
@@ -232,9 +240,10 @@ class AnalysisConfig:
     def from_dict(cls, cfg: Mapping) -> "AnalysisConfig":
         doc = walk(DOCUMENT, cfg)
         pipeline = doc["pipeline"]
-        for key in ("actions", "decision"):
-            if pipeline != "decide" and cfg.get(key) is not None:
-                raise ConfigParseError(f"{key} belongs to the 'decide' pipeline, not {pipeline!r}", location=key)
+        for key, readers in _PIPELINE_KEYS.items():
+            if pipeline not in readers and cfg.get(key) is not None:
+                message = f"{key} is read only in {', '.join(map(repr, readers))} runs, not {pipeline!r}"
+                raise ConfigParseError(message, location=key)
         rule_name, rule = doc["decision"]
         psa_baseline = doc["psa_baseline"]
         config = cls(
@@ -304,7 +313,7 @@ class AnalysisConfig:
             files = [(f"curve-{name}.csv", f"parameters.boxed.{name}") for name in sorted(self.parameters.boxed)]
         else:
             files = [(self.outputs["curve"], "output.curve")]
-        if self.psa_baseline and self.pipeline not in ("decide", "pbox-curve"):
+        if self.psa_baseline:
             files.append((self.psa_baseline.file, "psa_baseline.file"))
         files.append((self.outputs["summary"], "output.summary"))
         seen: dict[str, str] = {}

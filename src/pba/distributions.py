@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import np, special_ufuncs
+from . import _lazy
+from ._lazy import np
 from .errors import InfeasibleMoments, InvalidDistributionSpec
 from .minimal_data import MinimalData
 
@@ -105,10 +106,11 @@ class DistributionSpec:
         """Quantile function; ``u`` may be a scalar or an array in [0, 1].
 
         Gamma and beta quantiles come from the compiled ``scipy.special``
-        ufuncs that ``scipy.stats`` evaluates itself, loaded on the first
-        such draw (``_lazy.special_ufuncs``) so that runs without them never
-        load scipy, and runs with them skip the ``scipy.special`` package's
-        array-API import.  They equal ``scipy.stats`` bit for bit, edge cases
+        ufuncs that ``scipy.stats`` evaluates itself, ``_lazy.gammaincinv``
+        and ``_lazy.betaincinv``, loaded on the first such draw so that runs
+        without them never load scipy, and runs with them load only the
+        compiled module each lives in, not the ``scipy.special`` package and
+        its array-API import.  They equal ``scipy.stats`` bit for bit, edge cases
         included: 0 at u = 0, the upper end of the support at u = 1, nan
         outside [0, 1].  The one exception lies where the samplers never
         draw (their u is 0 or at least 2**-53): below about u = 1e-30,
@@ -117,9 +119,9 @@ class DistributionSpec:
         """
         u = np.asarray(u, dtype=float)
         if self.family == GAMMA:
-            return special_ufuncs().gammaincinv(self._p("shape"), u) * (1.0 / self._p("rate"))
+            return _lazy.gammaincinv(self._p("shape"), u) * (1.0 / self._p("rate"))
         if self.family == BETA:
-            return special_ufuncs().betaincinv(self._p("alpha"), self._p("beta"), u)
+            return _lazy.betaincinv(self._p("alpha"), self._p("beta"), u)
         if self.family == UNIFORM:
             return self._p("low") + u * (self._p("high") - self._p("low"))
         if self.family == TABULATED:

@@ -201,7 +201,8 @@ class CohortCeaSpec:
         return offset, upper
 
     @cached_property
-    def _memo(self) -> dict:
+    def _round(self) -> dict:
+        """The table: the outcome of each point of the last prefetched round, by key."""
         return {}
 
     @cached_property
@@ -242,7 +243,7 @@ class CohortCeaSpec:
         evaluated alone and stored nowhere.
         """
         key = self._key(params)
-        found = self._memo.get(key)
+        found = self._round.get(key)
         if found is None:
             found = self._evaluate({key: params})[key]
         if isinstance(found, RowSumViolation):
@@ -259,7 +260,7 @@ class CohortCeaSpec:
         cannot be keyed, or built into one stack, leaves the table as it
         was, and its calls raise their own errors.
         """
-        held = self._memo
+        held = self._round
         try:
             table, batch = {}, {}
             for params in points:
@@ -272,7 +273,7 @@ class CohortCeaSpec:
                 table.update(self._evaluate(batch))
         except Exception:
             return  # left for the per-point calls to raise
-        self.__dict__["_memo"] = table  # where cached_property keeps it; the dataclass is frozen
+        self.__dict__["_round"] = table  # where cached_property keeps it; the dataclass is frozen
 
 
 def _slice_size(spec: CohortCeaSpec) -> int:

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from . import _lazy
 from ._lazy import np
 from .distributions import DistributionSpec
 from .errors import HyperrectangleCapExceeded, ModelEvaluationError
@@ -245,11 +246,11 @@ def propagate_pboxes(
 
 
 def _sample_streams(seed: int, count: int):
-    return np.random.SeedSequence(seed).spawn(count)
+    return _lazy.SeedSequence(seed).spawn(count)
 
 
 def _draw_precise(params: ParameterSet, stream) -> dict[str, float]:
-    rng = np.random.default_rng(stream)
+    rng = _lazy.Generator(_lazy.PCG64(stream))
     names = sorted(params.precise)
     uniforms = rng.random(len(names))
     return {name: float(params.precise[name].ppf(u)) for name, u in zip(names, uniforms)}

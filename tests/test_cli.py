@@ -489,6 +489,8 @@ def _two_boxed_curve_config(name) -> dict:
         ("psa_baseline.families.C6", _minmax_propagate_config({"c1": "uniform", "C6": "uniform"})),
         ("psa_baseline.families.c9", _minmax_propagate_config({"c9": "uniform"})),
         ("optimizer", dict(BASE_CONFIG, optimizer={"tols": 0.1})),
+        ("psa_baseline", dict(_all_fixed_decide_config(slow_c6=0.8), psa_baseline={})),
+        ("psa_baseline", dict(_minmax_propagate_config({}), pipeline="pbox-curve")),
     ],
 )
 def test_config_value_rejected_at_load(location, config, tmp_path, capsys):
@@ -637,8 +639,8 @@ def test_bundled_cea_result_pinned(tmp_path):
 def test_prefetch_only_speeds_up(tmp_path):
     """The bundled CEA run at two samples, once with the model's ``prefetch``
     taken away and once as shipped, gives the same summary, curve bytes and
-    model evaluations.  The memo is emptied before each run, so the shipped
-    run computes its rounds as stacks."""
+    model evaluations.  The round table is emptied before each run, so the
+    shipped run computes its rounds as stacks."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     fn = config.model.fn
     announced = []
@@ -654,7 +656,7 @@ def test_prefetch_only_speeds_up(tmp_path):
     assert not hasattr(plain, "prefetch")
     results = []
     for model in (plain, shipped):
-        models._DEMO_SPEC._memo.clear()
+        models._DEMO_SPEC._round.clear()
         out = tmp_path / str(len(results))
         summary = run_analysis(dataclasses.replace(config, model=RegisteredModel(model, config.model.param_names)), out)
         for key in ("runtime_seconds", "outputs", "summary_path"):
@@ -676,7 +678,7 @@ def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     sizes = []
     traces = models._traces
     monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
-    models._DEMO_SPEC._memo.clear()
+    models._DEMO_SPEC._round.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
     assert sizes and min(sizes) > 1
     assert sum(sizes) == 11226
@@ -697,14 +699,14 @@ def test_bundled_cea_table_holds_the_last_round(tmp_path, monkeypatch):
         prefetch(self, points)
 
     monkeypatch.setattr(models.CohortCeaSpec, "prefetch", recorded)
-    spec._memo.clear()
+    spec._round.clear()
     run_analysis(config, tmp_path)
     size = len({spec._key(arm) for arm in rounds[-1]})
-    assert size > 1 and len(spec._memo) == size
+    assert size > 1 and len(spec._round) == size
     rng = np.random.default_rng(20261019)
     for _ in range(1000):
         models.demo_cea_inmb({**rounds[-1][0], "rr": float(rng.uniform(0.5, 1.0))})
-    assert len(spec._memo) == size
+    assert len(spec._round) == size
 
 
 def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
@@ -715,7 +717,7 @@ def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
     results = []
     for most in (1, 7, models._SLICE_MATRICES):
         monkeypatch.setattr(models, "_SLICE_MATRICES", most)
-        models._DEMO_SPEC._memo.clear()
+        models._DEMO_SPEC._round.clear()
         out = tmp_path / str(most)
         summary = run_analysis(config, out)
         for key in ("runtime_seconds", "outputs", "summary_path"):
@@ -750,7 +752,7 @@ def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
     assert models._slice_size(spec) == 9 and 9 * 8 * 12 * (12 + 1200 + 1) <= models._SLICE_BYTES
     assert sizes == [8] * 5  # 40 points in the fewest slices of at most 9, evened out
     assert all(
-        spec._memo[spec._key(p)] == models.discounted_outcomes(models.cohort_trace(spec, p), spec)
+        spec._round[spec._key(p)] == models.discounted_outcomes(models.cohort_trace(spec, p), spec)
         for p in points
     )
 
@@ -767,7 +769,7 @@ def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     sizes = []
     traces = models._traces
     monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
-    models._DEMO_SPEC._memo.clear()
+    models._DEMO_SPEC._round.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 12391
     assert sizes and min(sizes) > 1
 

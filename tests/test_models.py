@@ -796,8 +796,8 @@ def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
     ]
     sliced, alone = demo_cea_spec(), demo_cea_spec()
     sliced.prefetch(points)
-    assert len(sliced._memo) == 50
-    assert [sliced._memo[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]
+    assert len(sliced._round) == 50
+    assert [sliced._round[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]
 
 
 def _counted_spec(count):
@@ -818,10 +818,10 @@ def test_prefetch_table_holds_exactly_its_round():
     however many times a point is repeated, and whatever the round before
     held."""
     spec, _ = _counted_spec(30)
-    assert spec._memo == {}
+    assert spec._round == {}
     for ks in ((0, 1, 2, 1, 0), tuple(range(3, 25)), (7, 24, 25, 7), (29,)):
         spec.prefetch([{"k": k} for k in ks])
-        assert set(spec._memo) == {spec._key({"k": k}) for k in ks}
+        assert set(spec._round) == {spec._key({"k": k}) for k in ks}
 
 
 def test_prefetch_carries_over_what_the_round_repeats():
@@ -830,12 +830,12 @@ def test_prefetch_carries_over_what_the_round_repeats():
     is gone, and a call on it builds its matrix afresh."""
     spec, built = _counted_spec(20)
     spec.prefetch([{"k": k} for k in range(8)])
-    kept = spec._memo[spec._key({"k": 1})]
+    kept = spec._round[spec._key({"k": 1})]
     del built[:]
     spec.prefetch([{"k": k} for k in (0, 1, 2, *range(8, 13))])
     assert sorted(built) == list(range(8, 13))
-    assert spec._memo[spec._key({"k": 1})] is kept
-    assert spec._key({"k": 5}) not in spec._memo
+    assert spec._round[spec._key({"k": 1})] is kept
+    assert spec._key({"k": 5}) not in spec._round
     del built[:]
     for k in (0, 1, 2, *range(8, 13)):
         _outcome_or_error(spec, {"k": k})
@@ -850,13 +850,13 @@ def test_call_outside_the_table_is_evaluated_alone_and_stored_nowhere():
     spec, built = _counted_spec(20)
     fresh, _ = _counted_spec(20)
     spec.prefetch([{"k": k} for k in range(5)])
-    table = dict(spec._memo)
+    table = dict(spec._round)
     for k in (12, 12, 17):
         del built[:]
         assert _outcome_or_error(spec, {"k": k}) == _outcome_or_error(fresh, {"k": k})
         assert built == [k]
-        assert spec._memo == table
-    assert fresh._memo == {}
+        assert spec._round == table
+    assert fresh._round == {}
 
 
 def _outcome_or_raised(spec, params):

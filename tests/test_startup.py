@@ -5,7 +5,8 @@ numpy is imported on its first numeric use, so importing ``pba``, ``pba --help``
 is registered as ``sys.modules["numpy"]`` at import, so the checks look for
 ``numpy._core``, which only numpy's own import brings in.  scipy stays
 unloaded until a gamma or beta quantile is drawn, and then only its compiled
-special-function modules load, not the ``scipy.special`` package.
+special-function modules load, not the ``scipy.special`` package.  A draw
+likewise loads ``numpy.random``'s compiled generator modules, not that package.
 
 Each check runs in a fresh interpreter, since this test session itself has
 imported numpy and scipy.
@@ -60,7 +61,7 @@ PROBE = """
 import sys
 
 def watched_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "numpy.f2py", "numpy.testing")))
+    return sorted(m for m in sys.modules if m in WATCHED or m.startswith(tuple(p + "." for p in WATCHED)))
 
 import pba.cli
 loaded = {"import": watched_modules()}
@@ -83,10 +84,10 @@ def _fresh(script: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _probe(steps: list) -> dict:
-    """scipy, numpy.f2py and numpy.testing modules loaded after importing
-    pba.cli and after each CLI step."""
-    return _fresh(f"ARGV = {json.dumps(steps)}\n" + PROBE)
+def _probe(steps: list, watched=("scipy", "numpy.f2py", "numpy.testing")) -> dict:
+    """The modules of the ``watched`` packages loaded after importing pba.cli
+    and after each CLI step."""
+    return _fresh(f"WATCHED = {list(watched)!r}\nARGV = {json.dumps(steps)}\n" + PROBE)
 
 
 def test_pbox_and_uniform_runs_never_load_scipy(tmp_path):
@@ -116,7 +117,22 @@ def _under(modules: list, *packages: str) -> list:
     return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
+# Never loaded by a draw: the ``numpy.random`` package, and the legacy and
+# other bit generators that its own import loads.
+RANDOM_PACKAGE = (
+    "numpy.random",
+    "numpy.random.mtrand",
+    "numpy.random._mt19937",
+    "numpy.random._philox",
+    "numpy.random._sfc64",
+)
+
+
 def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
+    """Of ``scipy.special``, a gamma run loads ``_special_ufuncs`` but not
+    ``_ufuncs``, and a beta run ``_ufuncs`` too; neither loads the
+    ``numpy.random`` package.  The beta run follows the gamma run in the same
+    process."""
     cea = json.loads((CONFIG_DIR / "demo-cea-inmb.json").read_text())
     cea.update(samples=1, n=1)
     (tmp_path / "cea.json").write_text(json.dumps(cea))
@@ -124,49 +140,92 @@ def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
         [
             ["gamma-psa", ["run", str(CONFIG_DIR / "case1-psa-gamma.json"), "--out", str(tmp_path / "gamma")]],
             ["beta-cea", ["run", str(tmp_path / "cea.json"), "--out", str(tmp_path / "beta")]],
-        ]
+        ],
+        watched=("scipy", "numpy.f2py", "numpy.testing", "numpy.random"),
     )
     assert loaded["import"] == []
+    assert "scipy.special._special_ufuncs" in loaded["gamma-psa"]
+    assert "scipy.special._ufuncs" not in loaded["gamma-psa"]
+    assert "scipy.special._ellip_harm_2" not in loaded["gamma-psa"]
+    assert "scipy.special._ufuncs" in loaded["beta-cea"]
     for step in ("gamma-psa", "beta-cea"):
-        assert "scipy.special._ufuncs" in loaded[step], step
         assert "scipy.special" not in loaded[step], step
+        assert "numpy.random._pcg64" in loaded[step], step
+        assert [m for m in loaded[step] if m in RANDOM_PACKAGE] == [], step
         assert _under(loaded[step], *ARRAY_API_AND_STATS) == [], step
 
 
 ORDER_PROBE = """
+import sys
+
 from pba import _lazy
 from pba.distributions import DistributionSpec
+from pba.propagate import ParameterSet, _draw_precise, _sample_streams
 
-if SCIPY_FIRST:
+if FIRST:
+    import numpy.random
     import scipy.special
 u = _lazy.np.array([0.0, 2.0**-53, 1e-3, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 1.0])
 gamma = DistributionSpec.gamma(2.5, 3.0).ppf(u)
 beta = DistributionSpec.beta(2.0, 5.0).ppf(u)
-ufuncs = _lazy.special_ufuncs()
+unit = ParameterSet(precise={name: DistributionSpec.uniform(0.0, 1.0) for name in ("a", "b", "c")})
+draws = [list(_draw_precise(unit, stream).values()) for stream in _sample_streams(7, 5)]
+imported = ["numpy.random" in sys.modules, "scipy.special" in sys.modules]
+import numpy.random
 import scipy.special
 from scipy import stats
 
 print(json.dumps({
-    "real package": hasattr(scipy.special, "logsumexp") and hasattr(scipy.special, "__file__"),
-    "package reused": ufuncs is scipy.special,
-    "same ufuncs": ufuncs.betaincinv is scipy.special.betaincinv and ufuncs.gammaincinv is scipy.special.gammaincinv,
+    "packages imported before the draws": imported,
+    "real packages": all(hasattr(m, "__file__") for m in (numpy.random, scipy.special))
+    and hasattr(numpy.random, "default_rng") and hasattr(scipy.special, "logsumexp"),
+    "submodules bound on the package": hasattr(numpy.random, "_pcg64") and hasattr(numpy.random, "bit_generator"),
+    "same ufuncs": _lazy.betaincinv is scipy.special.betaincinv and _lazy.gammaincinv is scipy.special.gammaincinv,
+    "same generator classes": _lazy.SeedSequence is numpy.random.SeedSequence
+    and _lazy.Generator is numpy.random.Generator and _lazy.PCG64 is numpy.random.PCG64,
     "gamma bits": gamma.tobytes() == stats.gamma.ppf(u, a=2.5, scale=1.0 / 3.0).tobytes(),
     "beta bits": beta.tobytes() == stats.beta.ppf(u, 2.0, 5.0).tobytes(),
+    "draw bits": draws == [
+        numpy.random.default_rng(stream).random(3).tolist() for stream in numpy.random.SeedSequence(7).spawn(5)
+    ],
 }))
 """
 
 
-@pytest.mark.parametrize("scipy_first", [False, True], ids=["pba-first", "scipy-first"])
-def test_special_ufuncs_are_scipy_specials_own(scipy_first):
-    """Draws made before or after ``import scipy.special`` use its ufuncs and leave it a working package."""
-    checks = _fresh(f"SCIPY_FIRST = {scipy_first}\n" + ORDER_PROBE)
+@pytest.mark.parametrize("first", [False, True], ids=["pba-first", "scipy-first"])
+def test_special_ufuncs_are_scipy_specials_own(first):
+    """Draws made before or after ``import numpy.random`` and ``import
+    scipy.special`` use those packages' own classes and ufuncs and leave
+    them working packages.  Only drawing first leaves the compiled
+    submodules unbound as attributes of the package."""
+    checks = _fresh(f"FIRST = {first}\n" + ORDER_PROBE)
     assert checks == {
-        "real package": True,
-        "package reused": scipy_first,
+        "packages imported before the draws": [first, first],
+        "real packages": True,
+        "submodules bound on the package": first,
         "same ufuncs": True,
+        "same generator classes": True,
         "gamma bits": True,
         "beta bits": True,
+        "draw bits": True,
     }
+
+
+def test_gammaincinv_falls_back_to_ufuncs(monkeypatch):
+    """On a scipy whose ``_special_ufuncs`` lacks ``gammaincinv``, it comes from ``_ufuncs``, with the same bits."""
+    from scipy import stats
+    from scipy.special import _special_ufuncs, _ufuncs
+
+    from pba import _lazy
+    from pba.distributions import DistributionSpec
+
+    u = _lazy.np.array([0.0, 2.0**-53, 1e-3, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 1.0])
+    _lazy.gammaincinv  # bound now, so that the binding is put back afterwards
+    monkeypatch.delattr(_special_ufuncs, "gammaincinv")
+    monkeypatch.delitem(vars(_lazy), "gammaincinv")
+    assert _lazy.gammaincinv is _ufuncs.gammaincinv
+    gamma = DistributionSpec.gamma(2.5, 3.0).ppf(u)
+    assert gamma.tobytes() == stats.gamma.ppf(u, a=2.5, scale=1.0 / 3.0).tobytes()
 
 
 NUMPY_PROBE = """
