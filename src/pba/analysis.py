@@ -21,7 +21,7 @@ from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
 from .models import REGISTRY, CohortCeaSpec, RegisteredModel, compile_transitions
 from .optimize import OptimizerSettings
-from .propagate import ParameterSet
+from .propagate import DEFAULT_HYPERRECT_CAP, ParameterSet
 from .schema import GRID, REMOVED, REQUIRED, SEED, Kind, walk
 
 CONFIG_SCHEMA = "pba-analysis/1"
@@ -219,6 +219,16 @@ _PIPELINE_KEYS = {
 }
 
 
+def _pinned(params: ParameterSet, overrides: Mapping[str, float]) -> ParameterSet:
+    """``params`` with each override fixed, displacing any boxed or precise
+    uncertainty it carried."""
+    return ParameterSet(
+        fixed={**params.fixed, **overrides},
+        precise={k: v for k, v in params.precise.items() if k not in overrides},
+        boxed={k: v for k, v in params.boxed.items() if k not in overrides},
+    )
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     pipeline: str
@@ -264,6 +274,7 @@ class AnalysisConfig:
         )
         config._validate_names()
         config._validate_pipeline()
+        config._validate_searches()
         config._validate_files()
         return config
 
@@ -304,15 +315,42 @@ class AnalysisConfig:
         if self.pipeline == "decide" and len(self.actions) < 2:
             raise ConfigParseError("decide needs at least two actions", location="actions")
 
+    def runs(self) -> list[tuple[str, str, ParameterSet]]:
+        """The propagations a ``propagate``, ``propagate-mixed``, ``psa`` or
+        ``decide`` config runs, each as (action id, curve file name,
+        parameters): one with no action id, or one per action with its
+        overrides fixed, displacing any uncertainty they carried."""
+        params = self.parameters
+        if self.pipeline != "decide":
+            return [("", self.outputs["curve"], params)]
+        return [(a.id, f"curve-{a.id}.csv", _pinned(params, a.overrides)) for a in self.actions]
+
+    def _validate_searches(self):
+        """Each run's box searches, ``n`` per boxed parameter and one set per
+        draw of the precise group, within ``DEFAULT_HYPERRECT_CAP``."""
+        if self.pipeline == "pbox-curve":
+            return
+        for action_id, _, params in self.runs():
+            searches = self.n ** len(params.boxed) * (self.samples if params.precise else 1)
+            if params.boxed and searches > DEFAULT_HYPERRECT_CAP:
+                where = f" for action {action_id!r}" if action_id else ""
+                draws = f"times samples={self.samples}" if params.precise else f"and samples={self.samples} adds none"
+                raise ConfigParseError(
+                    f"{searches} box searches{where} exceed the cap of {DEFAULT_HYPERRECT_CAP}: "
+                    f"n={self.n} for each of {len(params.boxed)} boxed parameters, {draws}",
+                    location="n",
+                )
+
     def _validate_files(self):
         """The files ``run_analysis`` writes, in its order, each a plain file
         name of its own; a repeated one is reported at the later key."""
-        if self.pipeline == "decide":
-            files = [(f"curve-{a.id}.csv", f"actions[{i}].id") for i, a in enumerate(self.actions)]
-        elif self.pipeline == "pbox-curve" and len(self.parameters.boxed) > 1:
+        if self.pipeline == "pbox-curve" and len(self.parameters.boxed) > 1:
             files = [(f"curve-{name}.csv", f"parameters.boxed.{name}") for name in sorted(self.parameters.boxed)]
         else:
-            files = [(self.outputs["curve"], "output.curve")]
+            files = [
+                (file, f"actions[{i}].id" if action_id else "output.curve")
+                for i, (action_id, file, _) in enumerate(self.runs())
+            ]
         if self.psa_baseline:
             files.append((self.psa_baseline.file, "psa_baseline.file"))
         files.append((self.outputs["summary"], "output.summary"))

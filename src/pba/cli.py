@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._lazy import np
 from .errors import ConfigParseError, PbaError
@@ -41,7 +41,6 @@ _ANALYSIS = {
     "INDETERMINATE": "decision",
     "choose": "decision",
     "expected_interval": "decision",
-    "ParameterSet": "propagate",
     "propagate_mixed": "propagate",
     "psa_propagate": "propagate",
 }
@@ -125,16 +124,6 @@ def export_curve(p: PBox | Intersection | EmpiricalPBox, gridsize: int, path: st
 # ---------------------------------------------------------------------------
 
 
-def _pinned(params: ParameterSet, overrides: Mapping[str, float]) -> ParameterSet:
-    """``params`` with each override fixed, displacing any boxed or precise
-    uncertainty it carried."""
-    return ParameterSet(
-        fixed={**params.fixed, **overrides},
-        precise={k: v for k, v in params.precise.items() if k not in overrides},
-        boxed={k: v for k, v in params.boxed.items() if k not in overrides},
-    )
-
-
 def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
     """Execute the configured pipeline; write outputs; return the summary."""
     _load_analysis()
@@ -160,17 +149,12 @@ def run_analysis(config: AnalysisConfig, out_dir: str | Path = ".") -> dict:
             export_curve(box, config.curve_grid, target)
             outputs[f"curve:{name}"] = str(target)
     else:
-        params = config.parameters
-        if config.pipeline == "decide":
-            runs = [(a.id, f"curve-{a.id}.csv", _pinned(params, a.overrides)) for a in config.actions]
-        else:
-            runs = [("", curve_name, params)]
         intervals = []
         action_rows = []
         evals = 0
         unconverged = 0
         unbounded = 0
-        for action_id, file_name, run_params in runs:
+        for action_id, file_name, run_params in config.runs():
             result = propagate_mixed(
                 config.model.fn, run_params, n=config.n, N=config.samples, seed=config.seed, opt=config.optimizer
             )

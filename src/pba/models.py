@@ -124,8 +124,9 @@ class CohortCeaSpec:
     check) are built once per spec; ``dataclasses.replace`` makes a new spec and
     so builds them afresh.  Each spec also keeps a table of the outcome, or
     the error, of each point of the last round handed to ``prefetch``, and
-    of nothing else; ``outcomes`` and ``prefetch`` both compute them through
-    ``_evaluate``.
+    of nothing else: a round is evaluated afresh, whatever the round before
+    held.  ``outcomes`` and ``prefetch`` both compute through ``_evaluate``,
+    one slice of points at a time.
 
     A ``transition_builder`` with a ``stack`` attribute (as
     ``compile_transitions`` makes) builds many matrices at once:
@@ -217,22 +218,19 @@ class CohortCeaSpec:
             return lambda params: ()
         return itemgetter(*sorted(names))
 
-    def _evaluate(self, batch: Mapping[Hashable, Mapping[str, float]]) -> dict:
-        """The (cost, QALY), or the ``RowSumViolation``, of each point of
-        ``batch`` (table key -> parameters), under its key.  The stack is
-        built once, raising as the builder does, and run in slices of at
-        most ``_slice_size`` matrices."""
-        keys = list(batch)
-        stack = _transition_stack(self, list(batch.values()))
-        outcomes = {}
-        # As few slices as the size allows, their lengths within one of each other.
-        slices = -(-len(keys) // _slice_size(self))
-        ends = [len(keys) * i // slices for i in range(slices + 1)]
-        for start, end in zip(ends, ends[1:]):
-            traces, faults = _traces(self, stack[start:end])
-            for key, fault, outcome in zip(keys[start:end], faults, _discounted(self, traces)):
-                outcomes[key] = outcome if fault is None else fault
-        return outcomes
+    def _evaluate(self, points: Sequence[Mapping[str, float]]) -> list:
+        """The (cost, QALY), or the ``RowSumViolation``, of each of the
+        ``points``, in order.  They go through the kernel in as few slices
+        of at most ``_slice_size`` points as there can be, their lengths
+        within one of each other; each slice's stack is built, raising as
+        the builder does, traced and discounted before the next is built."""
+        slices = -(-len(points) // _slice_size(self))
+        found = []
+        for i in range(slices):
+            part = points[len(points) * i // slices : len(points) * (i + 1) // slices]
+            traces, faults = _traces(self, _transition_stack(self, part))
+            found += [outcome if fault is None else fault for fault, outcome in zip(faults, _discounted(self, traces))]
+        return found
 
     def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
         """Discounted (total cost, total QALY) at ``params``.
@@ -240,12 +238,11 @@ class CohortCeaSpec:
         The same as ``discounted_outcomes(cohort_trace(self, params), self)``,
         and raises as that does.  A point of the last prefetched round is
         read from the table, its error raised again; any other point is
-        evaluated alone and stored nowhere.
+        evaluated alone, as a slice of one, and stored nowhere.
         """
-        key = self._key(params)
-        found = self._round.get(key)
+        found = self._round.get(self._key(params))
         if found is None:
-            found = self._evaluate({key: params})[key]
+            (found,) = self._evaluate([params])
         if isinstance(found, RowSumViolation):
             # Each raise would otherwise add its frames to the stored error's traceback.
             raise found.with_traceback(None)
@@ -254,34 +251,26 @@ class CohortCeaSpec:
     def prefetch(self, points: Iterable[Mapping[str, float]]) -> None:
         """Make the table hold the outcomes of exactly the ``points``.
 
-        The points the table already holds are carried over; the rest are
-        evaluated together, as one stack.  Only a speed-up for the
-        ``outcomes`` calls that follow.  It raises nothing: a batch that
-        cannot be keyed, or built into one stack, leaves the table as it
-        was, and its calls raise their own errors.
+        The table is rebuilt from the round's distinct keys alone: each is
+        evaluated once, whatever the round before held.  Only a speed-up
+        for the ``outcomes`` calls that follow.  It raises nothing: a round
+        that cannot be keyed, or whose matrices cannot be built, leaves the
+        table as it was, and its calls raise their own errors.
         """
-        held = self._round
         try:
-            table, batch = {}, {}
-            for params in points:
-                key = self._key(params)
-                if key in held:
-                    table[key] = held[key]
-                else:
-                    batch[key] = params
-            if batch:
-                table.update(self._evaluate(batch))
+            distinct = {self._key(params): params for params in points}
+            table = dict(zip(distinct, self._evaluate(list(distinct.values()))))
         except Exception:
             return  # left for the per-point calls to raise
         self.__dict__["_round"] = table  # where cached_property keeps it; the dataclass is frozen
 
 
 def _slice_size(spec: CohortCeaSpec) -> int:
-    """Matrices per stack: as many as fit ``_SLICE_BYTES`` of trace buffer,
-    8 * n * (n + horizon + 1) bytes each, but at most ``_SLICE_MATRICES``
-    and at least one.  The product of a doubling step is no bigger, so a
-    slice's working set stays in cache: 64 matrices for the demo spec, 9
-    for 12 states and 1,200 cycles."""
+    """Points per slice, one matrix each: as many as fit ``_SLICE_BYTES``
+    of trace buffer, 8 * n * (n + horizon + 1) bytes each, but at most
+    ``_SLICE_MATRICES`` and at least one.  The product of a doubling step is
+    no bigger, so a slice's working set stays in cache: 64 matrices for the
+    demo spec, 9 for 12 states and 1,200 cycles."""
     n = len(spec.states)
     return max(1, min(_SLICE_MATRICES, _SLICE_BYTES // (8 * n * (n + spec.horizon_cycles + 1))))
 
@@ -449,12 +438,11 @@ def compile_transitions(
     Staying probabilities are the row remainders, summed left to right;
     absorbing states take identity rows.
 
-    The entries are resolved once, here: state indices, the product of
-    each entry's leading constants, and the factors after them.
+    The entries are resolved once, here: state indices and factors.
     ``builder.stack(points)`` then builds the (B x n x n) matrices of B
     parameter mappings at once: each entry is one column of B products,
-    made with the float operations, in the order, that one point's entry
-    takes.  ``builder(params)`` is the stack of one.
+    each its factors multiplied in order from 1.0, as one point's entry
+    is.  ``builder(params)`` is the stack of one.
     ``builder.param_names`` is the frozenset of parameter names the entries
     use.
     """
@@ -482,12 +470,7 @@ def compile_transitions(
             factors = [f if isinstance(f, str) else _constant(f, entry) for f in entry["product"]]
         else:
             raise ValueError(f"transition {dict(entry)} needs a 'value', 'param' or 'product'")
-        # Fold the leading constants; multiplying by them at call time, in
-        # this order from 1.0, would give the same float.
-        head = 1.0
-        while factors and not isinstance(factors[0], str):
-            head *= factors.pop(0)
-        entries.append((src, dst, head, tuple(factors)))
+        entries.append((src, dst, tuple(factors)))
         names.update(f for f in factors if isinstance(f, str))
     free = [i for i in range(n) if not absorbing[i]]
     held = [i for i in range(n) if absorbing[i]]
@@ -496,9 +479,9 @@ def compile_transitions(
     def stack(points: Sequence[Mapping[str, float]]) -> np.ndarray:
         values = {name: np.array([params[name] for params in points], dtype=float) for name in used}
         matrices = np.zeros((len(points), n, n))
-        for src, dst, head, tail in entries:
-            p = np.full(len(points), head)
-            for factor in tail:
+        for src, dst, factors in entries:
+            p = np.ones(len(points))
+            for factor in factors:
                 p *= values[factor] if isinstance(factor, str) else factor
             matrices[:, src, dst] += p
         for i in free:

@@ -136,6 +136,60 @@ def test_bad_run_size_rejected_at_load(location, update, tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def _case1_without_baseline(**update):
+    raw = json.loads((CONFIG_DIR / "case1-pba.json").read_text())
+    del raw["psa_baseline"]
+    return dict(raw, **update)
+
+
+def test_box_search_cap_checked_at_load(tmp_path, capsys):
+    """The bundled case-1 run at n=1001 asks for 1001**2 box searches, over
+    the cap of 10**6: it is refused at load, at ``n``, with a message that
+    names n, samples and the cap, and no output directory is made."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_case1_without_baseline(n=1001)))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert (record["type"], record["location"]) == ("ConfigParseError", "n")
+    assert all(word in record["message"] for word in ("1002001 box searches", "n=1001", "samples=50", "1000000"))
+    assert not (tmp_path / "out").exists()
+
+
+_GAMMA_C2 = {"family": "gamma", "mean": 0.01, "std": 0.001}
+
+
+@pytest.mark.parametrize(
+    "update, refused",
+    [
+        ({"n": 1000}, None),  # 10**6 searches, at the cap
+        ({"n": 1001, "pipeline": "pbox-curve"}, None),  # no searches
+        ({"n": 1001, "pipeline": "decide", "actions": [
+            {"id": "a", "overrides": {"c1": 0.05}}, {"id": "b", "overrides": {"c6": 1.0}},
+        ]}, None),  # each action pins one of the two boxed parameters
+        ({"n": 1001, "pipeline": "decide", "actions": [
+            {"id": "a", "overrides": {"c1": 0.05}}, {"id": "b", "overrides": {"c2": 0.02}},
+        ]}, "box searches for action 'b'"),
+        ({"n": 200, "samples": 25, "pipeline": "propagate-mixed"}, None),  # 200**2 * 25 == 10**6
+        ({"n": 200, "samples": 26, "pipeline": "propagate-mixed"}, "times samples=26"),
+    ],
+)
+def test_box_search_cap_counts_each_run(update, refused):
+    """A run's box searches are n per boxed parameter, times samples when a
+    parameter is precise; a ``decide`` run counts each action with its
+    overrides pinned, and ``pbox-curve`` runs none."""
+    config = _case1_without_baseline(**update)
+    if config["pipeline"] == "propagate-mixed":
+        fixed = dict(config["parameters"]["fixed"])
+        del fixed["c2"]
+        config["parameters"] = dict(config["parameters"], fixed=fixed, precise={"c2": _GAMMA_C2})
+    if refused is None:
+        AnalysisConfig.from_dict(config)
+        return
+    with pytest.raises(ConfigParseError, match=refused) as err:
+        AnalysisConfig.from_dict(config)
+    assert err.value.location == "n"
+
+
 def test_run_twice_identical_outputs(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
@@ -671,9 +725,9 @@ def test_prefetch_only_speeds_up(tmp_path):
 def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     """Every point of the bundled CEA run, each search's first centre too,
     reaches the model in a combined round, so no matrix is evaluated alone.
-    The number of matrices evaluated is pinned: it guards the carry-over of
-    the comparator arms that a round repeats from the round before, which
-    would otherwise be computed again."""
+    The number of matrices evaluated is pinned: each round's distinct arms
+    are evaluated once, and nothing is carried over from the round before,
+    so the comparator arms that a round repeats are computed again."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     sizes = []
     traces = models._traces
@@ -681,7 +735,25 @@ def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     models._DEMO_SPEC._round.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
     assert sizes and min(sizes) > 1
-    assert sum(sizes) == 11226
+    assert sum(sizes) == 12661
+
+
+def test_bundled_cea_run_builds_no_stack_larger_than_a_slice(tmp_path, monkeypatch):
+    """The bundled CEA run at two samples builds its matrices one slice at
+    a time: no stack handed to ``_transition_stack`` holds more points than
+    ``_slice_size`` allows."""
+    config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
+    sizes = []
+    build = models._transition_stack
+
+    def counted(spec, points):
+        sizes.append(len(points))
+        return build(spec, points)
+
+    monkeypatch.setattr(models, "_transition_stack", counted)
+    models._DEMO_SPEC._round.clear()
+    assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
+    assert sizes and max(sizes) <= models._slice_size(models._DEMO_SPEC) == 64
 
 
 def test_bundled_cea_table_holds_the_last_round(tmp_path, monkeypatch):
@@ -758,9 +830,8 @@ def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
 
 
 def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
-    """With ``p_minor`` boxed too, the points a round carries over from the
-    round before are still in the table when their calls read them: no
-    matrix is evaluated alone."""
+    """With ``p_minor`` boxed too, every call of a round finds its point in
+    the table that round's ``prefetch`` made: no matrix is evaluated alone."""
     raw = json.loads((CONFIG_DIR / "demo-cea-inmb.json").read_text())
     parameters = raw["parameters"]
     del parameters["precise"]["p_minor"]

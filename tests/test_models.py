@@ -824,24 +824,24 @@ def test_prefetch_table_holds_exactly_its_round():
         assert set(spec._round) == {spec._key({"k": k}) for k in ks}
 
 
-def test_prefetch_carries_over_what_the_round_repeats():
-    """A point of the previous round that the new round repeats is taken
-    from the table, not built again; a point the new round does not repeat
-    is gone, and a call on it builds its matrix afresh."""
-    spec, built = _counted_spec(20)
-    spec.prefetch([{"k": k} for k in range(8)])
-    kept = spec._round[spec._key({"k": 1})]
-    del built[:]
-    spec.prefetch([{"k": k} for k in (0, 1, 2, *range(8, 13))])
-    assert sorted(built) == list(range(8, 13))
-    assert spec._round[spec._key({"k": 1})] is kept
-    assert spec._key({"k": 5}) not in spec._round
-    del built[:]
-    for k in (0, 1, 2, *range(8, 13)):
-        _outcome_or_error(spec, {"k": k})
-    assert built == []
-    _outcome_or_error(spec, {"k": 5})
-    assert built == [5]
+def test_prefetch_round_is_the_same_whatever_came_before():
+    """A round's table, and the matrices it builds, are the same whether or
+    not another round came before it: a point the round before held is
+    built again, once, and read back without building."""
+    points = [{"k": k} for k in (0, 1, 2, 1, *range(8, 13))]
+    fresh, fresh_built = _counted_spec(20)
+    fresh.prefetch(points)
+    assert fresh_built == [0, 1, 2, *range(8, 13)]
+    expected = [_outcome_or_error(fresh, p) for p in points]
+    for before in ([{"k": k} for k in range(8)], [{"k": 19}], points):
+        spec, built = _counted_spec(20)
+        spec.prefetch(before)
+        del built[:]
+        spec.prefetch(points)
+        assert built == fresh_built
+        assert set(spec._round) == set(fresh._round)
+        assert [_outcome_or_error(spec, p) for p in points] == expected
+        assert built == fresh_built
 
 
 def test_call_outside_the_table_is_evaluated_alone_and_stored_nowhere():
