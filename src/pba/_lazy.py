@@ -1,4 +1,4 @@
-"""numpy, and the compiled numpy and scipy modules a draw calls, loaded on first use.
+"""numpy, and the compiled scipy modules a gamma or beta draw calls, loaded on first use.
 
 ``pba pbox``, ``pba --help`` and a config that fails at load never compute
 with numpy, and its import is a large share of their start-up.  ``np`` is the
@@ -8,31 +8,26 @@ which runs numpy's import on first touch.  A missing numpy still raises
 ``ModuleNotFoundError`` here, at import time.  Before Python 3.12 that first
 touch is not thread-safe; ``pba`` runs single-threaded.
 
-A draw names five objects, each bound here on its first use (PEP 562):
-``SeedSequence``, ``Generator`` and ``PCG64`` from ``numpy.random``'s
-compiled ``bit_generator``, ``_generator`` and ``_pcg64``, and the
-quantile ufuncs ``gammaincinv`` from ``scipy.special._special_ufuncs`` (from
-``_ufuncs`` on a scipy that lacks it there) and ``betaincinv`` from
+A quantile draw names two ufuncs, each bound here on its first use (PEP 562):
+``gammaincinv`` from ``scipy.special._special_ufuncs`` (from ``_ufuncs`` on
+a scipy that lacks it there) and ``betaincinv`` from
 ``scipy.special._ufuncs``.  ``compiled`` imports such a module without the
-package around it, if that package is not yet imported: ``numpy.random``'s
-``__init__`` also loads the legacy ``mtrand`` and three more bit generators,
-about 1.0 MiB resident, and ``scipy.special``'s builds an array-API copy of
-numpy (loading ``numpy.f2py`` and ``numpy.testing``) and takes about ten
-times as long as the compiled modules.  ``_special_ufuncs`` in turn spares a
-gamma draw ``_ufuncs``, which also loads ``_ellip_harm_2`` and scipy's own
-OpenBLAS, about 2.6 MiB resident.  For the load, a bare stand-in package is
-swapped into ``sys.modules`` and taken out again, so this, like the numpy
-loader, is not thread-safe.  ``numpy`` and ``scipy`` themselves are always
-imported for real.
+package around it, if that package is not yet imported: ``scipy.special``'s
+``__init__`` builds an array-API copy of numpy (loading ``numpy.f2py`` and
+``numpy.testing``) and takes about ten times as long as the compiled
+modules.  ``_special_ufuncs`` in turn spares a gamma draw ``_ufuncs``, which
+also loads ``_ellip_harm_2`` and scipy's own OpenBLAS, about 2.6 MiB
+resident.  For the load, a bare stand-in package is swapped into
+``sys.modules`` and taken out again, so this, like the numpy loader, is not
+thread-safe.  ``numpy`` and ``scipy`` themselves are always imported for
+real.  The uniforms come from ``pba._pcg``, not ``numpy.random``.
 
-A package already imported is used as it is.  Either way the objects are the
-package's own, so draws are the same bit for bit.  The compiled modules stay
-loaded, and a later ``import numpy.random`` or ``import scipy.special``
-reuses them and works, but leaves them unbound as attributes of the package:
-after ``pba`` draws first, ``numpy.random.bit_generator``,
-``numpy.random._generator`` and ``numpy.random._pcg64`` raise
-``AttributeError`` (their names, such as ``numpy.random.PCG64``, are bound),
-as does ``scipy.special._special_ufuncs``.
+A package already imported is used as it is.  Either way the ufuncs are the
+package's own, so quantiles are the same bit for bit.  The compiled modules
+stay loaded, and a later ``import scipy.special`` reuses them and works, but
+leaves them unbound as attributes of the package: after ``pba`` draws first,
+``scipy.special._special_ufuncs`` raises ``AttributeError`` (the names it
+defines, such as ``scipy.special.gammaincinv``, are bound).
 """
 
 import importlib
@@ -59,7 +54,7 @@ np = _lazy("numpy")
 
 def compiled(name: str):
     """The module ``name``, a compiled submodule of a package such as
-    ``numpy.random``, loaded without that package's ``__init__`` unless the
+    ``scipy.special``, loaded without that package's ``__init__`` unless the
     package is already imported.
 
     Such a load puts a stand-in for the package, with its ``__path__``, in
@@ -84,9 +79,6 @@ def compiled(name: str):
 
 # The compiled modules that may define each name, in the order tried.
 _COMPILED = {
-    "SeedSequence": ("numpy.random.bit_generator",),
-    "Generator": ("numpy.random._generator",),
-    "PCG64": ("numpy.random._pcg64",),
     "gammaincinv": ("scipy.special._special_ufuncs", "scipy.special._ufuncs"),
     "betaincinv": ("scipy.special._ufuncs",),
 }

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from . import _lazy
+from . import _pcg
 from ._lazy import np
 from .distributions import DistributionSpec
 from .errors import HyperrectangleCapExceeded, ModelEvaluationError
@@ -33,7 +33,7 @@ from .interval import Interval
 from .minimal_data import MinimalData
 from .optimize import MAX, MIN, WINDOW, OptimizerSettings, SearchBox, _search, _vertices, optimize_boxes
 from .pbox import build_pbox
-from .slicing import DiscretizedPBox, count_hyperrectangles, discretize_outer, focal_product
+from .slicing import DiscretizedPBox, discretize_outer, focal_product
 
 Model = Callable[[Mapping[str, float]], float]
 
@@ -246,13 +246,19 @@ def propagate_pboxes(
 
 
 def _sample_streams(seed: int, count: int):
-    return _lazy.SeedSequence(seed).spawn(count)
+    """One generator stream per sample: the children of
+    ``numpy.random.SeedSequence(seed).spawn(count)``, made lazily by
+    ``pba._pcg`` with the same bits.  A bad seed raises here, as numpy's
+    ``SeedSequence`` does."""
+    return _pcg.streams(seed, count)
 
 
 def _draw_precise(params: ParameterSet, stream) -> dict[str, float]:
-    rng = _lazy.Generator(_lazy.PCG64(stream))
+    """One draw of the precise block: the uniforms of
+    ``numpy.random.Generator(numpy.random.PCG64(child)).random(k)``, bit for
+    bit, for the ``k`` precise names in sorted order, each through its ppf."""
     names = sorted(params.precise)
-    uniforms = rng.random(len(names))
+    uniforms = _pcg.random(stream, len(names))
     return {name: float(params.precise[name].ppf(u)) for name, u in zip(names, uniforms)}
 
 
@@ -297,13 +303,15 @@ def propagate_mixed(
     else:
         N, draws = 1, [{}]
     names = sorted(params.boxed)
-    sliced = [discretize_outer(build_pbox(params.boxed[name]), n) for name in names]
-    total = count_hyperrectangles(sliced) * N
-    if sliced and total > max_hyperrectangles:
+    # discretize_outer cuts each boxed p-box into exactly n focal elements, so
+    # the cap is checked before any slicing; it refuses n < 1 itself.
+    total = n ** len(names) * N
+    if names and n >= 1 and total > max_hyperrectangles:
         raise HyperrectangleCapExceeded(
             f"{total} box searches exceed the cap of {max_hyperrectangles}; "
             "pass a larger max_hyperrectangles to allow them"
         )
+    sliced = [discretize_outer(build_pbox(params.boxed[name]), n) for name in names]
     triples = []
     evals = 0
     bad = 0

@@ -97,7 +97,3 @@ def focal_product(ds: Sequence[DiscretizedPBox]) -> Iterator[Hyperrectangle]:
             mass *= elem.mass
             intervals.append(elem.interval)
         yield Hyperrectangle(tuple(intervals), mass, tuple(multi_index))
-
-
-def count_hyperrectangles(ds: Sequence[DiscretizedPBox]) -> int:
-    return math.prod(len(d) for d in ds)

@@ -234,6 +234,50 @@ def test_cap_counts_box_searches_not_samples():
     assert out.model_evaluations == len(out.extrema) == 5
 
 
+def test_cap_is_checked_before_any_slicing(monkeypatch):
+    """An over-cap call raises before it slices a single p-box."""
+    calls = []
+    monkeypatch.setattr(propagate, "discretize_outer", lambda *args: calls.append(args))
+    params = ParameterSet(boxed={k: min_max(0, 1) for k in ("a", "b")})
+    with pytest.raises(HyperrectangleCapExceeded, match="10000000000 box searches"):
+        propagate_mixed(lambda p: p["a"] + p["b"], params, n=10**5, max_hyperrectangles=10**6)
+    assert calls == []
+
+
+# 0, 1, one and two 32-bit words, three words, five words (past the 4-word pool),
+# then 200 fixed seeds of 1 to 130 bits.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3] + [
+    int.from_bytes(np.random.default_rng(20261020 + i).bytes(17), "little") >> (6 + i % 130)
+    for i in range(200)
+]
+
+
+def test_sample_streams_match_numpy_bit_for_bit():
+    """Each draw's uniforms are ``default_rng(child).random(k)`` for the
+    children of ``numpy.random.SeedSequence(seed).spawn(N)``."""
+    mismatches = []
+    for seed in STREAM_SEEDS:
+        children = np.random.SeedSequence(seed).spawn(9)
+        streams = list(propagate._sample_streams(seed, 9))
+        for k in range(1, 5):
+            unit = ParameterSet(precise={f"u{j}": DistributionSpec.uniform(0.0, 1.0) for j in range(k)})
+            for index, (child, stream) in enumerate(zip(children, streams)):
+                ours = list(propagate._draw_precise(unit, stream).values())
+                if ours != np.random.default_rng(child).random(k).tolist():
+                    mismatches.append((seed, index, k))
+    assert len(streams) == 9
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_bad_seed_raises_as_numpy_does(seed, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(seed)
+    params = ParameterSet(precise={"c": DistributionSpec.uniform(0, 1)})
+    with pytest.raises(error):
+        propagate_mixed(lambda p: p["c"], params, N=3, seed=seed)
+
+
 def test_no_uncertain_parameters_is_one_model_call():
     calls = []
 

@@ -6,7 +6,8 @@ is registered as ``sys.modules["numpy"]`` at import, so the checks look for
 ``numpy._core``, which only numpy's own import brings in.  scipy stays
 unloaded until a gamma or beta quantile is drawn, and then only its compiled
 special-function modules load, not the ``scipy.special`` package.  A draw
-likewise loads ``numpy.random``'s compiled generator modules, not that package.
+loads no ``numpy.random`` module at all, nor the OpenSSL bindings that its
+``bit_generator`` brings in through ``secrets``.
 
 Each check runs in a fresh interpreter, since this test session itself has
 imported numpy and scipy.
@@ -84,6 +85,11 @@ def _fresh(script: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+# Never loaded by a run: ``numpy.random``, and ``secrets`` with the ``hmac``
+# and OpenSSL ``_hashlib`` modules it imports.
+RANDOM_AND_OPENSSL = ("numpy.random", "secrets", "hmac", "_hashlib")
+
+
 def _probe(steps: list, watched=("scipy", "numpy.f2py", "numpy.testing")) -> dict:
     """The modules of the ``watched`` packages loaded after importing pba.cli
     and after each CLI step."""
@@ -97,7 +103,7 @@ def test_pbox_and_uniform_runs_never_load_scipy(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         steps.append([name, ["run", str(path), "--out", str(tmp_path / name)]])
-    loaded = _probe(steps)
+    loaded = _probe(steps, watched=("scipy", "numpy.f2py", "numpy.testing") + RANDOM_AND_OPENSSL)
     assert loaded == {"import": [], "pbox": [], "pbox-only": [], "uniform-psa": []}
     assert (tmp_path / "pbox-only" / "baseline.csv").exists()
 
@@ -117,22 +123,11 @@ def _under(modules: list, *packages: str) -> list:
     return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
-# Never loaded by a draw: the ``numpy.random`` package, and the legacy and
-# other bit generators that its own import loads.
-RANDOM_PACKAGE = (
-    "numpy.random",
-    "numpy.random.mtrand",
-    "numpy.random._mt19937",
-    "numpy.random._philox",
-    "numpy.random._sfc64",
-)
-
-
 def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
     """Of ``scipy.special``, a gamma run loads ``_special_ufuncs`` but not
-    ``_ufuncs``, and a beta run ``_ufuncs`` too; neither loads the
-    ``numpy.random`` package.  The beta run follows the gamma run in the same
-    process."""
+    ``_ufuncs``, and a beta run ``_ufuncs`` too; neither loads any
+    ``numpy.random`` module, ``secrets``, ``hmac`` or ``_hashlib``.  The beta
+    run follows the gamma run in the same process."""
     cea = json.loads((CONFIG_DIR / "demo-cea-inmb.json").read_text())
     cea.update(samples=1, n=1)
     (tmp_path / "cea.json").write_text(json.dumps(cea))
@@ -141,7 +136,7 @@ def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
             ["gamma-psa", ["run", str(CONFIG_DIR / "case1-psa-gamma.json"), "--out", str(tmp_path / "gamma")]],
             ["beta-cea", ["run", str(tmp_path / "cea.json"), "--out", str(tmp_path / "beta")]],
         ],
-        watched=("scipy", "numpy.f2py", "numpy.testing", "numpy.random"),
+        watched=("scipy", "numpy.f2py", "numpy.testing") + RANDOM_AND_OPENSSL,
     )
     assert loaded["import"] == []
     assert "scipy.special._special_ufuncs" in loaded["gamma-psa"]
@@ -150,8 +145,7 @@ def test_gamma_draws_load_scipy_special_not_stats(tmp_path):
     assert "scipy.special._ufuncs" in loaded["beta-cea"]
     for step in ("gamma-psa", "beta-cea"):
         assert "scipy.special" not in loaded[step], step
-        assert "numpy.random._pcg64" in loaded[step], step
-        assert [m for m in loaded[step] if m in RANDOM_PACKAGE] == [], step
+        assert _under(loaded[step], *RANDOM_AND_OPENSSL) == [], step
         assert _under(loaded[step], *ARRAY_API_AND_STATS) == [], step
 
 
@@ -180,9 +174,8 @@ print(json.dumps({
     "real packages": all(hasattr(m, "__file__") for m in (numpy.random, scipy.special))
     and hasattr(numpy.random, "default_rng") and hasattr(scipy.special, "logsumexp"),
     "submodules bound on the package": hasattr(numpy.random, "_pcg64") and hasattr(numpy.random, "bit_generator"),
+    "scipy submodule bound on the package": hasattr(scipy.special, "_special_ufuncs"),
     "same ufuncs": _lazy.betaincinv is scipy.special.betaincinv and _lazy.gammaincinv is scipy.special.gammaincinv,
-    "same generator classes": _lazy.SeedSequence is numpy.random.SeedSequence
-    and _lazy.Generator is numpy.random.Generator and _lazy.PCG64 is numpy.random.PCG64,
     "gamma bits": gamma.tobytes() == stats.gamma.ppf(u, a=2.5, scale=1.0 / 3.0).tobytes(),
     "beta bits": beta.tobytes() == stats.beta.ppf(u, 2.0, 5.0).tobytes(),
     "draw bits": draws == [
@@ -195,16 +188,17 @@ print(json.dumps({
 @pytest.mark.parametrize("first", [False, True], ids=["pba-first", "scipy-first"])
 def test_special_ufuncs_are_scipy_specials_own(first):
     """Draws made before or after ``import numpy.random`` and ``import
-    scipy.special`` use those packages' own classes and ufuncs and leave
-    them working packages.  Only drawing first leaves the compiled
-    submodules unbound as attributes of the package."""
+    scipy.special`` use scipy's own ufuncs, match numpy's generator bit for
+    bit and leave both working packages.  pba loads nothing of
+    ``numpy.random``, so its submodules are bound either way; only drawing
+    first leaves ``scipy.special._special_ufuncs`` unbound on its package."""
     checks = _fresh(f"FIRST = {first}\n" + ORDER_PROBE)
     assert checks == {
         "packages imported before the draws": [first, first],
         "real packages": True,
-        "submodules bound on the package": first,
+        "submodules bound on the package": True,
+        "scipy submodule bound on the package": first,
         "same ufuncs": True,
-        "same generator classes": True,
         "gamma bits": True,
         "beta bits": True,
         "draw bits": True,
