@@ -19,7 +19,7 @@ from .decision import DecisionRule, Dominance, Hurwicz, Optimist, Pessimist
 from .distributions import BETA, GAMMA, MOMENT_FAMILIES, TABULATED, UNIFORM, DistributionSpec
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
-from .models import REGISTRY, CohortCeaSpec, RegisteredModel, compile_transitions
+from .models import REGISTRY, CohortCeaSpec, RegisteredModel, cea_model, compile_transitions
 from .optimize import OptimizerSettings
 from .propagate import DEFAULT_HYPERRECT_CAP, ParameterSet
 from .schema import GRID, REMOVED, REQUIRED, SEED, Kind, walk
@@ -54,17 +54,7 @@ def _inline_cea_model(cfg: Mapping) -> RegisteredModel:
         discount_rate_annual=cfg["discount_rate_annual"],
         initial=tuple(cfg["initial"]),
     )
-
-    def model(params: Mapping[str, float]) -> float:
-        cost, qaly = spec.outcomes(params)
-        if outcome == "cost":
-            return cost
-        if outcome == "qaly":
-            return qaly
-        return wtp * qaly - cost
-
-    model.prefetch = spec.prefetch
-    return RegisteredModel(model, builder.param_names)
+    return RegisteredModel(cea_model(spec, outcome, wtp), builder.param_names)
 
 
 # The key sets of each precise family, each in its constructor's argument

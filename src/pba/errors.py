@@ -83,6 +83,18 @@ class SingularSystem(PbaError):
         self.direction = direction
 
 
+class NonMonotoneModel(PbaError):
+    """A model declared monotone both rises and falls along one input on
+    the grid of slice ends; carries the input and a grid point of each
+    direction."""
+
+    def __init__(self, message, axis=None, rising=None, falling=None):
+        super().__init__(message)
+        self.axis = axis
+        self.rising = rising
+        self.falling = falling
+
+
 class RowSumViolation(PbaError):
     """Transition matrix row does not sum to one."""
 

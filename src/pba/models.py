@@ -9,6 +9,7 @@ demonstration specification.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -122,11 +123,12 @@ class CohortCeaSpec:
     The arrays every evaluation needs (costs, utilities, initial
     distribution, discount factors and the entry bounds of the matrix
     check) are built once per spec; ``dataclasses.replace`` makes a new spec and
-    so builds them afresh.  Each spec also keeps a table of the outcome, or
-    the error, of each point of the last round handed to ``prefetch``, and
-    of nothing else: a round is evaluated afresh, whatever the round before
-    held.  ``outcomes`` and ``prefetch`` both compute through ``_evaluate``,
-    one slice of points at a time.
+    so builds them afresh.  A spec keeps no table of outcomes:
+    ``outcomes`` evaluates its point alone, and a model of one value per
+    point (``cea_model``, ``demo_cea_nmb``, ``demo_cea_inmb``) keeps its own
+    table of its values (``_cohort_model``).  Both compute through
+    ``_evaluate``, which builds and checks a round's transition stack at
+    once and traces it a slice at a time.
 
     A ``transition_builder`` with a ``stack`` attribute (as
     ``compile_transitions`` makes) builds many matrices at once:
@@ -202,11 +204,6 @@ class CohortCeaSpec:
         return offset, upper
 
     @cached_property
-    def _round(self) -> dict:
-        """The table: the outcome of each point of the last prefetched round, by key."""
-        return {}
-
-    @cached_property
     def _key(self) -> Callable[[Mapping[str, float]], Hashable]:
         """The table key of a parameter mapping: the values of the builder's
         inputs, or every (name, value) pair for a builder that does not name
@@ -218,51 +215,132 @@ class CohortCeaSpec:
             return lambda params: ()
         return itemgetter(*sorted(names))
 
-    def _evaluate(self, points: Sequence[Mapping[str, float]]) -> list:
-        """The (cost, QALY), or the ``RowSumViolation``, of each of the
-        ``points``, in order.  They go through the kernel in as few slices
-        of at most ``_slice_size`` points as there can be, their lengths
-        within one of each other; each slice's stack is built, raising as
-        the builder does, traced and discounted before the next is built."""
+    def _evaluate(self, points: Sequence[Mapping[str, float]]) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(costs, QALYs, faults) of the ``points``: the discounted total
+        cost and QALY of each, and the ``RowSumViolation`` of each that
+        fails, by index; a failing point's cost and QALY mean nothing.
+
+        The round's transition stack is built once, raising as the builder
+        does, and checked once.  Its traces are taken in as few slices of at
+        most ``_slice_size`` matrices as there can be, their lengths within
+        one of each other, so the trace buffer stays within ``_SLICE_BYTES``.
+        """
+        stack = _transition_stack(self, points)
+        faults = _matrix_faults(self, stack)
+        if faults:
+            stack = stack.copy()  # the builder's array is left as it made it
+            stack[list(faults)] = np.eye(len(self.states))  # a failing matrix's unused trace stays finite
+        costs, qalys = np.empty(len(points)), np.empty(len(points))
         slices = -(-len(points) // _slice_size(self))
-        found = []
         for i in range(slices):
-            part = points[len(points) * i // slices : len(points) * (i + 1) // slices]
-            traces, faults = _traces(self, _transition_stack(self, part))
-            found += [outcome if fault is None else fault for fault, outcome in zip(faults, _discounted(self, traces))]
-        return found
+            part = slice(len(points) * i // slices, len(points) * (i + 1) // slices)
+            traces, drifts = _traces(self, stack[part])
+            costs[part], qalys[part] = _totals(self, traces)
+            for b, fault in drifts.items():
+                faults.setdefault(part.start + b, fault)
+        return costs, qalys, faults
 
     def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
-        """Discounted (total cost, total QALY) at ``params``.
+        """Discounted (total cost, total QALY) at ``params``, evaluated alone.
 
         The same as ``discounted_outcomes(cohort_trace(self, params), self)``,
-        and raises as that does.  A point of the last prefetched round is
-        read from the table, its error raised again; any other point is
-        evaluated alone, as a slice of one, and stored nowhere.
+        and raises as that does.
         """
-        found = self._round.get(self._key(params))
-        if found is None:
-            (found,) = self._evaluate([params])
-        if isinstance(found, RowSumViolation):
-            # Each raise would otherwise add its frames to the stored error's traceback.
-            raise found.with_traceback(None)
-        return found
+        costs, qalys, faults = self._evaluate([params])
+        if faults:
+            raise faults[0]
+        return costs.item(), qalys.item()
 
-    def prefetch(self, points: Iterable[Mapping[str, float]]) -> None:
-        """Make the table hold the outcomes of exactly the ``points``.
+
+class _RoundTable(dict):
+    """The value, or the ``RowSumViolation``, of each point of the last
+    round handed to ``fill``, by ``key``; ``compute(points)`` gives them for
+    a list of points, in order.
+    """
+
+    def __init__(self, key: Callable[[Mapping[str, float]], Hashable], compute: Callable[[list], list]):
+        super().__init__()
+        self.key, self.compute = key, compute
+
+    def fill(self, points: Iterable[Mapping[str, float]]) -> None:
+        """Make the table hold exactly the ``points``.
 
         The table is rebuilt from the round's distinct keys alone: each is
-        evaluated once, whatever the round before held.  Only a speed-up
-        for the ``outcomes`` calls that follow.  It raises nothing: a round
-        that cannot be keyed, or whose matrices cannot be built, leaves the
-        table as it was, and its calls raise their own errors.
+        computed once, whatever the round before held.  Only a speed-up
+        for the ``find`` calls that follow.  It raises nothing: a round
+        that cannot be keyed or computed (a point lacks an input, or the
+        builder raises) leaves the table as it was, and the calls raise
+        their own errors.
         """
         try:
-            distinct = {self._key(params): params for params in points}
-            table = dict(zip(distinct, self._evaluate(list(distinct.values()))))
+            distinct = {self.key(params): params for params in points}
+            found = dict(zip(distinct, self.compute(list(distinct.values()))))
         except Exception:
             return  # left for the per-point calls to raise
-        self.__dict__["_round"] = table  # where cached_property keeps it; the dataclass is frozen
+        self.clear()
+        self.update(found)
+
+    def find(self, params: Mapping[str, float]):
+        """The value or error at ``params``: read from the table, or, for a
+        point it lacks, computed alone and stored nowhere.  A point that
+        cannot be keyed (it lacks an input) is computed alone too, so it
+        raises what the computation raises first."""
+        try:
+            found = self.get(self.key(params))
+        except KeyError:
+            found = None
+        if found is None:
+            (found,) = self.compute([params])
+        return found
+
+
+def _with_faults(values: list, faults: Mapping[int, RowSumViolation]) -> list:
+    """``values`` with the value at each index of ``faults`` replaced by its error."""
+    for b, fault in faults.items():
+        values[b] = fault
+    return values
+
+
+def _cohort_model(key: Callable[[Mapping[str, float]], Hashable]):
+    """Decorator: the model of one point whose values the decorated
+    ``compute(points)`` gives a round at a time, each a float or a
+    ``RowSumViolation``.
+
+    The model's ``prefetch`` fills a ``_RoundTable`` with the values of the
+    round's distinct ``key``s; a call reads its point's value from it, or
+    raises its error, and computes a point the table lacks alone.  Each
+    value is still one call of the model.
+    """
+
+    def decorate(compute: Callable[[list], list]) -> Callable[[Mapping[str, float]], float]:
+        table = _RoundTable(key, compute)
+
+        @functools.wraps(compute)
+        def model(params: Mapping[str, float]) -> float:
+            found = table.find(params)
+            if isinstance(found, RowSumViolation):
+                raise found.with_traceback(None)
+            return found
+
+        model.prefetch = table.fill
+        return model
+
+    return decorate
+
+
+def cea_model(spec: CohortCeaSpec, outcome: str, wtp: float):
+    """The model of the spec's discounted ``outcome``: ``"cost"``,
+    ``"qaly"``, or ``"nmb"``, wtp * QALY - cost."""
+    if outcome not in ("cost", "qaly", "nmb"):
+        raise ValueError(f"outcome must be 'cost', 'qaly' or 'nmb', got {outcome!r}")
+
+    @_cohort_model(spec._key)
+    def model(points: Sequence[Mapping[str, float]]) -> list:
+        costs, qalys, faults = spec._evaluate(points)
+        values = costs if outcome == "cost" else qalys if outcome == "qaly" else wtp * qalys - costs
+        return _with_faults(values.tolist(), faults)
+
+    return model
 
 
 def _slice_size(spec: CohortCeaSpec) -> int:
@@ -298,8 +376,9 @@ def _row_sums(array: np.ndarray) -> np.ndarray:
     return total
 
 
-def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> list[RowSumViolation | None]:
-    """For each matrix of the (B, n, n) ``stack``, the error at its first bad row, or None.
+def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> dict[int, RowSumViolation]:
+    """The error at the first bad row of each matrix of the (B, n, n)
+    ``stack`` that has one, by index.
 
     A row is bad if its sum is off 1 or an entry is negative, or, for an
     absorbing state, if it is not the identity row; a NaN anywhere fails
@@ -311,7 +390,7 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> list[RowSumViolati
         totals = _row_sums(stack)
     shifted = stack - offset
     ok = (np.abs(totals - 1.0) <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
-    faults: list[RowSumViolation | None] = [None] * len(stack)
+    faults = {}
     for b in np.flatnonzero(~ok.all(axis=1)).tolist():
         i = int(np.argmin(ok[b]))
         total = float(totals[b, i])
@@ -323,27 +402,22 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> list[RowSumViolati
     return faults
 
 
-def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, list[RowSumViolation | None]]:
+def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, dict[int, RowSumViolation]]:
     """State occupancy by cycle for each matrix of the (B, n, n) ``stack``,
-    and the ``RowSumViolation`` each matrix raises, or None.
+    and the ``RowSumViolation`` of each trace whose mass drifts, by index.
 
     Occupancy is computed by repeated squaring.  One (B, n + rows, n)
     buffer holds P**k in the first n rows of each slice and the trace after
     them; once trace rows 0..k-1 are known, the one stacked product
     ``buffer[:, :n + step] @ P**k`` gives both P**2k and trace rows
     k..k+step-1 of every slice, so a horizon of H cycles takes about
-    log2(H) products instead of H.  A matrix that fails its check is
-    replaced by the identity, so its (unused) trace stays finite.  Mass
-    conservation is checked at every cycle, and a drift (or a NaN) is
-    reported at the first cycle where it exceeds the tolerance.
+    log2(H) products instead of H.  Mass conservation is checked at every
+    cycle, and a drift (or a NaN) is reported at the first cycle where it
+    exceeds the tolerance.  The matrices are not checked here.
     """
-    faults = _matrix_faults(spec, stack)
     n, rows = len(spec.states), spec.horizon_cycles + 1
     buffer = np.empty((len(stack), n + rows, n))
     buffer[:, :n] = stack
-    failed = [b for b, fault in enumerate(faults) if fault is not None]
-    if failed:
-        buffer[failed, :n] = np.eye(n)
     buffer[:, n] = spec._initial
     filled = 1  # buffer[:, :n] == matrix ** filled, and trace rows 0..filled-1 are known
     while filled < rows:
@@ -355,13 +429,11 @@ def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, list[Ro
     traces = buffer[:, n:]
     mass = _row_sums(traces)
     drifted = ~(np.abs(mass - 1.0) <= _ROW_TOL)
+    drifts = {}
     for b in np.flatnonzero(drifted.any(axis=1)).tolist():
-        if faults[b] is None:
-            t = int(np.argmax(drifted[b]))
-            faults[b] = RowSumViolation(
-                f"occupancy at cycle {t} sums to {float(mass[b, t])}", cycle=t, state=None
-            )
-    return traces, faults
+        t = int(np.argmax(drifted[b]))
+        drifts[b] = RowSumViolation(f"occupancy at cycle {t} sums to {float(mass[b, t])}", cycle=t, state=None)
+    return traces, drifts
 
 
 def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray:
@@ -371,14 +443,18 @@ def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray
     matrix's first bad row, or at the first cycle whose occupancy does not
     sum to 1.
     """
-    traces, (fault,) = _traces(spec, _transition_stack(spec, [params]))
-    if fault is not None:
-        raise fault
+    stack = _transition_stack(spec, [params])
+    faults = _matrix_faults(spec, stack)
+    if faults:
+        raise faults[0]
+    traces, drifts = _traces(spec, stack)
+    if drifts:
+        raise drifts[0]
     return traces[0]
 
 
-def _discounted(spec: CohortCeaSpec, traces: np.ndarray) -> list[tuple[float, float]]:
-    """Discounted (total cost, total QALY) of each trace of the (B, rows, n) ``traces``.
+def _totals(spec: CohortCeaSpec, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted total costs and QALYs of the (B, rows, n) ``traces``, as two arrays.
 
     The per-cycle rewards are one product for the stack, and so are the
     discounted totals: a stack of (1 x cycles) @ (cycles x 1) products, each
@@ -389,14 +465,13 @@ def _discounted(spec: CohortCeaSpec, traces: np.ndarray) -> list[tuple[float, fl
     cost_per_cycle = occupancy @ spec._costs * spec.cycle_length_years
     qaly_per_cycle = occupancy @ spec._utilities * spec.cycle_length_years
     row = spec._discount[None, None, :]
-    costs = (row @ cost_per_cycle[:, :, None]).ravel().tolist()
-    qalys = (row @ qaly_per_cycle[:, :, None]).ravel().tolist()
-    return list(zip(costs, qalys))
+    return (row @ cost_per_cycle[:, :, None]).ravel(), (row @ qaly_per_cycle[:, :, None]).ravel()
 
 
 def discounted_outcomes(trace: np.ndarray, spec: CohortCeaSpec) -> tuple[float, float]:
     """Discounted (total cost, total QALY) over the horizon."""
-    return _discounted(spec, trace[None])[0]
+    costs, qalys = _totals(spec, trace[None])
+    return costs.item(), qalys.item()
 
 
 def inmb(
@@ -535,31 +610,83 @@ _DEMO_SPEC = demo_cea_spec()
 DEMO_PARAM_NAMES = _DEMO_SPEC.transition_builder.param_names | {"device_cost"}
 
 
+_DEMO_KEY = itemgetter(*sorted(DEMO_PARAM_NAMES))  # a demo model's table key: all its inputs
+_COMPARATOR_KEY = itemgetter(*sorted(_DEMO_SPEC.transition_builder.param_names - {"rr"}))
+
+
 def _comparator(params: Mapping[str, float]) -> dict[str, float]:
     """The conventional comparator's inputs: ``params`` without the device's relative risk."""
     return {**params, "rr": 1.0}
 
 
-def demo_cea_nmb(params: Mapping[str, float]) -> float:
-    """Net monetary benefit of one strategy at the fixed threshold."""
-    cost, qaly = _DEMO_SPEC.outcomes(params)
-    return WTP_PER_QALY * qaly - (cost + params["device_cost"])
+def _demo_arms(points: Sequence[Mapping[str, float]], comparator: bool = False):
+    """(costs, QALYs, faults, arms): the demo spec's ``_evaluate`` of the
+    distinct arms of the ``points``, and for each point the index of its
+    arm in them, as a list of indices per point.  A device arm is keyed by
+    the spec's key; with ``comparator``, each point also has a comparator
+    arm, keyed without ``rr``, which it fixes at 1."""
+    device = [_DEMO_SPEC._key(params) for params in points]
+    arms = dict(zip(device, points))
+    keys = [device]
+    if comparator:
+        keys.append([_COMPARATOR_KEY(params) for params in points])
+        for key, params in zip(keys[1], points):
+            if key not in arms:
+                arms[key] = _comparator(params)
+    at = {key: i for i, key in enumerate(arms)}
+    costs, qalys, faults = _DEMO_SPEC._evaluate(list(arms.values()))
+    return costs, qalys, faults, [[at[key] for key in column] for column in keys]
 
 
-def demo_cea_inmb(params: Mapping[str, float]) -> float:
-    """INMB of the device strategy over the conventional comparator."""
-    cost_a, qaly_a = _DEMO_SPEC.outcomes(params)
-    cost_b, qaly_b = _DEMO_SPEC.outcomes(_comparator(params))
-    return inmb(cost_a + params["device_cost"], qaly_a, cost_b, qaly_b, WTP_PER_QALY)
+def _point_faults(faults: Mapping[int, RowSumViolation], arms: list) -> dict[int, RowSumViolation]:
+    """The error of each point that has a failing arm, by point index: that
+    of its first failing arm in ``arms`` order."""
+    found = {}
+    if faults:
+        for j, indices in enumerate(zip(*arms)):
+            failed = [faults[i] for i in indices if i in faults]
+            if failed:
+                found[j] = failed[0]
+    return found
 
 
-def _prefetch_inmb(points: Iterable[Mapping[str, float]]) -> None:
-    _DEMO_SPEC.prefetch([arm for params in points for arm in (params, _comparator(params))])
+def _device_costs(points: Sequence[Mapping[str, float]], failed: Mapping[int, RowSumViolation]) -> np.ndarray:
+    """The ``device_cost`` of each of the ``points``, NaN at a point in
+    ``failed``: its arm's error comes first, so a failing point that lacks
+    the input raises that error, not ``KeyError``."""
+    return np.array([math.nan if j in failed else params["device_cost"] for j, params in enumerate(points)], dtype=float)
 
 
-# Each round of a box search is evaluated as one stack (``pba.optimize``).
-demo_cea_nmb.prefetch = _DEMO_SPEC.prefetch
-demo_cea_inmb.prefetch = _prefetch_inmb
+@_cohort_model(_DEMO_KEY)
+def demo_cea_nmb(points: Sequence[Mapping[str, float]]) -> list:
+    """Net monetary benefit of one strategy at the fixed threshold.
+
+    A model of one point, computed a round at a time (see ``_cohort_model``):
+    each distinct arm once, and the NMBs as one array expression.
+    """
+    costs, qalys, faults, arms = _demo_arms(points)
+    (a,) = arms
+    failed = _point_faults(faults, arms)
+    device_cost = _device_costs(points, failed)
+    return _with_faults((WTP_PER_QALY * qalys[a] - (costs[a] + device_cost)).tolist(), failed)
+
+
+@_cohort_model(_DEMO_KEY)
+def demo_cea_inmb(points: Sequence[Mapping[str, float]]) -> list:
+    """INMB of the device strategy over the conventional comparator.
+
+    A model of one point, computed a round at a time (see ``_cohort_model``).
+    The round's device and comparator arms go through one ``_evaluate``,
+    each distinct arm once.  The INMBs are one array expression with
+    ``inmb``'s float operations in ``inmb``'s order.  A point whose device
+    arm fails keeps that arm's ``RowSumViolation``, else its comparator's.
+    """
+    costs, qalys, faults, arms = _demo_arms(points, comparator=True)
+    a, b = arms
+    failed = _point_faults(faults, arms)
+    device_cost = _device_costs(points, failed)
+    inmbs = WTP_PER_QALY * (qalys[a] - qalys[b]) - ((costs[a] + device_cost) - costs[b])
+    return _with_faults(inmbs.tolist(), failed)
 
 
 # ---------------------------------------------------------------------------

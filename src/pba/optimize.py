@@ -123,23 +123,23 @@ def _potentially_optimal(reps: list[_Rect]) -> list[_Rect]:
     reps = sorted(reps, key=lambda r: r.diameter)
     points = [(r.diameter, r.f) for r in reps]
     f_min = min(f for _, f in points)
+    # With the most favorable slope a rect must still undercut f_min by this much.
+    bar = f_min + 1e-13 * max(1.0, abs(f_min))
     out = []
-    for rj, (dj, fj) in zip(reps, points):
+    for j, (dj, fj) in enumerate(points):
+        # The largest slope from a smaller rect, at least 0, and the smallest
+        # to a larger one.
         k_lo, k_hi = 0.0, math.inf
-        for di, fi in points:
-            if di > dj:
-                slope = (fi - fj) / (di - dj)
-                if slope < k_hi:
-                    k_hi = slope
-            elif di < dj:
-                slope = (fj - fi) / (dj - di)
-                if slope > k_lo:
-                    k_lo = slope
-        if k_lo > k_hi:
-            continue
-        # With the most favorable slope the rect must still undercut f_min.
-        if math.isinf(k_hi) or fj - k_hi * dj <= f_min + 1e-13 * max(1.0, abs(f_min)):
-            out.append(rj)
+        for di, fi in points[:j]:
+            slope = (fj - fi) / (dj - di)
+            if slope > k_lo:
+                k_lo = slope
+        for di, fi in points[j + 1 :]:
+            slope = (fi - fj) / (di - dj)
+            if slope < k_hi:
+                k_hi = slope
+        if k_lo <= k_hi and (math.isinf(k_hi) or fj - k_hi * dj <= bar):
+            out.append(reps[j])
     return out
 
 
@@ -154,37 +154,51 @@ def _finite(point: Point, result: Result) -> float:
     return value
 
 
+def _signed(points: list[Point], results: list[Result], sign: float) -> list[float]:
+    """``sign`` times each point's result, read as ``_finite`` reads it; the
+    first point in order whose result it rejects raises."""
+    try:
+        values = [sign * float(result) for result in results]
+        if all(map(math.isfinite, values)):
+            return values
+    except Exception:  # an exception, or a result that is no number
+        pass
+    return [sign * _finite(point, result) for point, result in zip(points, results)]
+
+
 def _direct_minimize(
-    dim: int,
+    axes: Sequence[tuple[int, float, float]],
+    base: Point,
     budget: int,
     tol: float,
-    to_box: Callable[[Point], Point],
     sign: float,
 ) -> Generator[list[Point], list[Result], tuple[Point, float, bool, int]]:
     """DIRECT on the unit cube, one round per step of the generator.
 
-    ``to_box`` maps a unit point into the box.  Each step yields the box
-    points of the next round, fixed before any of them is evaluated, and is
-    sent back their results in that order; the first round is the centre
-    alone.  It minimizes ``sign`` times the values.  Returns (best box
-    point, its signed value, converged, evaluations).  The size-class
-    heaps are the only index of the rects: no two classes tie on diameter
-    (see ``_potentially_optimal``), so the best rect, by f, then diameter,
-    then creation, is a class representative.
+    Unit coordinate i is coordinate ``axis`` of the box point, at
+    ``lo + u * width`` for ``axes[i] == (axis, lo, width)``; the other
+    coordinates keep their values in ``base``.  A trial point is its rect's
+    box point with one coordinate replaced, the same floats as mapping its
+    whole centre.  Each step yields the box points of the next round, fixed
+    before any of them is evaluated, and is sent back their results in that
+    order; the first round is the centre alone.  It minimizes ``sign``
+    times the values.  Returns (best box point, its signed value,
+    converged, evaluations).  The size-class heaps are the only index of
+    the rects: no two classes tie on diameter (see ``_potentially_optimal``),
+    so the best rect, by f, then diameter, then creation, is a class
+    representative.
     """
     order = itertools.count()
     classes: dict[tuple[int, ...], list] = {}
-
-    def track(rect: _Rect) -> None:
-        """File a new or just-divided rect under its size class."""
-        heapq.heappush(classes.setdefault(rect.key, []), (rect.f, rect.index, rect))
-
-    center = tuple(0.5 for _ in range(dim))
-    point = to_box(center)
+    center = (0.5,) * len(axes)
+    point = list(base)
+    for axis, lo, width in axes:
+        point[axis] = lo + 0.5 * width
+    point = tuple(point)
     (result,) = yield [point]
-    root = _Rect(center, point, _shape(tuple(0 for _ in range(dim))), sign * _finite(point, result), next(order))
+    root = _Rect(center, point, _shape((0,) * len(axes)), sign * _finite(point, result), next(order))
     evals = 1
-    track(root)
+    classes[root.key] = [(root.f, root.index, root)]
     d0 = root.diameter
 
     while True:
@@ -196,6 +210,7 @@ def _direct_minimize(
         # The round's trial points, fixed before any is evaluated: two per
         # longest side of each selected rect, while the budget lasts.
         trials = []
+        points: list[Point] = []
         for rect in _potentially_optimal(reps):
             lmin = min(rect.levels)
             delta = 3.0 ** (-(lmin + 1))
@@ -206,34 +221,39 @@ def _direct_minimize(
                 if evals + 2 > budget:
                     break
                 evals += 2
-                plus = list(rect.center)
-                plus[i] += delta
-                minus = list(rect.center)
-                minus[i] -= delta
-                plus, minus = tuple(plus), tuple(minus)
-                sides.append((i, plus, to_box(plus), minus, to_box(minus)))
+                axis, lo, width = axes[i]
+                c = rect.center[i]
+                plus, minus = list(rect.point), list(rect.point)
+                plus[axis] = lo + (c + delta) * width
+                minus[axis] = lo + (c - delta) * width
+                points += (tuple(plus), tuple(minus))
+                sides.append(i)
             if sides:
-                trials.append((rect, sides))
+                trials.append((rect, delta, sides))
         if not trials:
             return best.point, best.f, False, evals
-        points = [p for _, sides in trials for _, _, p_plus, _, p_minus in sides for p in (p_plus, p_minus)]
-        results = iter((yield points))
+        values = _signed(points, (yield points), sign)
 
-        for rect, sides in trials:
+        k = 0  # the index in ``points`` of the next side's plus point
+        for rect, delta, sides in trials:
             sampled = []
-            for i, plus, p_plus, minus, p_minus in sides:
-                f_plus = sign * _finite(p_plus, next(results))
-                f_minus = sign * _finite(p_minus, next(results))
-                sampled.append((min(f_plus, f_minus), i, (plus, p_plus, f_plus), (minus, p_minus, f_minus)))
-            sampled.sort(key=lambda s: (s[0], s[1]))
+            for i in sides:
+                f_plus, f_minus = values[k], values[k + 1]
+                sampled.append((f_minus if f_minus < f_plus else f_plus, i, k))  # min(f_plus, f_minus)
+                k += 2
+            sampled.sort()  # by value, then axis: the axes are distinct
             levels = list(rect.levels)
-            for _, i, *children in sampled:
+            for _, i, j in sampled:
                 levels[i] += 1
                 divided = _shape(tuple(levels))
-                for center, point, value in children:
-                    track(_Rect(center, point, divided, value, next(order)))
+                heap = classes.setdefault(divided[1], [])
+                for m, offset in ((j, delta), (j + 1, -delta)):
+                    center = list(rect.center)
+                    center[i] += offset
+                    child = _Rect(tuple(center), points[m], divided, values[m], next(order))
+                    heapq.heappush(heap, (child.f, child.index, child))
             rect.levels, rect.key, rect.diameter = divided  # center keeps the shrunken rect
-            track(rect)
+            heapq.heappush(classes.setdefault(rect.key, []), (rect.f, rect.index, rect))
 
 
 def _search(box: SearchBox, sense: str) -> Generator[list[Point], list[Result], OptResult]:
@@ -242,22 +262,13 @@ def _search(box: SearchBox, sense: str) -> Generator[list[Point], list[Result], 
     if sense not in (MIN, MAX):
         raise ValueError(f"sense must be {MIN!r} or {MAX!r}, got {sense!r}")
     sign = 1.0 if sense == MIN else -1.0
-    lows = [iv.lo for iv in box.bounds]
-    widths = [iv.width for iv in box.bounds]
-    active = [i for i, w in enumerate(widths) if w > 0.0]
-    if not active:
-        point = tuple(lows)
-        (result,) = yield [point]
-        return OptResult(point, _finite(point, result), True, 1)
-
-    def to_box(unit_point: Point) -> Point:
-        full = list(lows)
-        for axis, u in zip(active, unit_point):
-            full[axis] = lows[axis] + u * widths[axis]
-        return tuple(full)
-
+    lows = tuple(iv.lo for iv in box.bounds)
+    axes = [(axis, iv.lo, iv.width) for axis, iv in enumerate(box.bounds) if iv.width > 0.0]
+    if not axes:
+        (result,) = yield [lows]
+        return OptResult(lows, _finite(lows, result), True, 1)
     point, f_best, converged, evals = yield from _direct_minimize(
-        len(active), box.settings.budget, box.settings.tol, to_box, sign
+        axes, lows, box.settings.budget, box.settings.tol, sign
     )
     return OptResult(point, sign * f_best, converged, evals)
 

@@ -21,6 +21,7 @@ and maxima the lower bound, which keeps lower <= upper everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -28,7 +29,7 @@ from typing import Callable, Mapping
 from . import _pcg
 from ._lazy import np
 from .distributions import DistributionSpec
-from .errors import HyperrectangleCapExceeded, ModelEvaluationError
+from .errors import HyperrectangleCapExceeded, ModelEvaluationError, NonMonotoneModel
 from .interval import Interval
 from .minimal_data import MinimalData
 from .optimize import MAX, MIN, WINDOW, OptimizerSettings, SearchBox, _search, _vertices, optimize_boxes
@@ -197,9 +198,10 @@ def _optimize_rects(
         evals += len(new)
         return [[cache[point] for point in points] for cache, points in rounds]
 
+    shared: dict = {}  # the one cache of every vertex search
+
     def searches():
         # Made as the window reaches them, so only the boxes in the window hold a cache.
-        shared: dict = {}
         for box in boxes:
             if monotone:
                 yield shared, _vertices(box)
@@ -210,6 +212,7 @@ def _optimize_rects(
 
     results = optimize_boxes(searches(), evaluate, 1 if prefetch is None else WINDOW)
     if monotone:
+        _check_monotone(shared, names, sliced)
         found = {box.bounds: (lo, hi, 0) for box, (lo, hi) in zip(boxes, results)}
     else:
         found = {
@@ -223,6 +226,41 @@ def _optimize_rects(
         triples.append((lo, hi, mass))
         bad += unconverged
     return triples, evals, bad
+
+
+def _check_monotone(cache: dict, names: list[str], sliced: list[DiscretizedPBox]) -> None:
+    """Raise ``NonMonotoneModel`` if the values on the grid of slice ends
+    both rise and fall between neighbours along one axis.
+
+    Each grid point is a vertex of some box, so the vertex searches' cache
+    holds them all, and the check costs no model call.  A difference with
+    a vertex where the model diverged (an infinite end) says nothing.
+    Passing is necessary for a monotone model, not sufficient: a model that
+    turns between grid points passes.  Plain Python, so that a draw that
+    has not yet loaded numpy does not load it here.
+    """
+    ends = [sorted({x for element in pbox for x in (element.interval.lo, element.interval.hi)}) for pbox in sliced]
+    grid = list(itertools.product(*ends))
+    values = [None if isinstance(cache[point], Exception) else cache[point] for point in grid]
+    stride = len(grid)
+    for name, along in zip(names, ends):
+        stride //= len(along)  # grid[k + stride] is grid[k]'s next neighbour along ``name``
+        span = stride * len(along)
+        starts = [k for block in range(0, len(grid), span) for k in range(block, block + span - stride)]
+        # Each step's direction: True if it rises, False if it falls, None if it says nothing.
+        rises = [
+            None if a is None or b is None or a == b else b > a
+            for a, b in ((values[k], values[k + stride]) for k in starts)
+        ]
+        if True in rises and False in rises:
+            rising, falling = (dict(zip(names, grid[starts[rises.index(kind)]])) for kind in (True, False))
+            raise NonMonotoneModel(
+                f"model declared monotone is not monotone in {name!r}: on the grid of slice ends it rises "
+                f"from {rising} and falls from {falling}, each to the next grid point along {name!r}",
+                axis=name,
+                rising=rising,
+                falling=falling,
+            )
 
 
 def propagate_pboxes(

@@ -155,6 +155,24 @@ def test_box_search_cap_checked_at_load(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_false_monotone_declaration_gives_an_error_record(tmp_path, capsys, monkeypatch):
+    """A registered model marked monotone that is not fails the bundled
+    case-1 run with the usual error record, typed ``NonMonotoneModel``."""
+
+    @models.monotone
+    def model(p):
+        return 1e3 * (p["c1"] - 0.05) ** 2 + p["c6"]
+
+    names = models.REGISTRY["four_state_life_expectancy"].param_names
+    monkeypatch.setitem(models.REGISTRY, "four_state_life_expectancy", RegisteredModel(model, names))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_case1_without_baseline(n=5)))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "NonMonotoneModel" and "'c1'" in record["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 _GAMMA_C2 = {"family": "gamma", "mean": 0.01, "std": 0.001}
 
 
@@ -693,8 +711,9 @@ def test_bundled_cea_result_pinned(tmp_path):
 def test_prefetch_only_speeds_up(tmp_path):
     """The bundled CEA run at two samples, once with the model's ``prefetch``
     taken away and once as shipped, gives the same summary, curve bytes and
-    model evaluations.  The round table is emptied before each run, so the
-    shipped run computes its rounds as stacks."""
+    model evaluations.  The model's round table is emptied before each run,
+    so the plain run computes each point alone and the shipped run computes
+    its rounds as stacks."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     fn = config.model.fn
     announced = []
@@ -710,7 +729,7 @@ def test_prefetch_only_speeds_up(tmp_path):
     assert not hasattr(plain, "prefetch")
     results = []
     for model in (plain, shipped):
-        models._DEMO_SPEC._round.clear()
+        models.demo_cea_inmb.prefetch.__self__.clear()
         out = tmp_path / str(len(results))
         summary = run_analysis(dataclasses.replace(config, model=RegisteredModel(model, config.model.param_names)), out)
         for key in ("runtime_seconds", "outputs", "summary_path"):
@@ -722,63 +741,64 @@ def test_prefetch_only_speeds_up(tmp_path):
 
 
 
+def _stack_sizes(monkeypatch) -> list:
+    """The number of points of each transition stack built from here on."""
+    sizes = []
+    build = models._transition_stack
+    monkeypatch.setattr(models, "_transition_stack", lambda spec, points: sizes.append(len(points)) or build(spec, points))
+    return sizes
+
+
 def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     """Every point of the bundled CEA run, each search's first centre too,
-    reaches the model in a combined round, so no matrix is evaluated alone.
-    The number of matrices evaluated is pinned: each round's distinct arms
-    are evaluated once, and nothing is carried over from the round before,
-    so the comparator arms that a round repeats are computed again."""
+    reaches the model in a combined round, so no matrix is evaluated alone:
+    each transition stack is a round's.  The number of matrices evaluated is
+    pinned: each round's distinct arms are evaluated once, and nothing is
+    carried over from the round before, so the comparator arms that a round
+    repeats are computed again."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
-    sizes = []
-    traces = models._traces
-    monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
-    models._DEMO_SPEC._round.clear()
+    sizes = _stack_sizes(monkeypatch)
+    models.demo_cea_inmb.prefetch.__self__.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
     assert sizes and min(sizes) > 1
     assert sum(sizes) == 12661
 
 
-def test_bundled_cea_run_builds_no_stack_larger_than_a_slice(tmp_path, monkeypatch):
-    """The bundled CEA run at two samples builds its matrices one slice at
-    a time: no stack handed to ``_transition_stack`` holds more points than
-    ``_slice_size`` allows."""
+def test_bundled_cea_run_traces_no_slice_larger_than_the_cap(tmp_path, monkeypatch):
+    """The bundled CEA run at two samples traces each round's transition
+    stack one slice at a time: no stack handed to ``_traces`` holds more
+    matrices than ``_slice_size`` allows, though a round's stack does."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
+    rounds = _stack_sizes(monkeypatch)
     sizes = []
-    build = models._transition_stack
-
-    def counted(spec, points):
-        sizes.append(len(points))
-        return build(spec, points)
-
-    monkeypatch.setattr(models, "_transition_stack", counted)
-    models._DEMO_SPEC._round.clear()
+    traces = models._traces
+    monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
+    models.demo_cea_inmb.prefetch.__self__.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
-    assert sizes and max(sizes) <= models._slice_size(models._DEMO_SPEC) == 64
+    assert sizes and max(sizes) <= models._slice_size(models._DEMO_SPEC) == 64 < max(rounds)
+    assert sum(sizes) == sum(rounds)
 
 
 def test_bundled_cea_table_holds_the_last_round(tmp_path, monkeypatch):
-    """After the bundled CEA run at two samples, the demo spec's table holds
-    one entry per distinct arm of the last round handed to ``prefetch``, and
-    calls made without a ``prefetch`` leave its size as it is."""
+    """After the bundled CEA run at two samples, the INMB model's table holds
+    one entry per distinct point of the last round handed to its
+    ``prefetch``, and calls made without a ``prefetch`` leave it as it is."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
-    spec, rounds = models._DEMO_SPEC, []
-    prefetch = models.CohortCeaSpec.prefetch
+    table, rounds = models.demo_cea_inmb.prefetch.__self__, []
 
-    def recorded(self, points):
-        points = list(points)
-        if self is spec:
-            rounds.append(points)
-        prefetch(self, points)
+    def recorded(points):
+        rounds.append(list(points))
+        table.fill(rounds[-1])
 
-    monkeypatch.setattr(models.CohortCeaSpec, "prefetch", recorded)
-    spec._round.clear()
+    monkeypatch.setattr(models.demo_cea_inmb, "prefetch", recorded)
+    table.clear()
     run_analysis(config, tmp_path)
-    size = len({spec._key(arm) for arm in rounds[-1]})
-    assert size > 1 and len(spec._round) == size
+    keys = {table.key(point) for point in rounds[-1]}
+    assert len(keys) > 1 and set(table) == keys
     rng = np.random.default_rng(20261019)
     for _ in range(1000):
         models.demo_cea_inmb({**rounds[-1][0], "rr": float(rng.uniform(0.5, 1.0))})
-    assert len(spec._round) == size
+    assert set(table) == keys
 
 
 def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
@@ -789,7 +809,7 @@ def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
     results = []
     for most in (1, 7, models._SLICE_MATRICES):
         monkeypatch.setattr(models, "_SLICE_MATRICES", most)
-        models._DEMO_SPEC._round.clear()
+        models.demo_cea_inmb.prefetch.__self__.clear()
         out = tmp_path / str(most)
         summary = run_analysis(config, out)
         for key in ("runtime_seconds", "outputs", "summary_path"):
@@ -814,19 +834,18 @@ def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
         cycle_length_years=1.0 / 12.0,
     )
     document["parameters"]["fixed"] = {"p": 0.01}
-    model = AnalysisConfig.from_dict(document).model.fn
-    spec = model.prefetch.__self__
-    sizes = []
+    model, alone = (AnalysisConfig.from_dict(document).model.fn for _ in range(2))
+    table = model.prefetch.__self__
+    sizes, specs = [], []
     traces = models._traces
-    monkeypatch.setattr(models, "_traces", lambda s, stack: sizes.append(len(stack)) or traces(s, stack))
+    monkeypatch.setattr(
+        models, "_traces", lambda s, stack: specs.append(s) or sizes.append(len(stack)) or traces(s, stack)
+    )
     points = [{"p": 0.001 * k, "p_die": 0.01 + 0.0005 * k} for k in range(40)]
     model.prefetch(points)
-    assert models._slice_size(spec) == 9 and 9 * 8 * 12 * (12 + 1200 + 1) <= models._SLICE_BYTES
+    assert models._slice_size(specs[0]) == 9 and 9 * 8 * 12 * (12 + 1200 + 1) <= models._SLICE_BYTES
     assert sizes == [8] * 5  # 40 points in the fewest slices of at most 9, evened out
-    assert all(
-        spec._round[spec._key(p)] == models.discounted_outcomes(models.cohort_trace(spec, p), spec)
-        for p in points
-    )
+    assert all(table[table.key(p)] == alone(p) for p in points)  # each of ``alone``'s calls is a stack of one
 
 
 def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
@@ -837,10 +856,8 @@ def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     del parameters["precise"]["p_minor"]
     parameters["boxed"]["p_minor"] = {"min": 0.01, "max": 0.03, "mean": 0.02}
     config = AnalysisConfig.from_dict(dict(raw, n=3, samples=1))
-    sizes = []
-    traces = models._traces
-    monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
-    models._DEMO_SPEC._round.clear()
+    sizes = _stack_sizes(monkeypatch)
+    models.demo_cea_inmb.prefetch.__self__.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 12391
     assert sizes and min(sizes) > 1
 

@@ -11,7 +11,9 @@ from pba.interval import Interval
 from pba.models import (
     DEMO_TRANSITIONS,
     REGISTRY,
+    WTP_PER_QALY,
     CohortCeaSpec,
+    cea_model,
     FourStateRates,
     cohort_trace,
     compile_transitions,
@@ -387,7 +389,7 @@ def test_discount_monotone():
 
 def test_stacked_discounting_matches_one_dot_per_trace():
     # The totals of a stack are bit for bit the per-trace ``discount @ c``.
-    from pba.models import _discounted
+    from pba.models import _totals
 
     spec = demo_cea_spec()
     rng = np.random.default_rng(17)
@@ -397,7 +399,8 @@ def test_stacked_discounting_matches_one_dot_per_trace():
         costs = occupancy @ spec._costs * spec.cycle_length_years
         qalys = occupancy @ spec._utilities * spec.cycle_length_years
         expected = [(float(spec._discount @ c), float(spec._discount @ q)) for c, q in zip(costs, qalys)]
-        assert _discounted(spec, traces) == expected
+        costs, qalys = _totals(spec, traces)
+        assert list(zip(costs.tolist(), qalys.tolist())) == expected
 
 
 def test_zero_utilities_zero_qaly():
@@ -753,11 +756,26 @@ def _outcome_or_error(spec, params):
         return str(exc), exc.cycle, exc.state
 
 
+def _outcome_models(spec):
+    """The spec's cost and QALY models (``cea_model``), each with its own round table."""
+    return cea_model(spec, "cost", 0.0), cea_model(spec, "qaly", 0.0)
+
+
+def _pair_or_error(models, params):
+    """(cost, QALY) from the two ``_outcome_models`` at ``params``, or the
+    RowSumViolation (message, cycle, state) that both raise."""
+    cost, qaly = (_value_or_error(model, params) for model in models)
+    if isinstance(cost, tuple):
+        assert qaly == cost
+        return cost
+    return cost, qaly
+
+
 def test_prefetch_then_call_matches_call_alone():
     """On 1,500 random tables of 2-6 states, a point evaluated in a stack by
-    ``prefetch`` and then called gives the value, or the RowSumViolation
-    (message, cycle, state), of the call alone; a prefetched point, failing
-    or not, is not built again when it is called."""
+    a cohort model's ``prefetch`` and then called gives the value, or the
+    RowSumViolation (message, cycle, state), of the spec's outcomes alone; a
+    prefetched point, failing or not, is not built again when it is called."""
     rng = np.random.default_rng(20261019)
     kinds = set()
     for n in range(2, 7):
@@ -769,20 +787,120 @@ def test_prefetch_then_call_matches_call_alone():
             return tables[params["k"]]
 
         alone = CohortCeaSpec(transition_builder=lambda params, tables=tables: tables[params["k"]], **fields)
-        stacked = CohortCeaSpec(transition_builder=builder, **fields)
+        stacked = _outcome_models(CohortCeaSpec(transition_builder=builder, **fields))
         expected = [_outcome_or_error(alone, {"k": k}) for k in range(len(tables))]
         k = 0
         while k < len(tables):
             chunk = range(k, min(k + int(rng.integers(1, 21)), len(tables)))
-            stacked.prefetch([{"k": i} for i in chunk])
+            for model in stacked:
+                model.prefetch([{"k": i} for i in chunk])
             for i in chunk:
                 del built[:]
-                got = _outcome_or_error(stacked, {"k": i})
+                got = _pair_or_error(stacked, {"k": i})
                 assert got == expected[i], (n, i)
                 assert built == []
                 kinds.add(got[0].split(" ")[0] if isinstance(got[0], str) else "value")
             k = chunk.stop
     assert kinds == {"value", "row", "absorbing", "occupancy"}
+
+
+def _value_or_error(model, params):
+    try:
+        return model(params)
+    except RowSumViolation as exc:
+        return str(exc), exc.cycle, exc.state
+
+
+def _mixed_demo_round(rng) -> list[dict]:
+    """Demo points of one round, some repeated: good ones; ones whose device
+    arm fails (its well row sums above 1); ones where only the comparator arm
+    fails (rr = 1 lifts the well row above 1); and ones where both fail,
+    the device arm on a NaN, so that the two errors differ."""
+    good = [
+        {
+            **DEMO_PARAMS,
+            "p_serious": float(rng.uniform(0.001, 0.02)),
+            "rr": float(rng.uniform(0.45, 1.05)),
+            "device_cost": float(rng.uniform(500.0, 3000.0)),
+        }
+        for _ in range(60)
+    ]
+    device_fails = [{**point, "rr": 200.0} for point in good[:4]]
+    comparator_fails = [{**point, "p_minor": 0.7, "p_serious": 0.4, "rr": 0.5} for point in good[4:8]]
+    both_fail = [{**point, "rr": math.nan} for point in comparator_fails[:2]]
+    # Points that share a comparator arm: the same inputs but rr and the device cost.
+    shared = [{**good[0], "rr": rr, "device_cost": 900.0 + rr} for rr in (0.6, 0.8, 1.0)]
+    points = good + device_fails + comparator_fails + both_fail + shared + good[::7]
+    return [points[i] for i in rng.permutation(len(points))]
+
+
+def _demo_reference(params, outcome):
+    """A demo model's value at ``params`` from per-point spec outcomes, or its error."""
+    spec = demo_cea_spec()
+    try:
+        cost, qaly = spec.outcomes(params)
+        if outcome == "inmb":
+            cost_b, qaly_b = spec.outcomes({**params, "rr": 1.0})
+            return inmb(cost + params["device_cost"], qaly, cost_b, qaly_b, WTP_PER_QALY)
+    except RowSumViolation as exc:
+        return str(exc), exc.cycle, exc.state
+    return {
+        "nmb": WTP_PER_QALY * qaly - (cost + params["device_cost"]),
+        "cost": cost,
+        "qaly": qaly,
+        "cea-nmb": 12_345.0 * qaly - cost,
+    }[outcome]
+
+
+@pytest.mark.parametrize("outcome", ["inmb", "nmb", "cost", "qaly", "cea-nmb"])
+def test_round_values_equal_per_point_calls(outcome):
+    """A cohort model's round table holds, bit for bit, the value of each
+    point that the model called point by point without ``prefetch`` gives,
+    and the per-point spec outcomes combined as the model's formula (for the
+    INMB, ``inmb``'s) combines them; each failing point holds the same
+    ``RowSumViolation`` (message, cycle, state), the device arm's first."""
+    if outcome in ("inmb", "nmb"):
+        model = demo_cea_inmb if outcome == "inmb" else demo_cea_nmb
+    else:
+        model = cea_model(demo_cea_spec(), outcome.removeprefix("cea-"), 12_345.0)
+    table = model.prefetch.__self__
+    points = _mixed_demo_round(np.random.default_rng(20261020))
+    expected = [_demo_reference(p, outcome) for p in points]
+    kinds = {type(e) for e in expected}
+    assert kinds == {float, tuple}
+
+    table.clear()
+    assert [_value_or_error(model, p) for p in points] == expected
+    assert len(table) == 0  # each call was computed alone
+
+    model.prefetch(points)
+    assert len(table) == len({table.key(p) for p in points}) < len(points)
+    stored = [table[table.key(p)] for p in points]
+    assert [s if isinstance(s, float) else (str(s), s.cycle, s.state) for s in stored] == expected
+    assert [_value_or_error(model, p) for p in points] == expected
+    if outcome == "inmb":
+        messages = {e[0] for e in expected if isinstance(e, tuple)}
+        assert any("nan" in m for m in messages) and any("nan" not in m for m in messages)
+
+
+@pytest.mark.parametrize("model", [demo_cea_inmb, demo_cea_nmb], ids=["inmb", "nmb"])
+def test_demo_point_without_device_cost_raises_its_arm_error_first(model):
+    """A demo point that lacks ``device_cost`` raises its failing arm's
+    ``RowSumViolation``, as the per-point formula does, and ``KeyError``
+    only when its arms pass; the same with or without a round in the table."""
+    points = _mixed_demo_round(np.random.default_rng(20261020))
+    for prefetch in (False, True):
+        model.prefetch.__self__.clear()
+        if prefetch:
+            model.prefetch(points)
+        for params in points:
+            lacking = {k: v for k, v in params.items() if k != "device_cost"}
+            expected = _demo_reference({**params, "device_cost": 0.0}, model.__name__.removeprefix("demo_cea_"))
+            if isinstance(expected, tuple):
+                assert _value_or_error(model, lacking) == expected
+            else:
+                with pytest.raises(KeyError, match="device_cost"):
+                    model(lacking)
 
 
 def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
@@ -794,15 +912,19 @@ def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
         {**DEMO_PARAMS, "p_serious": float(rng.uniform(0.001, 0.02)), "rr": float(rng.uniform(0.45, 1.05))}
         for _ in range(50)
     ]
-    sliced, alone = demo_cea_spec(), demo_cea_spec()
-    sliced.prefetch(points)
-    assert len(sliced._round) == 50
-    assert [sliced._round[sliced._key(p)] for p in points] == [alone.outcomes(p) for p in points]
+    alone = demo_cea_spec()
+    tables = []
+    for model in _outcome_models(demo_cea_spec()):
+        model.prefetch(points)
+        tables.append(model.prefetch.__self__)
+    assert [len(table) for table in tables] == [50, 50]
+    assert [tuple(table[table.key(p)] for table in tables) for p in points] == [alone.outcomes(p) for p in points]
 
 
-def _counted_spec(count):
-    """A random 3-state spec over ``count`` tables, and the list of the
-    table indices its builder is asked for."""
+def _counted_model(count):
+    """The cost model (``cea_model``) of a random 3-state spec over
+    ``count`` tables, and the list of the table indices its builder is
+    asked for."""
     fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, count)
     built = []
 
@@ -810,18 +932,19 @@ def _counted_spec(count):
         built.append(params["k"])
         return tables[params["k"]]
 
-    return CohortCeaSpec(transition_builder=builder, **fields), built
+    return cea_model(CohortCeaSpec(transition_builder=builder, **fields), "cost", 0.0), built
 
 
 def test_prefetch_table_holds_exactly_its_round():
     """After ``prefetch``, the table's keys are the round's distinct keys,
     however many times a point is repeated, and whatever the round before
     held."""
-    spec, _ = _counted_spec(30)
-    assert spec._round == {}
+    model, _ = _counted_model(30)
+    table = model.prefetch.__self__
+    assert table == {}
     for ks in ((0, 1, 2, 1, 0), tuple(range(3, 25)), (7, 24, 25, 7), (29,)):
-        spec.prefetch([{"k": k} for k in ks])
-        assert set(spec._round) == {spec._key({"k": k}) for k in ks}
+        model.prefetch([{"k": k} for k in ks])
+        assert set(table) == {table.key({"k": k}) for k in ks}
 
 
 def test_prefetch_round_is_the_same_whatever_came_before():
@@ -829,39 +952,39 @@ def test_prefetch_round_is_the_same_whatever_came_before():
     not another round came before it: a point the round before held is
     built again, once, and read back without building."""
     points = [{"k": k} for k in (0, 1, 2, 1, *range(8, 13))]
-    fresh, fresh_built = _counted_spec(20)
+    fresh, fresh_built = _counted_model(20)
     fresh.prefetch(points)
     assert fresh_built == [0, 1, 2, *range(8, 13)]
-    expected = [_outcome_or_error(fresh, p) for p in points]
+    expected = [_value_or_error(fresh, p) for p in points]
     for before in ([{"k": k} for k in range(8)], [{"k": 19}], points):
-        spec, built = _counted_spec(20)
-        spec.prefetch(before)
+        model, built = _counted_model(20)
+        model.prefetch(before)
         del built[:]
-        spec.prefetch(points)
+        model.prefetch(points)
         assert built == fresh_built
-        assert set(spec._round) == set(fresh._round)
-        assert [_outcome_or_error(spec, p) for p in points] == expected
+        assert set(model.prefetch.__self__) == set(fresh.prefetch.__self__)
+        assert [_value_or_error(model, p) for p in points] == expected
         assert built == fresh_built
 
 
 def test_call_outside_the_table_is_evaluated_alone_and_stored_nowhere():
     """A call on a point the table lacks builds its matrix alone and leaves
-    the table as it was; a spec never prefetched keeps no table at all."""
-    spec, built = _counted_spec(20)
-    fresh, _ = _counted_spec(20)
-    spec.prefetch([{"k": k} for k in range(5)])
-    table = dict(spec._round)
+    the table as it was; a model never prefetched keeps no table at all."""
+    model, built = _counted_model(20)
+    fresh, _ = _counted_model(20)
+    model.prefetch([{"k": k} for k in range(5)])
+    table = dict(model.prefetch.__self__)
     for k in (12, 12, 17):
         del built[:]
-        assert _outcome_or_error(spec, {"k": k}) == _outcome_or_error(fresh, {"k": k})
+        assert _value_or_error(model, {"k": k}) == _value_or_error(fresh, {"k": k})
         assert built == [k]
-        assert spec._round == table
-    assert fresh._round == {}
+        assert model.prefetch.__self__ == table
+    assert fresh.prefetch.__self__ == {}
 
 
-def _outcome_or_raised(spec, params):
+def _value_or_raised(model, params):
     try:
-        return spec.outcomes(params)
+        return model(params)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "cycle", None), getattr(exc, "state", None)
 
@@ -869,14 +992,14 @@ def _outcome_or_raised(spec, params):
 def test_prefetch_raises_nothing_and_leaves_errors_to_the_calls():
     """``prefetch`` raises nothing for a batch with a point that lacks an
     input, or one whose matrix the builder cannot build; each call after it
-    gives the value, or the error, of a fresh spec's call."""
+    gives the value, or the error, of a fresh model's call."""
     lacking = {k: v for k, v in DEMO_PARAMS.items() if k != "rr"}
     demo_points = [{**DEMO_PARAMS, "rr": rr} for rr in (0.5, 0.75, 200.0)] + [lacking]
-    spec = demo_cea_spec()
-    spec.prefetch(demo_points)
-    got = [_outcome_or_raised(spec, p) for p in demo_points]
-    assert got == [_outcome_or_raised(demo_cea_spec(), p) for p in demo_points]
-    assert [g[0] if isinstance(g[0], type) else float for g in got] == [float, float, RowSumViolation, KeyError]
+    model = cea_model(demo_cea_spec(), "cost", 0.0)
+    model.prefetch(demo_points)
+    got = [_value_or_raised(model, p) for p in demo_points]
+    assert got == [_value_or_raised(cea_model(demo_cea_spec(), "cost", 0.0), p) for p in demo_points]
+    assert [g[0] if isinstance(g, tuple) else float for g in got] == [float, float, RowSumViolation, KeyError]
 
     fields, tables = _random_cohort_tables(np.random.default_rng(20261019), 3, 40)
 
@@ -886,12 +1009,14 @@ def test_prefetch_raises_nothing_and_leaves_errors_to_the_calls():
         return tables[params["k"]]
 
     points = [{"k": k} for k in range(len(tables))]
-    prefetched = CohortCeaSpec(transition_builder=builder, **fields)
+    prefetched = cea_model(CohortCeaSpec(transition_builder=builder, **fields), "cost", 0.0)
     prefetched.prefetch(points)
-    got = [_outcome_or_raised(prefetched, p) for p in points]
-    assert got == [_outcome_or_raised(CohortCeaSpec(transition_builder=builder, **fields), p) for p in points]
+    got = [_value_or_raised(prefetched, p) for p in points]
+    fresh = cea_model(CohortCeaSpec(transition_builder=builder, **fields), "cost", 0.0)
+    assert got == [_value_or_raised(fresh, p) for p in points]
     assert got[7] == (ValueError, "no matrix at k=7", None, None)
-    assert {g[0] for g in got} >= {RowSumViolation, ValueError} and any(isinstance(g[0], float) for g in got)
+    assert {g[0] for g in got if isinstance(g, tuple)} >= {RowSumViolation, ValueError}
+    assert any(isinstance(g, float) for g in got)
 
 
 def test_remembered_error_keeps_a_short_traceback():
@@ -908,11 +1033,12 @@ def test_remembered_error_keeps_a_short_traceback():
         discount_rate_annual=0.0,
         initial=(1.0, 0.0),
     )
-    spec.prefetch([{}])
+    model = cea_model(spec, "cost", 0.0)
+    model.prefetch([{}])
     raised = []
     for _ in range(5):
         with pytest.raises(RowSumViolation) as err:
-            spec.outcomes({})
+            model({})
         raised.append(err.value)
     assert all(exc is raised[0] for exc in raised)
     assert len(traceback.extract_tb(raised[0].__traceback__)) <= 2

@@ -10,7 +10,7 @@ import pba.propagate as propagate
 from conftest import assert_within_envelope
 from pba.decision import expected_interval
 from pba.distributions import DistributionSpec
-from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError, SingularSystem
+from pba.errors import HyperrectangleCapExceeded, ModelEvaluationError, NonMonotoneModel, SingularSystem
 from pba.minimal_data import min_max, min_max_mean, min_max_mean_std, min_max_median
 from pba.models import REGISTRY, monotone
 from pba.pbox import build_pbox
@@ -605,3 +605,55 @@ def test_signed_divergence_fails_a_search_and_bounds_a_vertex(marked, batched):
     out = propagate_pboxes(monotone(model), params, n=2, opt=FAST_OPT)
     assert out.extrema == ((1.0, math.inf, 0.25),) * 4
     assert out.unbounded_boxes == 4 and out.model_evaluations == 4
+
+
+_CASE1 = ParameterSet(
+    fixed={"c2": 0.01, "c3": 0.001, "c4": 0.1, "c5": 0.05},
+    boxed={"c1": min_max_mean_std(0.0, 10.0, 0.05, 0.00033), "c6": min_max_mean_std(0.5, 2.0, 1.0, 0.0167)},
+)
+
+
+@pytest.mark.parametrize("n", [10, 50])
+def test_monotone_declaration_holds_for_the_four_state_model(n):
+    """The four-state model passes the check on its grid of slice ends, at
+    no model call beyond the vertices: (2n)**2 of them."""
+    out = propagate_pboxes(REGISTRY["four_state_life_expectancy"].fn, _CASE1, n=n)
+    assert out.model_evaluations == (2 * n) ** 2
+
+
+@pytest.mark.parametrize("n", [10, 50])
+def test_false_monotone_declaration_is_caught_on_the_vertex_grid(n):
+    """1e3 (c1 - 0.05)**2 + 1/c6 falls and then rises in c1: marked
+    monotone, it fails with ``NonMonotoneModel`` naming c1 and a grid point
+    of each direction, after the vertex calls alone."""
+    calls = []
+
+    @monotone
+    def model(p):
+        calls.append(p)
+        return 1e3 * (p["c1"] - 0.05) ** 2 + 1.0 / p["c6"]
+
+    with pytest.raises(NonMonotoneModel) as err:
+        propagate_pboxes(model, _CASE1, n=n)
+    assert len(calls) == (2 * n) ** 2
+    assert err.value.axis == "c1" and "'c1'" in str(err.value)
+    rising, falling = err.value.rising, err.value.falling
+    assert set(rising) == set(falling) == {"c1", "c6"}
+    assert falling["c1"] < 0.05 < rising["c1"]  # the minimum lies between them
+    assert model(rising) < model({**rising, "c1": 10.0}) and model(falling) > model({**falling, "c1": 0.05})
+
+
+def test_divergent_vertex_says_nothing_to_the_monotone_check():
+    """A model that falls in x, and diverges downwards near x = 0
+    (``SingularSystem`` with direction -1), passes: a difference with a
+    divergent vertex is neither a rise nor a fall."""
+
+    @monotone
+    def model(p):
+        if p["x"] < 0.1:
+            raise SingularSystem("no absorption path", direction=-1)
+        return -p["x"] - p["y"]
+
+    params = ParameterSet(boxed={"x": min_max_mean(0.0, 1.0, 0.3), "y": min_max_mean(0.0, 1.0, 0.6)})
+    out = propagate_pboxes(model, params, n=3, opt=FAST_OPT)
+    assert out.unbounded_boxes > 0
