@@ -24,8 +24,6 @@ WTP_PER_QALY = 30_000.0  # willingness-to-pay threshold, money per QALY
 ANNUAL_DISCOUNT_RATE = 0.035
 
 _ROW_TOL = 1e-10
-_SLICE_MATRICES = 64  # at most this many matrices go through the kernel as one stack,
-_SLICE_BYTES = 1 << 20  # and their trace buffer takes at most this many bytes
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +114,24 @@ class CohortCeaSpec:
     """A cohort Markov model with per-state annual reward rates.
 
     ``transition_builder`` maps named parameters to a (states x states)
-    row-stochastic matrix.  Costs and utilities are annual rates weighted by
-    state occupancy; rewards accrue at cycle starts with no half-cycle
-    correction, discounted by (1 + annual rate)**(-t * cycle_length).
+    row-stochastic matrix; one with a ``stack`` attribute (as
+    ``compile_transitions`` makes) maps a sequence of B parameter mappings
+    to a (B x states x states) array at once.  Costs and utilities are
+    annual rates weighted by state occupancy; rewards accrue at cycle starts
+    with no half-cycle correction, discounted by (1 + annual
+    rate)**(-t * cycle_length).
 
-    The arrays every evaluation needs (costs, utilities, initial
-    distribution, discount factors and the entry bounds of the matrix
-    check) are built once per spec; ``dataclasses.replace`` makes a new spec and
-    so builds them afresh.  A spec keeps no table of outcomes:
-    ``outcomes`` evaluates its point alone, and a model of one value per
-    point (``cea_model``, ``demo_cea_nmb``, ``demo_cea_inmb``) keeps its own
-    table of its values (``_cohort_model``).  Both compute through
-    ``_evaluate``, which builds and checks a round's transition stack at
-    once and traces it a slice at a time.
-
-    A ``transition_builder`` with a ``stack`` attribute (as
-    ``compile_transitions`` makes) builds many matrices at once:
-    ``stack(points)`` gives the (B x states x states) array for a sequence of
-    B parameter mappings.
+    The arrays every evaluation needs are built once per spec, on first
+    use.  A spec keeps no table of outcomes: ``outcomes`` evaluates its
+    point alone, and a model of one value per point (``cea_model``,
+    ``demo_cea_nmb``, ``demo_cea_inmb``) keeps its own (``_cohort_model``).
+    Both compute through ``_evaluate``, which builds and checks a round's
+    transition stack at once and takes its totals by doubling, discounting
+    cycle t by gamma**t, gamma = (1 + annual rate)**(-cycle_length): within
+    about 1e-14 relative of the per-cycle discounting of
+    ``discounted_outcomes``.  With no per-cycle mass, a matrix is traced for
+    drift, alone, only if its row sums and the initial mass do not bound
+    every cycle's mass within half the tolerance (``_matrix_faults``).
     """
 
     states: tuple[str, ...]
@@ -165,9 +163,6 @@ class CohortCeaSpec:
             raise ValueError(f"initial distribution entries must be non-negative, got {self.initial}")
         if not abs(math.fsum(self.initial) - 1.0) <= _ROW_TOL:
             raise ValueError("initial distribution must sum to 1")
-
-    # Built on first use, once per spec: a run that never evaluates the
-    # spec (the bundled demo spec is made at import) pays nothing for them.
 
     @cached_property
     def _costs(self) -> np.ndarray:
@@ -219,33 +214,22 @@ class CohortCeaSpec:
         """(costs, QALYs, faults) of the ``points``: the discounted total
         cost and QALY of each, and the ``RowSumViolation`` of each that
         fails, by index; a failing point's cost and QALY mean nothing.
-
         The round's transition stack is built once, raising as the builder
-        does, and checked once.  Its traces are taken in as few slices of at
-        most ``_slice_size`` matrices as there can be, their lengths within
-        one of each other, so the trace buffer stays within ``_SLICE_BYTES``.
-        """
+        does, and checked once; a matrix that passes but fails its drift
+        bound is traced alone, so a drift is named at ``cohort_trace``'s cycle."""
         stack = _transition_stack(self, points)
-        faults = _matrix_faults(self, stack)
+        faults, unbounded = _matrix_faults(self, stack)
+        for b in unbounded:
+            faults.update((b, drift) for drift in _traces(self, stack[b : b + 1])[1].values())
         if faults:
             stack = stack.copy()  # the builder's array is left as it made it
-            stack[list(faults)] = np.eye(len(self.states))  # a failing matrix's unused trace stays finite
-        costs, qalys = np.empty(len(points)), np.empty(len(points))
-        slices = -(-len(points) // _slice_size(self))
-        for i in range(slices):
-            part = slice(len(points) * i // slices, len(points) * (i + 1) // slices)
-            traces, drifts = _traces(self, stack[part])
-            costs[part], qalys[part] = _totals(self, traces)
-            for b, fault in drifts.items():
-                faults.setdefault(part.start + b, fault)
-        return costs, qalys, faults
+            stack[list(faults)] = np.eye(len(self.states))  # a failing matrix's unused totals stay finite
+        return (*_doubled_totals(self, stack), faults)
 
     def outcomes(self, params: Mapping[str, float]) -> tuple[float, float]:
-        """Discounted (total cost, total QALY) at ``params``, evaluated alone.
-
-        The same as ``discounted_outcomes(cohort_trace(self, params), self)``,
-        and raises as that does.
-        """
+        """Discounted (total cost, total QALY) at ``params``, evaluated alone:
+        within about 1e-14 relative of ``discounted_outcomes(cohort_trace(self,
+        params), self)``, and raising as that does."""
         costs, qalys, faults = self._evaluate([params])
         if faults:
             raise faults[0]
@@ -343,16 +327,6 @@ def cea_model(spec: CohortCeaSpec, outcome: str, wtp: float):
     return model
 
 
-def _slice_size(spec: CohortCeaSpec) -> int:
-    """Points per slice, one matrix each: as many as fit ``_SLICE_BYTES``
-    of trace buffer, 8 * n * (n + horizon + 1) bytes each, but at most
-    ``_SLICE_MATRICES`` and at least one.  The product of a doubling step is
-    no bigger, so a slice's working set stays in cache: 64 matrices for the
-    demo spec, 9 for 12 states and 1,200 cycles."""
-    n = len(spec.states)
-    return max(1, min(_SLICE_MATRICES, _SLICE_BYTES // (8 * n * (n + spec.horizon_cycles + 1))))
-
-
 def _transition_stack(spec: CohortCeaSpec, points: Sequence[Mapping[str, float]]) -> np.ndarray:
     """The spec's transition matrices at ``points`` as a (B x n x n) float array."""
     builder = spec.transition_builder
@@ -376,9 +350,13 @@ def _row_sums(array: np.ndarray) -> np.ndarray:
     return total
 
 
-def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> dict[int, RowSumViolation]:
+def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[dict[int, RowSumViolation], list[int]]:
     """The error at the first bad row of each matrix of the (B, n, n)
-    ``stack`` that has one, by index.
+    ``stack`` that has one, by index, and the indices of the others whose
+    occupancy mass is not bounded within half the tolerance (the other half
+    is left for rounding): with eps the largest |row sum - 1| and a the
+    largest absolute row sum, no cycle's mass up to the horizon H is off 1
+    by more than |sum(x0) - 1| + sum(|x0|) * eps * H * max(1, a)**(H - 1).
 
     A row is bad if its sum is off 1 or an entry is negative, or, for an
     absorbing state, if it is not the identity row; a NaN anywhere fails
@@ -386,12 +364,17 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> dict[int, RowSumVi
     Row sums run left to right.
     """
     offset, upper = spec._entry_bounds
+    horizon, initial = spec.horizon_cycles, spec._initial
     with np.errstate(all="ignore"):  # an inf or a NaN entry only fails its row
         totals = _row_sums(stack)
+        off = np.abs(totals - 1.0)
+        growth = horizon * np.maximum(np.abs(stack).sum(axis=2).max(axis=1), 1.0) ** (horizon - 1)
+        bound = abs(initial.sum() - 1.0) + np.abs(initial).sum() * off.max(axis=1) * growth
     shifted = stack - offset
-    ok = (np.abs(totals - 1.0) <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
+    ok = (off <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
+    passed = ok.all(axis=1)
     faults = {}
-    for b in np.flatnonzero(~ok.all(axis=1)).tolist():
+    for b in np.flatnonzero(~passed).tolist():
         i = int(np.argmin(ok[b]))
         total = float(totals[b, i])
         if abs(total - 1.0) <= _ROW_TOL and min(stack[b, i].tolist()) >= -_ROW_TOL:
@@ -399,21 +382,17 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> dict[int, RowSumVi
         else:
             message = f"row for state {spec.states[i]!r} sums to {total}"
         faults[b] = RowSumViolation(message, cycle=0, state=i)
-    return faults
+    return faults, np.flatnonzero(passed & ~(bound <= _ROW_TOL / 2)).tolist()
 
 
 def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, dict[int, RowSumViolation]]:
     """State occupancy by cycle for each matrix of the (B, n, n) ``stack``,
     and the ``RowSumViolation`` of each trace whose mass drifts, by index.
 
-    Occupancy is computed by repeated squaring.  One (B, n + rows, n)
-    buffer holds P**k in the first n rows of each slice and the trace after
-    them; once trace rows 0..k-1 are known, the one stacked product
-    ``buffer[:, :n + step] @ P**k`` gives both P**2k and trace rows
-    k..k+step-1 of every slice, so a horizon of H cycles takes about
-    log2(H) products instead of H.  Mass conservation is checked at every
-    cycle, and a drift (or a NaN) is reported at the first cycle where it
-    exceeds the tolerance.  The matrices are not checked here.
+    One (B, n + rows, n) buffer holds P**k in its first n rows and the
+    trace after them; once trace rows 0..k-1 are known, ``buffer[:, :n +
+    step] @ P**k`` gives both P**2k and trace rows k..k+step-1.  A drift (or
+    a NaN) is reported at its first cycle.  The matrices are not checked.
     """
     n, rows = len(spec.states), spec.horizon_cycles + 1
     buffer = np.empty((len(stack), n + rows, n))
@@ -444,7 +423,7 @@ def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray
     sum to 1.
     """
     stack = _transition_stack(spec, [params])
-    faults = _matrix_faults(spec, stack)
+    faults, _ = _matrix_faults(spec, stack)
     if faults:
         raise faults[0]
     traces, drifts = _traces(spec, stack)
@@ -453,13 +432,33 @@ def cohort_trace(spec: CohortCeaSpec, params: Mapping[str, float]) -> np.ndarray
     return traces[0]
 
 
-def _totals(spec: CohortCeaSpec, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted total costs and QALYs of the (B, rows, n) ``traces``, as two arrays.
+def _doubled_totals(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted total costs and QALYs of the (B, n, n) ``stack``, as two
+    arrays: x0 @ S_H, S_k = R + A R + ... + A**(k-1) R, with A = gamma * P,
+    gamma one cycle's discount, and R the per-cycle costs and utilities.
+    As M = [[A, R], [0, I]] has M**k = [[A**k, S_k], [0, I]], the totals are
+    the last two entries of [x0, 0, 0] @ M**H: about log2(H) stacked
+    products by binary powering, and no array over the horizon.
+    """
+    n, horizon = len(spec.states), spec.horizon_cycles
+    block = np.zeros((len(stack), n + 2, n + 2))
+    block[:, :n, :n] = stack * (1.0 + spec.discount_rate_annual) ** -spec.cycle_length_years
+    block[:, :n, n:] = np.stack([spec._costs, spec._utilities], axis=1) * spec.cycle_length_years
+    block[:, n:, n:] = np.eye(2)
+    row = np.append(spec._initial, (0.0, 0.0))[None, None]
+    while True:
+        if horizon & 1:
+            row = row @ block
+        horizon >>= 1
+        if not horizon:
+            return row[:, 0, n], row[:, 0, n + 1]
+        block = block @ block
 
-    The per-cycle rewards are one product for the stack, and so are the
-    discounted totals: a stack of (1 x cycles) @ (cycles x 1) products, each
-    one dot of the same operands in the same order as ``discount @ c`` per
-    trace.  A stacked matrix-vector product would round differently.
+
+def _totals(spec: CohortCeaSpec, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted total costs and QALYs of the (B, rows, n) ``traces``, as two
+    arrays: a stack of (1 x cycles) @ (cycles x 1) products, each the dot
+    ``discount @ c`` of one trace, as a stacked matrix-vector product is not.
     """
     occupancy = traces[:, : spec.horizon_cycles]
     cost_per_cycle = occupancy @ spec._costs * spec.cycle_length_years

@@ -1,4 +1,5 @@
-"""Shared test helpers: random distributions consistent with given statistics.
+"""Shared test helpers: random distributions consistent with given
+statistics, and a cohort kernel cut into slices.
 
 The enclosure tests need discrete distributions that provably satisfy a
 MinimalData's constraints.  Each generator builds one by construction
@@ -157,3 +158,22 @@ def assert_within_envelope(step_fn, lo_fn, hi_fn, grid, h=0.0, slack=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture
+def totals_in_slices(monkeypatch):
+    """``totals_in_slices(most)`` makes the cohort kernel take each stack's
+    totals in slices of at most ``most`` matrices, until the test's
+    ``monkeypatch`` is undone."""
+    from pba import models
+
+    totals = models._doubled_totals
+
+    def cut(most: int) -> None:
+        def sliced(spec, stack):
+            parts = [totals(spec, stack[i : i + most]) for i in range(0, len(stack), most)]
+            return tuple(np.concatenate(column) for column in zip(*parts))
+
+        monkeypatch.setattr(models, "_doubled_totals", sliced)
+
+    return cut

@@ -694,16 +694,18 @@ def test_bundled_configs_round_trip(name, tmp_path):
 
 
 def test_bundled_cea_result_pinned(tmp_path):
-    """The bundled CEA run, at two samples, gives the figures it gave before
-    the cohort evaluator was compiled per spec: the same expected interval to
-    the last bit, and the same DIRECT trajectory (model evaluations).  The
-    figures were recorded with numpy 2.4 on x86-64; another BLAS may round
-    the small matrix products differently."""
+    """The bundled CEA run, at two samples, gives the pinned expected
+    interval to the last bit, and the same DIRECT trajectory (model
+    evaluations) it has given since the cohort evaluator was compiled per
+    spec.  The interval was re-pinned when the totals came to be taken by
+    doubling: it moved in the 13th digit, from [-1581.6096957697448,
+    31609.485147967665].  The figures were recorded with numpy 2.4 on
+    x86-64; another BLAS may round the small matrix products differently."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     summary = run_analysis(config, tmp_path)
     assert [repr(v) for v in summary["expected_interval"]] == [
-        "-1581.6096957697448",
-        "31609.485147967665",
+        "-1581.6096957696518",
+        "31609.48514796765",
     ]
     assert summary["model_evaluations"] == 10466
 
@@ -764,19 +766,17 @@ def test_bundled_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):
     assert sum(sizes) == 12661
 
 
-def test_bundled_cea_run_traces_no_slice_larger_than_the_cap(tmp_path, monkeypatch):
-    """The bundled CEA run at two samples traces each round's transition
-    stack one slice at a time: no stack handed to ``_traces`` holds more
-    matrices than ``_slice_size`` allows, though a round's stack does."""
+def test_bundled_cea_run_traces_no_matrix(tmp_path, monkeypatch):
+    """The bundled CEA run at two samples takes every total by doubling:
+    each of its matrices passes the drift bound, so none is traced cycle by
+    cycle, and no array over the horizon is built."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
-    rounds = _stack_sizes(monkeypatch)
-    sizes = []
+    traced = []
     traces = models._traces
-    monkeypatch.setattr(models, "_traces", lambda spec, stack: sizes.append(len(stack)) or traces(spec, stack))
+    monkeypatch.setattr(models, "_traces", lambda spec, stack: traced.append(len(stack)) or traces(spec, stack))
     models.demo_cea_inmb.prefetch.__self__.clear()
     assert run_analysis(config, tmp_path)["model_evaluations"] == 10466
-    assert sizes and max(sizes) <= models._slice_size(models._DEMO_SPEC) == 64 < max(rounds)
-    assert sum(sizes) == sum(rounds)
+    assert traced == []
 
 
 def test_bundled_cea_table_holds_the_last_round(tmp_path, monkeypatch):
@@ -801,27 +801,30 @@ def test_bundled_cea_table_holds_the_last_round(tmp_path, monkeypatch):
     assert set(table) == keys
 
 
-def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch):
+def test_bundled_cea_run_is_the_same_in_any_slice(tmp_path, monkeypatch, totals_in_slices):
     """The bundled CEA run at two samples gives the same summary values and
-    curve bytes with the stacks cut into slices of one matrix, of seven,
-    and of the default size."""
+    curve bytes with each stack's totals taken in slices of one matrix, of
+    seven, and whole: a matrix's totals do not depend on the stack it is in."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     results = []
-    for most in (1, 7, models._SLICE_MATRICES):
-        monkeypatch.setattr(models, "_SLICE_MATRICES", most)
+    for most in (1, 7, None):
+        if most is not None:
+            totals_in_slices(most)
         models.demo_cea_inmb.prefetch.__self__.clear()
         out = tmp_path / str(most)
         summary = run_analysis(config, out)
+        monkeypatch.undo()
         for key in ("runtime_seconds", "outputs", "summary_path"):
             del summary[key]
         results.append((summary, (out / "curve.csv").read_bytes()))
     assert results[0] == results[1] == results[2]
 
 
-def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
-    """A 12-state, 1,200-cycle inline model hands the kernel slices whose
-    trace buffers fit ``_SLICE_BYTES``: at most 9 matrices, not 64, and each
-    point's outcome is that of its matrix evaluated alone."""
+def test_large_inline_spec_totals_agree_with_the_per_cycle_trace(monkeypatch):
+    """A 12-state, 1,200-cycle inline model takes a round's totals by
+    doubling, tracing no matrix, and each point's cost and QALY agree with
+    ``discounted_outcomes`` of its per-cycle ``cohort_trace`` within 1e-12
+    relative."""
     chain = [f"s{i}" for i in range(11)]
     transitions = [{"from": a, "to": b, "param": "p"} for a, b in zip(chain, chain[1:])]
     transitions += [{"from": a, "to": "dead", "param": "p_die"} for a in chain]
@@ -834,18 +837,23 @@ def test_large_inline_spec_slices_within_the_byte_cap(monkeypatch):
         cycle_length_years=1.0 / 12.0,
     )
     document["parameters"]["fixed"] = {"p": 0.01}
-    model, alone = (AnalysisConfig.from_dict(document).model.fn for _ in range(2))
-    table = model.prefetch.__self__
-    sizes, specs = [], []
-    traces = models._traces
-    monkeypatch.setattr(
-        models, "_traces", lambda s, stack: specs.append(s) or sizes.append(len(stack)) or traces(s, stack)
-    )
     points = [{"p": 0.001 * k, "p_die": 0.01 + 0.0005 * k} for k in range(40)]
-    model.prefetch(points)
-    assert models._slice_size(specs[0]) == 9 and 9 * 8 * 12 * (12 + 1200 + 1) <= models._SLICE_BYTES
-    assert sizes == [8] * 5  # 40 points in the fewest slices of at most 9, evened out
-    assert all(table[table.key(p)] == alone(p) for p in points)  # each of ``alone``'s calls is a stack of one
+    specs, traced, values = [], [], []
+    totals, traces = models._doubled_totals, models._traces
+    monkeypatch.setattr(models, "_doubled_totals", lambda s, stack: specs.append(s) or totals(s, stack))
+    monkeypatch.setattr(models, "_traces", lambda s, stack: traced.append(len(stack)) or traces(s, stack))
+    for outcome in ("cost", "qaly"):
+        document["model"]["cea"]["outcome"] = outcome
+        model = AnalysisConfig.from_dict(document).model.fn
+        model.prefetch(points)
+        table = model.prefetch.__self__
+        values.append([table[table.key(p)] for p in points])
+    monkeypatch.undo()
+    assert traced == [] and len(specs) == 2 and specs[0].horizon_cycles == 1200
+    judged = [models.discounted_outcomes(models.cohort_trace(specs[0], p), specs[0]) for p in points]
+    assert [v for pair in zip(*values) for v in pair] == pytest.approx(
+        [v for pair in judged for v in pair], rel=1e-12, abs=0
+    )
 
 
 def test_three_boxed_cea_run_evaluates_no_stack_of_one(tmp_path, monkeypatch):

@@ -239,6 +239,74 @@ def test_drift_caught_at_first_offending_cycle():
     assert err.value.cycle == 2
 
 
+def _drift_on_each_path(spec):
+    """The RowSumViolation (message, cycle, state) that ``cohort_trace``,
+    the spec's ``outcomes`` and its cost model called without and after a
+    ``prefetch`` raise at ``{}``, each as one list entry."""
+    found = []
+    with pytest.raises(RowSumViolation) as err:
+        cohort_trace(spec, {})
+    found.append(err.value)
+    with pytest.raises(RowSumViolation) as err:
+        spec.outcomes({})
+    found.append(err.value)
+    for prefetch in (False, True):
+        model = cea_model(spec, "cost", 0.0)
+        if prefetch:
+            model.prefetch([{}])
+            assert len(model.prefetch.__self__) == 1
+        with pytest.raises(RowSumViolation) as err:
+            model({})
+        found.append(err.value)
+    return [(str(e), e.cycle, e.state) for e in found]
+
+
+def test_drift_named_alike_on_the_round_path():
+    """The drifting matrix of ``test_drift_caught_at_first_offending_cycle``
+    passes the matrix check but not the drift bound, so the round path
+    traces it alone and raises what ``cohort_trace`` raises."""
+    drifting = dataclasses.replace(
+        two_state_spec(stay=0.8),
+        absorbing=(False, False),
+        transition_builder=lambda params: np.array([[0.5 + 5e-11, 0.5], [0.25, 0.75 + 5e-11]]),
+    )
+    found = _drift_on_each_path(drifting)
+    assert found[0][1:] == (2, None) and found == [found[0]] * 4
+
+
+def test_initial_mass_counts_in_the_drift_bound():
+    """An initial mass 0.9e-10 over 1, within the spec's tolerance, and rows
+    4e-12 over 1 drift past the tolerance at cycle 3 of 10.  The rows alone
+    would pass the bound; the initial mass makes the round path trace the
+    matrix and name that cycle."""
+    drifting = dataclasses.replace(
+        two_state_spec(stay=0.8),
+        absorbing=(False, False),
+        transition_builder=lambda params: np.array([[0.5 + 4e-12, 0.5], [0.25, 0.75 + 4e-12]]),
+        initial=(1.0 + 0.9e-10, 0.0),
+    )
+    found = _drift_on_each_path(drifting)
+    assert found[0][1:] == (3, None) and found == [found[0]] * 4
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5, 8, 64, 119, 120, 121, 1200])
+def test_round_totals_match_the_per_cycle_trace(horizon):
+    """On random demo points, the totals of a round agree with
+    ``discounted_outcomes`` of each point's per-cycle ``cohort_trace``
+    within 1e-13 relative, at horizons on both sides of powers of two."""
+    spec = dataclasses.replace(demo_cea_spec(), horizon_cycles=horizon)
+    rng = np.random.default_rng(20261021 + horizon)
+    points = [
+        {**DEMO_PARAMS, "p_serious": float(rng.uniform(0.001, 0.02)), "rr": float(rng.uniform(0.45, 1.05))}
+        for _ in range(20)
+    ]
+    costs, qalys, faults = spec._evaluate(points)
+    assert faults == {}
+    judged = [discounted_outcomes(cohort_trace(spec, p), spec) for p in points]
+    assert costs.tolist() == pytest.approx([c for c, _ in judged], rel=1e-13, abs=0)
+    assert qalys.tolist() == pytest.approx([q for _, q in judged], rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize(
     "matrix, state",
     [
@@ -903,10 +971,10 @@ def test_demo_point_without_device_cost_raises_its_arm_error_first(model):
                     model(lacking)
 
 
-def test_prefetch_in_slices_gives_the_per_point_outcomes(monkeypatch):
-    """A stack longer than a slice is evaluated slice by slice, with the
-    outcomes of the points evaluated one by one."""
-    monkeypatch.setattr("pba.models._SLICE_MATRICES", 7)
+def test_prefetch_in_slices_gives_the_per_point_outcomes(totals_in_slices):
+    """A stack whose totals are taken in slices of seven matrices gives,
+    bit for bit, the outcomes of the points evaluated one by one."""
+    totals_in_slices(7)
     rng = np.random.default_rng(20261022)
     points = [
         {**DEMO_PARAMS, "p_serious": float(rng.uniform(0.001, 0.02)), "rr": float(rng.uniform(0.45, 1.05))}
