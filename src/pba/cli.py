@@ -19,7 +19,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from ._lazy import np
 from .errors import ConfigParseError, PbaError
 from .minimal_data import MinimalData, validate_minimal_data
 from .pbox import Intersection, PBox, build_pbox
@@ -101,9 +100,8 @@ def export_curve(p: PBox | Intersection | EmpiricalPBox, gridsize: int, path: st
         support = support()
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        jumps = np.concatenate([p.upper_steps()[0], p.lower_steps()[0]])
-        finite = jumps[np.isfinite(jumps)]
-        lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+        finite = [y for y in (*p.upper_steps()[0], *p.lower_steps()[0]) if math.isfinite(y)]
+        lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
     pad = 0.05 * ((hi - lo) or abs(lo) or 1.0)
     start, stop = lo - pad, hi + pad
     path = Path(path)

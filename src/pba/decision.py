@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from ._lazy import np
 from .errors import NonMonotoneUtility, TooFewActions
 from .interval import Interval
 from .propagate import EmpiricalPBox
@@ -96,31 +95,36 @@ def expected_interval(
     The identity utility gives the interval of expected outcome values.
     Utilities must be non-decreasing on the outcome support; for
     non-monotone maps the CDF bounds no longer bound the expectation, so
-    they are rejected.  An infinite outcome with positive mass makes that
-    end of the interval infinite.
+    they are rejected.  ``utility`` is called once per distinct outcome.
+    An infinite outcome with positive mass makes that end of the interval
+    infinite.  Each end is ``math.fsum`` of the step's (mass x utility)
+    products, each mass the rise of the cumulative step: the correctly
+    rounded sum of those rounded products, whatever the order or platform.
     """
     up_y, up_c = e.upper_steps()
     lo_y, lo_c = e.lower_steps()
     if utility is None:
         u_up, u_lo = up_y, lo_y
     else:
-        all_y = np.unique(np.concatenate([up_y, lo_y]))
-        u_all = np.array([float(utility(y)) for y in all_y])
-        scale = float(np.abs(u_all[np.isfinite(u_all)]).max(initial=1.0))
-        if np.any(np.diff(u_all) < -1e-12 * scale):
+        u = {y: float(utility(y)) for y in sorted({*up_y, *lo_y})}
+        u_all = list(u.values())
+        scale = max([1.0, *(abs(v) for v in u_all if math.isfinite(v))])
+        if any(b - a < -1e-12 * scale for a, b in zip(u_all, u_all[1:])):
             raise NonMonotoneUtility("utility map decreases on the outcome support")
-        u_up = np.array([float(utility(y)) for y in up_y])
-        u_lo = np.array([float(utility(y)) for y in lo_y])
-    if any(np.isneginf(u).any() and np.isposinf(u).any() for u in (u_up, u_lo)):
+        u_up = [u[y] for y in up_y]
+        u_lo = [u[y] for y in lo_y]
+    if any(-math.inf in values and math.inf in values for values in (u_up, u_lo)):
         raise ValueError(
             "expected value is undefined: one bounding step holds both -inf and +inf"
         )
-    masses_up = np.diff(np.concatenate([[0.0], up_c]))
-    masses_lo = np.diff(np.concatenate([[0.0], lo_c]))
-    against_upper = float(masses_up @ u_up)
-    against_lower = float(masses_lo @ u_lo)
-    lo, hi = sorted((against_upper, against_lower))
+    lo, hi = sorted((_stieltjes(up_c, u_up), _stieltjes(lo_c, u_lo)))
     return UtilityInterval(action, Interval(lo, hi))
+
+
+def _stieltjes(cum: list[float], values: list[float]) -> float:
+    """The correctly rounded sum of mass x value over a step whose
+    cumulative masses are ``cum``."""
+    return math.fsum((c - below) * v for below, c, v in zip([0.0, *cum], cum, values))
 
 
 def _hurwicz_score(u: UtilityInterval, alpha: float) -> float:

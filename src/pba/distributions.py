@@ -10,6 +10,7 @@ moments needs no second dispatch on the family.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import _lazy
@@ -116,14 +117,18 @@ class DistributionSpec:
         draw (their u is 0 or at least 2**-53): below about u = 1e-30,
         ``betaincinv`` may return nan where ``scipy.stats.beta.ppf`` returns
         a value.
+
+        A uniform quantile is ``low + u * (high - low)``, for a number ``u``
+        in plain floats: the value numpy computes, without loading numpy.
         """
+        if self.family == UNIFORM:
+            u = float(u) if isinstance(u, numbers.Real) else np.asarray(u, dtype=float)
+            return self._p("low") + u * (self._p("high") - self._p("low"))
         u = np.asarray(u, dtype=float)
         if self.family == GAMMA:
             return _lazy.gammaincinv(self._p("shape"), u) * (1.0 / self._p("rate"))
         if self.family == BETA:
             return _lazy.betaincinv(self._p("alpha"), self._p("beta"), u)
-        if self.family == UNIFORM:
-            return self._p("low") + u * (self._p("high") - self._p("low"))
         if self.family == TABULATED:
             xs = np.array([v for v, _ in self.table])
             ps = np.array([p for _, p in self.table])

@@ -131,7 +131,8 @@ class CohortCeaSpec:
     about 1e-14 relative of the per-cycle discounting of
     ``discounted_outcomes``.  With no per-cycle mass, a matrix is traced for
     drift, alone, only if its row sums and the initial mass do not bound
-    every cycle's mass within half the tolerance (``_matrix_faults``).
+    every cycle's mass within the tolerance less a rounding margin
+    (``_matrix_faults``).
     """
 
     states: tuple[str, ...]
@@ -353,10 +354,17 @@ def _row_sums(array: np.ndarray) -> np.ndarray:
 def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[dict[int, RowSumViolation], list[int]]:
     """The error at the first bad row of each matrix of the (B, n, n)
     ``stack`` that has one, by index, and the indices of the others whose
-    occupancy mass is not bounded within half the tolerance (the other half
-    is left for rounding): with eps the largest |row sum - 1| and a the
-    largest absolute row sum, no cycle's mass up to the horizon H is off 1
-    by more than |sum(x0) - 1| + sum(|x0|) * eps * H * max(1, a)**(H - 1).
+    occupancy mass is not bounded within the tolerance.
+
+    With eps the largest |row sum - 1| and a the largest absolute row sum,
+    no cycle's mass up to the horizon H is off 1 by more than
+    |sum(x0) - 1| + drift, drift = sum(|x0|) * eps * H * max(1, a)**(H - 1).
+    The spec's own |sum(x0) - 1| is within the tolerance; the drift term
+    may take half of what it leaves, and the other half, never less than
+    the drift term, is the rounding margin.  eps counts as at least
+    n * 2**-53, the rounding of one row sum, so that the margin covers the
+    rounding of the traced masses too: each comes from about log2(H) + 2
+    rounded sums of n terms.
 
     A row is bad if its sum is off 1 or an entry is negative, or, for an
     absorbing state, if it is not the identity row; a NaN anywhere fails
@@ -369,7 +377,8 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[dict[int, Ro
         totals = _row_sums(stack)
         off = np.abs(totals - 1.0)
         growth = horizon * np.maximum(np.abs(stack).sum(axis=2).max(axis=1), 1.0) ** (horizon - 1)
-        bound = abs(initial.sum() - 1.0) + np.abs(initial).sum() * off.max(axis=1) * growth
+        drift = np.abs(initial).sum() * np.maximum(off.max(axis=1), len(spec.states) * 2.0**-53) * growth
+        bounded = abs(initial.sum() - 1.0) + 2.0 * drift <= _ROW_TOL
     shifted = stack - offset
     ok = (off <= _ROW_TOL) & ((shifted >= -_ROW_TOL) & (shifted <= upper)).all(axis=2)
     passed = ok.all(axis=1)
@@ -382,7 +391,7 @@ def _matrix_faults(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[dict[int, Ro
         else:
             message = f"row for state {spec.states[i]!r} sums to {total}"
         faults[b] = RowSumViolation(message, cycle=0, state=i)
-    return faults, np.flatnonzero(passed & ~(bound <= _ROW_TOL / 2)).tolist()
+    return faults, np.flatnonzero(passed & ~bounded).tolist()
 
 
 def _traces(spec: CohortCeaSpec, stack: np.ndarray) -> tuple[np.ndarray, dict[int, RowSumViolation]]:

@@ -21,9 +21,12 @@ and maxima the lower bound, which keeps lower <= upper everywhere.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from . import _pcg
@@ -67,42 +70,53 @@ class EmpiricalPBox:
     cumulative weights are normalized so both steps reach exactly one.  An
     extremum may be +-inf (an outcome unbounded on its box), never NaN;
     ``unbounded_boxes`` counts the triples with an infinite end.
+
+    Each step is kept as two lists of floats: its jumps, sorted stably,
+    and the cumulative mass at each, added left to right in that order and
+    divided by the total.  ``lower`` and ``upper`` take a number to a float
+    and an ndarray to an ndarray of the same shape, element by element
+    through the same search, so that a run that passes no array never
+    loads numpy.
     """
 
     def __init__(self, extrema, model_evaluations: int = 0, unconverged_boxes: int = 0):
-        arr = np.asarray(list(extrema), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
+        try:
+            triples = [tuple(map(float, triple)) for triple in extrema]
+        except TypeError:
+            triples = []
+        if not triples or any(len(triple) != 3 for triple in triples):
             raise ValueError("need a non-empty sequence of (y_min, y_max, mass) triples")
-        if np.any(np.isnan(arr)):
+        if any(math.isnan(x) for triple in triples for x in triple):
             raise ValueError("found a NaN in a (y_min, y_max, mass) triple")
-        y_min, y_max, mass = arr[:, 0], arr[:, 1], arr[:, 2]
-        if np.any(y_min > y_max):
+        if any(y_min > y_max for y_min, y_max, _ in triples):
             raise ValueError("found a triple with y_min > y_max")
-        if np.any(mass <= 0):
+        if any(mass <= 0 for _, _, mass in triples):
             raise ValueError("masses must be positive")
-        total = math.fsum(mass)
+        total = math.fsum(mass for _, _, mass in triples)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses sum to {total}, expected 1 within 1e-9")
-        self.extrema = tuple(map(tuple, arr))
+        self.extrema = tuple(triples)
         self.model_evaluations = model_evaluations
         self.unconverged_boxes = unconverged_boxes
-        self.unbounded_boxes = int(np.count_nonzero(np.isinf(y_min) | np.isinf(y_max)))
-
-        up_order = np.argsort(y_min, kind="stable")
-        self._up_y = y_min[up_order]
-        self._up_c = np.cumsum(mass[up_order])
-        self._up_c /= self._up_c[-1]
-        lo_order = np.argsort(y_max, kind="stable")
-        self._lo_y = y_max[lo_order]
-        self._lo_c = np.cumsum(mass[lo_order])
-        self._lo_c /= self._lo_c[-1]
+        self.unbounded_boxes = sum(math.isinf(y_min) or math.isinf(y_max) for y_min, y_max, _ in triples)
+        self._up_y, self._up_c = self._cumulate(triples, 0)
+        self._lo_y, self._lo_c = self._cumulate(triples, 1)
 
     @staticmethod
-    def _step(jumps: np.ndarray, cum: np.ndarray, y):
-        idx = np.searchsorted(jumps, np.asarray(y, dtype=float), side="right")
-        padded = np.concatenate([[0.0], cum])
-        out = padded[idx]
-        return float(out) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
+    def _cumulate(triples, end: int) -> tuple[list[float], list[float]]:
+        """The jumps and cumulative masses of the step at the ``end`` extrema."""
+        ordered = sorted(triples, key=itemgetter(end))
+        cum = list(itertools.accumulate(triple[2] for triple in ordered))
+        return [triple[end] for triple in ordered], [c / cum[-1] for c in cum]
+
+    @staticmethod
+    def _step(jumps: list[float], cum: list[float], y):
+        if isinstance(y, numbers.Real):
+            k = bisect.bisect_right(jumps, float(y))
+            return cum[k - 1] if k else 0.0
+        arr = np.asarray(y, dtype=float)
+        out = np.array([EmpiricalPBox._step(jumps, cum, v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
 
     def lower(self, y):
         """Lower bounding step (cumulated per-box maxima)."""
@@ -113,22 +127,18 @@ class EmpiricalPBox:
         return self._step(self._up_y, self._up_c, y)
 
     def support(self) -> Interval:
-        return Interval(float(self._up_y[0]), float(self._lo_y[-1]))
+        return Interval(self._up_y[0], self._lo_y[-1])
 
-    def lower_steps(self) -> tuple[np.ndarray, np.ndarray]:
+    def lower_steps(self) -> tuple[list[float], list[float]]:
         return self._lo_y.copy(), self._lo_c.copy()
 
-    def upper_steps(self) -> tuple[np.ndarray, np.ndarray]:
+    def upper_steps(self) -> tuple[list[float], list[float]]:
         return self._up_y.copy(), self._up_c.copy()
 
     @property
     def is_degenerate(self) -> bool:
         """True when both steps coincide (a plain empirical CDF)."""
-        return (
-            len(self._lo_y) == len(self._up_y)
-            and bool(np.all(self._lo_y == self._up_y))
-            and bool(np.all(self._lo_c == self._up_c))
-        )
+        return self._lo_y == self._up_y and self._lo_c == self._up_c
 
 
 def _call_model(model: Model, args: Mapping[str, float]) -> float:

@@ -699,12 +699,16 @@ def test_bundled_cea_result_pinned(tmp_path):
     evaluations) it has given since the cohort evaluator was compiled per
     spec.  The interval was re-pinned when the totals came to be taken by
     doubling: it moved in the 13th digit, from [-1581.6096957697448,
-    31609.485147967665].  The figures were recorded with numpy 2.4 on
-    x86-64; another BLAS may round the small matrix products differently."""
+    31609.485147967665].  It was re-pinned again when the expected values
+    came to be taken with ``math.fsum``, correctly rounded, in place of a
+    BLAS dot product: the lower end moved 1 ulp, from -1581.6096957696518.
+    The expected values no longer depend on the BLAS; the model's totals
+    still do.  The figures were recorded with numpy 2.4 on x86-64; another
+    BLAS may round the small matrix products differently."""
     config = dataclasses.replace(load_config(CONFIG_DIR / "demo-cea-inmb.json"), samples=2)
     summary = run_analysis(config, tmp_path)
     assert [repr(v) for v in summary["expected_interval"]] == [
-        "-1581.6096957696518",
+        "-1581.609695769652",
         "31609.48514796765",
     ]
     assert summary["model_evaluations"] == 10466

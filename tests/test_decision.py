@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +159,55 @@ def test_non_monotone_utility_rejected():
     e = EmpiricalPBox([(0.0, 0.5, 0.5), (0.25, 1.0, 0.5)])
     with pytest.raises(NonMonotoneUtility):
         expected_interval(e, utility=lambda y: -((y - 0.3) ** 2))
+
+
+def _summed_exactly(products):
+    """The correctly rounded sum of ``products``, added exactly as
+    fractions; an infinite product decides the sum."""
+    infinite = {p for p in products if math.isinf(p)}
+    if infinite:
+        (end,) = infinite
+        return end
+    return float(sum(map(Fraction, products)))
+
+
+@pytest.mark.parametrize("utility", [None, lambda y: y**3], ids=["identity", "cube"])
+def test_expected_interval_is_the_correctly_rounded_sum(utility, rng):
+    """On random envelopes, each end of the expected interval is the sum of
+    the rounded products mass x utility, rounded once; ends at -inf (a
+    minimum) and +inf (a maximum) included.  A plain left-to-right sum of
+    the same products differs from it on some of them."""
+    apply = (lambda y: y) if utility is None else utility
+    plain_differs = 0
+    for trial in range(200):
+        k = int(rng.integers(1, 60))
+        centres = rng.normal(0.0, 1.0, k) * 10.0 ** rng.integers(-3, 5, k)
+        widths = rng.exponential(1.0, k) * 10.0 ** rng.integers(-3, 3, k)
+        weights = rng.exponential(1.0, k)
+        triples = [
+            [float(c), float(c + w), float(m)] for c, w, m in zip(centres, widths, weights / weights.sum())
+        ]
+        if trial % 4 in (1, 3):
+            triples[0][0] = -math.inf
+        if trial % 4 in (2, 3):
+            triples[-1][1] = math.inf
+        e = EmpiricalPBox(triples)
+        ends = []
+        for ys, cum in (e.upper_steps(), e.lower_steps()):
+            # mass x utility per jump, each mass the rise of the cumulative step
+            products = [(c - below) * apply(y) for below, c, y in zip([0.0, *cum], cum, ys)]
+            ends.append(_summed_exactly(products))
+            plain_differs += functools.reduce(operator.add, products, 0.0) != ends[-1]
+        assert tuple(expected_interval(e, utility=utility).interval) == tuple(sorted(ends))
+    assert plain_differs > 0
+
+
+def test_utility_called_once_per_distinct_outcome():
+    e = EmpiricalPBox([(0.0, 1.0, 0.25), (0.5, 1.0, 0.25), (0.0, 2.0, 0.5)])
+    calls = []
+    interval = expected_interval(e, utility=lambda y: calls.append(y) or 2.0 * y).interval
+    assert sorted(calls) == [0.0, 0.5, 1.0, 2.0]
+    assert tuple(interval) == (0.25, 3.0)
 
 
 def test_nested_box_gives_nested_interval(rng):

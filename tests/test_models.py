@@ -307,6 +307,48 @@ def test_round_totals_match_the_per_cycle_trace(horizon):
     assert qalys.tolist() == pytest.approx([q for _, q in judged], rel=1e-13, abs=0)
 
 
+def test_initial_mass_off_within_tolerance_traces_no_matrix(monkeypatch):
+    """A 400-point demo round whose initial mass is 6e-11 over 1, inside the
+    spec's tolerance: only the drift term, not that constant, counts
+    against the rounding margin, so no matrix is traced, and the totals are
+    the doubled totals of the round's stack, as a traced round gives them,
+    within 1e-13 relative of the per-cycle trace."""
+    from pba import models
+
+    spec = dataclasses.replace(demo_cea_spec(), initial=(1.0 + 6e-11, 0.0, 0.0, 0.0))
+    rng = np.random.default_rng(20261023)
+    points = [
+        {**DEMO_PARAMS, "p_serious": float(rng.uniform(0.001, 0.02)), "rr": float(rng.uniform(0.45, 1.05))}
+        for _ in range(400)
+    ]
+    traced = []
+    traces = models._traces
+    monkeypatch.setattr(models, "_traces", lambda spec, stack: traced.append(len(stack)) or traces(spec, stack))
+    costs, qalys, faults = spec._evaluate(points)
+    assert traced == [] and faults == {}
+    doubled = models._doubled_totals(spec, models._transition_stack(spec, points))
+    assert (costs.tolist(), qalys.tolist()) == (doubled[0].tolist(), doubled[1].tolist())
+    judged = [discounted_outcomes(cohort_trace(spec, p), spec) for p in points[::20]]
+    assert costs[::20].tolist() == pytest.approx([c for c, _ in judged], rel=1e-13, abs=0)
+    assert qalys[::20].tolist() == pytest.approx([q for _, q in judged], rel=1e-13, abs=0)
+
+
+def test_drift_past_the_tolerance_is_caught_with_the_initial_mass_off():
+    """With the same initial mass 6e-11 over 1, rows 4.5e-12 over 1 carry
+    the mass past the tolerance at cycle 9 of 10.  Their drift term alone,
+    4.5e-11, is within half the tolerance, but not within half of what the
+    initial mass leaves: the round path still traces the matrix and names
+    the cycle ``cohort_trace`` names."""
+    drifting = dataclasses.replace(
+        two_state_spec(stay=0.8),
+        absorbing=(False, False),
+        transition_builder=lambda params: np.array([[0.5 + 4.5e-12, 0.5], [0.25, 0.75 + 4.5e-12]]),
+        initial=(1.0 + 6e-11, 0.0),
+    )
+    found = _drift_on_each_path(drifting)
+    assert found[0][1:] == (9, None) and found == [found[0]] * 4
+
+
 @pytest.mark.parametrize(
     "matrix, state",
     [

@@ -1,7 +1,8 @@
 """Start-up cost: numpy and scipy stay unloaded until a command computes with them.
 
 numpy is imported on its first numeric use, so importing ``pba``, ``pba --help``,
-``pba pbox`` and a config that fails at load never load it.  The lazy module
+``pba pbox``, a config that fails at load and a four-state run with no draws
+or uniform draws only never load it.  The lazy module
 is registered as ``sys.modules["numpy"]`` at import, so the checks look for
 ``numpy._core``, which only numpy's own import brings in.  scipy stays
 unloaded until a gamma or beta quantile is drawn, and then only its compiled
@@ -241,17 +242,36 @@ print(json.dumps(loaded))
 """
 
 
+DECIDE = {
+    "schema": "pba-analysis/1",
+    "pipeline": "decide",
+    "model": "four_state_life_expectancy",
+    "parameters": {"fixed": FOUR_STATE_FIXED, "boxed": PBOX_ONLY["parameters"]["boxed"]},
+    "n": 3,
+    "actions": [{"id": "usual-care", "overrides": {"c2": 0.01}}, {"id": "slower", "overrides": {"c2": 0.005}}],
+    "decision": {"rule": "hurwicz", "alpha": 0.5},
+}
+
+
 def test_numpy_loads_on_first_numeric_use(tmp_path):
+    """Four-state runs whose draws are uniform or absent never load numpy:
+    the model, the envelope, the expected values and the curves are plain
+    Python.  A gamma draw is the first numeric use, in the last step."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**PBOX_ONLY, "model": "no_such_model"}))
     good = tmp_path / "pbox-only.json"
     good.write_text(json.dumps(PBOX_ONLY))
+    decide = tmp_path / "decide.json"
+    decide.write_text(json.dumps(DECIDE))
     pbox = ["pbox", "--min", "0", "--max", "1", "--mean", "0.3", "--out", str(tmp_path / "box.csv")]
     steps = [
         ["help", ["--help"]],
         ["pbox", pbox],
         ["bad-config", ["run", str(bad), "--out", str(tmp_path / "bad")]],
         ["run", ["run", str(good), "--out", str(tmp_path / "good")]],
+        ["decide", ["run", str(decide), "--out", str(tmp_path / "decide")]],
+        ["uniform-baseline", ["run", str(CONFIG_DIR / "case1-minmax-vs-uniform.json"), "--out", str(tmp_path / "minmax")]],
+        ["gamma-baseline", ["run", str(CONFIG_DIR / "case1-pba.json"), "--out", str(tmp_path / "pba")]],
     ]
     loaded = _fresh(f"ARGV = {json.dumps(steps)}\n" + NUMPY_PROBE)
     assert {step: (code, numpy) for step, (code, numpy, _) in loaded.items()} == {
@@ -259,7 +279,10 @@ def test_numpy_loads_on_first_numeric_use(tmp_path):
         "help": (0, False),
         "pbox": (0, False),
         "bad-config": (2, False),
-        "run": (0, True),
+        "run": (0, False),
+        "decide": (0, False),
+        "uniform-baseline": (0, False),
+        "gamma-baseline": (0, True),
     }
     error = json.loads(loaded["bad-config"][2])["error"]
     assert error["type"] == "ConfigParseError" and error["location"] == "model"
