@@ -99,7 +99,8 @@ def expected_interval(
     An infinite outcome with positive mass makes that end of the interval
     infinite.  Each end is ``math.fsum`` of the step's (mass x utility)
     products, each mass the rise of the cumulative step: the correctly
-    rounded sum of those rounded products, whatever the order or platform.
+    rounded sum of those rounded products, whatever the order or platform,
+    clamped into the range of the step's utilities.
     """
     up_y, up_c = e.upper_steps()
     lo_y, lo_c = e.lower_steps()
@@ -123,8 +124,11 @@ def expected_interval(
 
 def _stieltjes(cum: list[float], values: list[float]) -> float:
     """The correctly rounded sum of mass x value over a step whose
-    cumulative masses are ``cum``."""
-    return math.fsum((c - below) * v for below, c, v in zip([0.0, *cum], cum, values))
+    cumulative masses are ``cum``, clamped into the range of ``values``: a
+    mass-weighted mean cannot leave it, but the sum of rounded masses and
+    products can, by an ulp."""
+    total = math.fsum((c - below) * v for below, c, v in zip([0.0, *cum], cum, values))
+    return min(max(total, min(values)), max(values))
 
 
 def _hurwicz_score(u: UtilityInterval, alpha: float) -> float:

@@ -202,6 +202,19 @@ def test_expected_interval_is_the_correctly_rounded_sum(utility, rng):
     assert plain_differs > 0
 
 
+def test_expected_value_of_equal_ends_is_that_end():
+    # With masses of 0.2 * 0.2 the rounded products mass x y of the lower
+    # step sum to an ulp above y, its every minimum; a mean of equal values
+    # is that value, and so is the end.
+    y = 6.825924816035695
+    mass = 0.2 * 0.2
+    e = EmpiricalPBox([(y, y + k, mass) for k in range(25)])
+    ys, cum = e.upper_steps()
+    assert math.fsum((c - below) * v for below, c, v in zip([0.0, *cum], cum, ys)) > y
+    assert expected_interval(e).lo == y
+    assert expected_interval(EmpiricalPBox([(y - k, y, mass) for k in range(25)])).hi == y
+
+
 def test_utility_called_once_per_distinct_outcome():
     e = EmpiricalPBox([(0.0, 1.0, 0.25), (0.5, 1.0, 0.25), (0.0, 2.0, 0.5)])
     calls = []

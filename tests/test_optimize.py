@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from pba._direct import Direct
 from pba.errors import DimensionTooLarge, NonFiniteObjective, SingularSystem
 from pba.interval import Interval
 from pba.optimize import (
@@ -15,7 +16,6 @@ from pba.optimize import (
     SearchBox,
     _pointwise,
     _search,
-    _shape,
     optimize_box,
     optimize_boxes,
     vertex_extrema,
@@ -354,13 +354,15 @@ def test_diameter_squares_added_left_to_right():
     # For these levels a compensated sum (math.fsum, or sum() on Python
     # 3.12) gives another last bit than left-to-right adds, and so another
     # diameter.  The test suite itself runs on 3.11, where sum() adds left
-    # to right too.
+    # to right too.  Each rect's diameter comes from its own levels, so two
+    # rects of one size class may differ in that bit.
     levels = (1, 1, 1, 0, 0)
     squares = [9.0 ** (-level) for level in levels]
     left_to_right = (((squares[0] + squares[1]) + squares[2]) + squares[3]) + squares[4]
     assert 0.5 * math.sqrt(left_to_right) != 0.5 * math.sqrt(math.fsum(squares))
-    assert _shape(levels) == (levels, (0, 0, 1, 1, 1), 0.5 * math.sqrt(left_to_right))
-    assert _shape((1, 1, 1, 0, 0)) is _shape(levels)
+    mirrored = (((squares[4] + squares[3]) + squares[2]) + squares[1]) + squares[0]
+    diameters = Direct(5)._diameters(np.array([levels, levels[::-1]]))
+    assert diameters.tolist() == [0.5 * math.sqrt(left_to_right), 0.5 * math.sqrt(mirrored)]
 
 
 def _random_search(rng):
@@ -380,11 +382,11 @@ def _random_search(rng):
     return objective, box, (MIN, MAX)[int(rng.integers(2))]
 
 
-def test_boxes_stepped_together_equal_one_by_one(rng):
-    # More searches than the window holds, so finished searches make room
-    # for new ones; each round hands over exactly what each search
-    # evaluates next, and at most WINDOW searches at a time.
-    searches = [_random_search(rng) for _ in range(WINDOW + 40)]
+def _stepped_together_equal_one_by_one(searches):
+    """Each search's result stepped together with the others through
+    ``optimize_boxes`` equals its own ``optimize_box`` result; each round
+    hands over exactly what each search evaluates next, and at most WINDOW
+    searches at a time."""
     alone = [optimize_box(objective, box, sense) for objective, box, sense in searches]
     calls: dict = {}
     recorded = []
@@ -412,6 +414,16 @@ def test_boxes_stepped_together_equal_one_by_one(rng):
             assert points and calls[k][made[k] : made[k] + len(points)] == points
             made[k] += len(points)
     assert made == {k: len(calls[k]) for k in calls}
+
+
+def test_boxes_stepped_together_equal_one_by_one(rng):
+    # More searches than the window holds, so finished searches make room
+    # for new ones.  The seeded searches of ``test_random_searches_pinned``
+    # put mixed dimensions, pinned coordinates, plateaus with tied values
+    # and spent budgets into one window.
+    _stepped_together_equal_one_by_one([_random_search(rng) for _ in range(WINDOW + 40)])
+    r = random.Random(20260419)
+    _stepped_together_equal_one_by_one([_seeded_search(r) for _ in range(300)])
 
 
 def test_boxes_stepped_together_raise_the_one_by_one_error():
@@ -459,3 +471,9 @@ def test_boxes_without_prefetch_run_one_at_a_time(rng):
     together = optimize_boxes([(f, _search(box, sense)) for f, box, sense in wrapped], _pointwise, 1)
     assert together == [optimize_box(f, box, sense) for f, box, sense in searches]
     assert order == sorted(order) and len(set(order)) == 5
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_window_needs_a_search(width):
+    with pytest.raises(ValueError, match="width must be at least 1"):
+        optimize_boxes([(quadratic, _search(SearchBox(UNIT2), MIN))], _pointwise, width)

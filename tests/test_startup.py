@@ -318,8 +318,10 @@ def test_missing_numpy_fails_at_import():
     assert _fresh(HIDE_NUMPY) == ["numpy", False]
 
 
-# pba's own analysis stack: ``pba --help`` and ``pba pbox`` load none of it.
+# pba's own analysis stack: ``pba --help`` and ``pba pbox`` load none of it, and
+# a run whose model is monotone searches no box by DIRECT, so it loads no ``pba._direct``.
 ANALYSIS_MODULES = [
+    "pba._direct",
     "pba.decision",
     "pba.distributions",
     "pba.models",
@@ -360,7 +362,7 @@ def test_help_and_pbox_load_no_analysis_module(tmp_path):
         "import pba.cli": [0, []],
         "help": [0, []],
         "pbox": [0, []],
-        "run": [0, [m for m in ANALYSIS_MODULES if m != "pba.oracle"]],
+        "run": [0, [m for m in ANALYSIS_MODULES if m not in ("pba._direct", "pba.oracle")]],
     }
 
 
